@@ -2,7 +2,7 @@
 
 Subcommands: build-labels, scene-tree, synth, train, sweep, eval, grid,
 chart. Exit codes: 0 success, 1 usage or validation problem, 2 data
-problem, 3 training divergence.
+problem or a failed grid cell, 3 training divergence.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ def cmd_grid(args) -> int:
         len(failures),
         manifest.out_dir,
     )
-    return 0
+    return 2 if failures else 0
 
 
 def cmd_chart(args) -> int:
@@ -266,7 +266,7 @@ def _add_train_flags(p: CliParser) -> None:
 def build_parser() -> CliParser:
     parser = CliParser(prog="structprobe", description=__doc__)
     parser.add_argument("--quiet", action="store_true", help="only warnings and errors")
-    parser.add_argument("--jobs", type=int, default=1, help="worker pool width for grid")
+    parser.add_argument("--jobs", type=int, default=1, help="number of grid layers trained at once")
     parser.add_argument(
         "--seed",
         dest="global_seed",

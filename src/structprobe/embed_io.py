@@ -83,9 +83,12 @@ def align_wordpieces(seq: EmbeddingSequence, amap: AlignmentMap) -> EmbeddingSeq
     return EmbeddingSequence(id=seq.id, layer=seq.layer, values=rows.astype(np.float32))
 
 
-def _decode_record(rec: dict, where: str) -> EmbeddingSequence:
+def _decode_record(rec: object, where: str) -> EmbeddingSequence:
+    if not isinstance(rec, dict):
+        raise DataError(f"{where}: record is not a JSON object")
     seq_id = str(rec.get("id", "<missing id>"))
     try:
+        layer = int(rec.get("layer", 0))
         n = int(rec["n"])
         m = int(rec["m"])
         dtype = rec["dtype"]
@@ -106,7 +109,7 @@ def _decode_record(rec: dict, where: str) -> EmbeddingSequence:
     values = np.frombuffer(blob, dtype="<f4").reshape(n, m)
     if not np.all(np.isfinite(values)):
         raise DataError(f"{where}: record {seq_id}: non-finite values in payload")
-    return EmbeddingSequence(id=seq_id, layer=int(rec.get("layer", 0)), values=values)
+    return EmbeddingSequence(id=seq_id, layer=layer, values=values)
 
 
 def read_embeddings(path: str | Path) -> Iterator[EmbeddingSequence]:
@@ -155,19 +158,3 @@ def scan_embedding_headers(path: str | Path) -> list[tuple[str, int, int, int]]:
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: bad embedding header: {exc}") from exc
     return out
-
-
-def read_alignments(path: str | Path) -> Iterator[AlignmentMap]:
-    """Read alignment maps from JSON Lines: {"id": str, "groups": [[int]]}."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                yield AlignmentMap(
-                    id=str(rec["id"]), groups=tuple(tuple(g) for g in rec["groups"])
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: bad alignment record: {exc}") from exc

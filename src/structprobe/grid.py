@@ -3,8 +3,10 @@
 A manifest (single JSON file) names the label files, one embedding file
 triple per layer or baseline tag, the ranks, and the training config. All
 referenced files are checked for existence and id/length agreement before
-any cell trains. Cells run in a bounded worker pool; the aggregate TSV and
-charts are written once, atomically, in a deterministic order.
+any cell trains. Layers run in a bounded worker pool: each job decodes its
+layer's three embedding files once, then trains and evaluates one (layer,
+rank) cell per rank in turn. The aggregate TSV and charts are written
+once, atomically, in a deterministic order.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -20,13 +22,7 @@ from .chart import render_line_chart
 from .embed_io import read_embeddings, scan_embedding_headers
 from .errors import StructProbeError, ValidationError
 from .io_utils import atomic_write_text
-from .metrics import (
-    REPORT_COLUMNS,
-    EvalReport,
-    evaluate_probe,
-    format_tsv_value,
-    write_report_json,
-)
+from .metrics import EvalReport, evaluate_probe, write_report_json, write_report_tsv
 from .probe import TrainConfig, pair_records, save_probe, train_probe
 from .trees import TreeLabels, read_labels
 
@@ -172,61 +168,56 @@ def run_layer_grid(
 ) -> tuple[list[EvalReport], list[tuple[str, str]]]:
     """Train and evaluate every (layer, rank) cell; emit the aggregate table.
 
-    Failed cells are recorded and skipped. Raises only if every cell fails.
-    Returns the successful reports and the (cell, error) failures.
+    Up to ``jobs`` layers run at once. Failed cells are recorded and
+    skipped. Raises only if every cell fails. Returns the successful
+    reports in manifest order and the (cell, error) failures.
     """
     split_labels = validate_manifest_data(manifest)
     manifest.out_dir.mkdir(parents=True, exist_ok=True)
 
-    work = [(cell, rank) for cell in manifest.cells for rank in manifest.ranks]
-
-    def run_cell(cell: GridCell, rank: int) -> EvalReport:
+    def run_layer(cell: GridCell) -> list[EvalReport | Exception]:
         train_pairs = pair_records(split_labels["train"], read_embeddings(cell.train_emb))
         val_pairs = pair_records(split_labels["val"], read_embeddings(cell.val_emb))
         eval_pairs = pair_records(split_labels["eval"], read_embeddings(cell.eval_emb))
-        cfg = TrainConfig(
-            batch_size=manifest.train.batch_size,
-            max_epochs=manifest.train.max_epochs,
-            patience=manifest.train.patience,
-            rank=rank,
-            lr=manifest.train.lr,
-            optimizer=manifest.train.optimizer,
-            seed=manifest.train.seed,
-        )
-        probe = train_probe(manifest.task, train_pairs, val_pairs, cfg, layer=cell.tag)
-        name = _cell_name(cell.tag, rank)
-        save_probe(probe, manifest.out_dir / f"probe_{name}.json")
-        report = evaluate_probe(probe, eval_pairs, tag=cell.tag, rank=rank)
-        write_report_json(report, manifest.out_dir / f"report_{name}.json")
-        return report
-
-    results: dict[tuple[int, int], EvalReport] = {}
-    failures: list[tuple[str, str]] = []
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        futures = {
-            pool.submit(run_cell, cell, rank): (i, cell, rank)
-            for i, (cell, rank) in enumerate(work)
-        }
-        for future, (i, cell, rank) in futures.items():
+        outcomes: list[EvalReport | Exception] = []
+        for rank in manifest.ranks:
             name = _cell_name(cell.tag, rank)
             try:
-                results[(i, rank)] = future.result()
+                cfg = replace(manifest.train, rank=rank)
+                probe = train_probe(manifest.task, train_pairs, val_pairs, cfg, layer=cell.tag)
+                save_probe(probe, manifest.out_dir / f"probe_{name}.json")
+                report = evaluate_probe(probe, eval_pairs, tag=cell.tag, rank=rank)
+                write_report_json(report, manifest.out_dir / f"report_{name}.json")
+                outcomes.append(report)
             except Exception as exc:
-                log.error("cell %s failed: %s", name, exc)
-                failures.append((name, str(exc)))
+                outcomes.append(exc)
+        return outcomes
 
-    if not results:
+    reports: list[EvalReport] = []
+    failures: list[tuple[str, str]] = []
+    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+        futures = [pool.submit(run_layer, cell) for cell in manifest.cells]
+        for cell, future in zip(manifest.cells, futures):
+            try:
+                outcomes = future.result()
+            except Exception as exc:
+                outcomes = [exc] * len(manifest.ranks)
+            for rank, outcome in zip(manifest.ranks, outcomes):
+                if isinstance(outcome, Exception):
+                    name = _cell_name(cell.tag, rank)
+                    log.error("cell %s failed: %s", name, outcome)
+                    failures.append((name, str(outcome)))
+                else:
+                    reports.append(outcome)
+
+    if not reports:
         raise StructProbeError(
             "all grid cells failed: " + "; ".join(f"{n}: {e}" for n, e in failures)
         )
 
-    reports = [results[key] for key in sorted(results)]
     rows = [row for report in reports for row in report.tsv_rows()]
     rows.sort(key=lambda r: (_tag_sort_key(r["layer"]), r["rank"], r["metric"]))
-    lines = ["\t".join(REPORT_COLUMNS)]
-    for row in rows:
-        lines.append("\t".join(format_tsv_value(row[c]) for c in REPORT_COLUMNS))
-    atomic_write_text(manifest.out_dir / "report.tsv", "\n".join(lines) + "\n")
+    write_report_tsv(rows, manifest.out_dir / "report.tsv")
 
     for metric in manifest.chart_metrics:
         present = [r for r in rows if r["metric"] == metric]

@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
+from .io_utils import atomic_write_text
 from .probe import Pair, Probe, predict_depths, predict_distances
 from .trees import TreeLabels
 
@@ -66,12 +67,9 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float | None:
 
 
 def length_binned_spearman(
-    scores: Sequence[float | None],
-    lengths: Sequence[int],
-    min_len: int = SPEARMAN_MIN_LEN,
-    max_len: int = SPEARMAN_MAX_LEN,
+    scores: Sequence[float | None], lengths: Sequence[int]
 ) -> float | None:
-    """Mean over per-length mean scores for lengths in [min_len, max_len].
+    """Mean over per-length mean scores for lengths 5 to 50 inclusive.
 
     Absent per-sequence scores are skipped; an empty range yields None.
     """
@@ -79,7 +77,7 @@ def length_binned_spearman(
         raise ValueError("scores and lengths differ in length")
     bins: dict[int, list[float]] = {}
     for score, n in zip(scores, lengths):
-        if score is None or not min_len <= n <= max_len:
+        if score is None or not SPEARMAN_MIN_LEN <= n <= SPEARMAN_MAX_LEN:
             continue
         bins.setdefault(int(n), []).append(float(score))
     if not bins:
@@ -153,6 +151,10 @@ def uuas(
     return correct / total
 
 
+def _root_hit(pred_depths: np.ndarray, gold: TreeLabels) -> bool:
+    return int(np.argmin(np.asarray(pred_depths))) == gold.root
+
+
 def root_accuracy(
     pred_depths: Sequence[np.ndarray], gold: Sequence[TreeLabels]
 ) -> float:
@@ -161,16 +163,13 @@ def root_accuracy(
         raise ValueError("prediction and label counts differ")
     if not gold:
         raise ValueError("no sequences")
-    correct = 0
-    for pred, lab in zip(pred_depths, gold):
+    for lab in gold:
         if lab.root is None:
             raise ValueError(
                 f"sequence {lab.id!r} has no root index; root accuracy only applies "
                 "to textual labels"
             )
-        if int(np.argmin(np.asarray(pred))) == lab.root:
-            correct += 1
-    return correct / len(gold)
+    return sum(map(_root_hit, pred_depths, gold)) / len(gold)
 
 
 def distance_sequence_score(
@@ -244,88 +243,68 @@ def evaluate_probe(
         raise ValueError("empty dataset")
     excluded_tokens = excluded_tokens or {}
     report = EvalReport(task=probe.task, tag=tag, rank=rank if rank is not None else probe.rank)
+    distance = probe.task == "distance"
+    have_roots = all(labels.root is not None for labels, _ in dataset)
+    scores: list[float | None] = []
+    lengths: list[int] = []
     zero_variance = 0
-
-    if probe.task == "distance":
-        scores: list[float | None] = []
-        lengths: list[int] = []
-        total_correct = 0
-        total_edges = 0
-        for labels, seq in dataset:
+    for labels, seq in dataset:
+        if distance:
             pred = predict_distances(probe, seq)
             score, undefined = distance_sequence_score(
                 pred, labels.distances.astype(np.float64), mode=dspr_mode
             )
-            zero_variance += undefined
             correct, total = uuas_counts(pred, labels, excluded_tokens.get(labels.id, ()))
-            scores.append(score)
-            lengths.append(labels.n)
-            total_correct += correct
-            total_edges += total
-            report.records.append(
-                {
-                    "id": labels.id,
-                    "n": labels.n,
-                    "dspr": score,
-                    "uuas": (correct / total) if total else None,
-                    "uuas_correct": correct,
-                    "uuas_total": total,
-                }
-            )
-        report.aggregates["dspr"] = length_binned_spearman(scores, lengths)
-        report.aggregates["uuas"] = (total_correct / total_edges) if total_edges else None
-        report.counters["n_dspr"] = sum(
-            1
-            for s, n in zip(scores, lengths)
-            if s is not None and SPEARMAN_MIN_LEN <= n <= SPEARMAN_MAX_LEN
+            record = {
+                "dspr": score,
+                "uuas": (correct / total) if total else None,
+                "uuas_correct": correct,
+                "uuas_total": total,
+            }
+        else:
+            pred = predict_depths(probe, seq)
+            score = spearman(pred, labels.depths.astype(np.float64))
+            undefined = int(score is None)
+            hit = _root_hit(pred, labels) if have_roots else None
+            record = {"nspr": score, "root_correct": hit}
+        zero_variance += undefined
+        scores.append(score)
+        lengths.append(labels.n)
+        report.records.append({"id": labels.id, "n": labels.n, **record})
+
+    corr = "dspr" if distance else "nspr"
+    report.aggregates[corr] = length_binned_spearman(scores, lengths)
+    report.counters[f"n_{corr}"] = sum(
+        1
+        for s, n in zip(scores, lengths)
+        if s is not None and SPEARMAN_MIN_LEN <= n <= SPEARMAN_MAX_LEN
+    )
+    if distance:
+        total_edges = sum(r["uuas_total"] for r in report.records)
+        report.aggregates["uuas"] = (
+            sum(r["uuas_correct"] for r in report.records) / total_edges if total_edges else None
         )
         report.counters["n_uuas"] = sum(1 for r in report.records if r["uuas_total"] > 0)
     else:
-        scores = []
-        lengths = []
-        root_hits: list[bool] = []
-        have_roots = all(labels.root is not None for labels, _ in dataset)
-        for labels, seq in dataset:
-            pred = predict_depths(probe, seq)
-            score = spearman(pred, labels.depths.astype(np.float64))
-            if score is None:
-                zero_variance += 1
-            scores.append(score)
-            lengths.append(labels.n)
-            hit = None
-            if have_roots:
-                hit = int(np.argmin(pred)) == labels.root
-                root_hits.append(hit)
-            report.records.append(
-                {"id": labels.id, "n": labels.n, "nspr": score, "root_correct": hit}
-            )
-        report.aggregates["nspr"] = length_binned_spearman(scores, lengths)
-        report.aggregates["root_acc"] = (
-            (sum(root_hits) / len(root_hits)) if have_roots else None
-        )
-        report.counters["n_nspr"] = sum(
-            1
-            for s, n in zip(scores, lengths)
-            if s is not None and SPEARMAN_MIN_LEN <= n <= SPEARMAN_MAX_LEN
-        )
-        report.counters["n_root_acc"] = len(root_hits)
-
+        hits = [r["root_correct"] for r in report.records if have_roots]
+        report.aggregates["root_acc"] = (sum(hits) / len(hits)) if hits else None
+        report.counters["n_root_acc"] = len(hits)
     report.counters["zero_variance"] = zero_variance
     return report
 
 
-def format_tsv_value(value: float | int | str) -> str:
+def _format_tsv_value(value: float | int | str) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
 def write_report_tsv(rows: Iterable[dict], path: str | Path) -> None:
-    """Write report rows as TSV; float values keep full round-trip precision."""
+    """Atomically write report rows as TSV; floats keep full round-trip precision."""
     lines = ["\t".join(REPORT_COLUMNS)]
     for row in rows:
-        lines.append("\t".join(format_tsv_value(row[c]) for c in REPORT_COLUMNS))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines.append("\t".join(_format_tsv_value(row[c]) for c in REPORT_COLUMNS))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_report_tsv(path: str | Path) -> list[dict]:
@@ -367,6 +346,4 @@ def write_report_json(report: EvalReport, path: str | Path) -> None:
         "counters": report.counters,
         "sequences": report.records,
     }
-    Path(path).write_text(
-        json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n", encoding="utf-8"
-    )
+    atomic_write_text(path, json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")

@@ -21,11 +21,14 @@ import numpy as np
 
 from .embed_io import EmbeddingSequence
 from .errors import DataError, TrainingDiverged
+from .io_utils import atomic_write_text
 from .trees import TreeLabels
 
 TASKS = ("distance", "depth")
 
 Pair = tuple[TreeLabels, EmbeddingSequence]
+# one sequence's float64 embeddings and float64 gold labels
+Features = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,24 +98,22 @@ def _squared_pairwise(z: np.ndarray) -> np.ndarray:
     return dist
 
 
-def predict_distances(probe: Probe, seq: EmbeddingSequence) -> np.ndarray:
-    """Squared transformed-difference norms for every node pair."""
-    if probe.task != "distance":
-        raise ValueError(f"expected a distance probe, got task {probe.task!r}")
+def _predict(probe: Probe, seq: EmbeddingSequence, task: str) -> np.ndarray:
+    if probe.task != task:
+        raise ValueError(f"expected a {task} probe, got task {probe.task!r}")
     if probe.m != seq.m:
         raise ValueError(f"probe width {probe.m} does not match embedding width {seq.m}")
-    h = seq.values.astype(np.float64)
-    return _squared_pairwise(h @ probe.transform.T)
+    return _predict_raw(probe.transform, seq.values.astype(np.float64), task)
+
+
+def predict_distances(probe: Probe, seq: EmbeddingSequence) -> np.ndarray:
+    """Squared transformed-difference norms for every node pair."""
+    return _predict(probe, seq, "distance")
 
 
 def predict_depths(probe: Probe, seq: EmbeddingSequence) -> np.ndarray:
     """Squared transformed norm of each node embedding."""
-    if probe.task != "depth":
-        raise ValueError(f"expected a depth probe, got task {probe.task!r}")
-    if probe.m != seq.m:
-        raise ValueError(f"probe width {probe.m} does not match embedding width {seq.m}")
-    z = seq.values.astype(np.float64) @ probe.transform.T
-    return np.einsum("ij,ij->i", z, z)
+    return _predict(probe, seq, "depth")
 
 
 def l1_loss(pred: np.ndarray, gold: np.ndarray, task: str) -> float:
@@ -139,6 +140,10 @@ def _gold_array(labels: TreeLabels, task: str) -> np.ndarray:
     return (labels.distances if task == "distance" else labels.depths).astype(np.float64)
 
 
+def _features(pairs: Sequence[Pair], task: str) -> list[Features]:
+    return [(seq.values.astype(np.float64), _gold_array(labels, task)) for labels, seq in pairs]
+
+
 def _predict_raw(transform: np.ndarray, h: np.ndarray, task: str) -> np.ndarray:
     z = h @ transform.T
     if task == "distance":
@@ -157,35 +162,38 @@ def _sequence_gradient(
     subgradient zero.
     """
     n = h.shape[0]
-    pred = _predict_raw(transform, h, task)
+    signs = np.sign(_predict_raw(transform, h, task) - gold)
     if task == "distance":
-        signs = np.sign(pred - gold)
         np.fill_diagonal(signs, 0.0)
         lap = np.diag(signs.sum(axis=1)) - signs
         return (2.0 / (n * n)) * (transform @ (h.T @ lap @ h))
-    signs = np.sign(pred - gold)
     return (2.0 / n) * (transform @ (h.T @ (signs[:, None] * h)))
+
+
+def _batch_gradient(transform: np.ndarray, items: Sequence[Features], task: str) -> np.ndarray:
+    grad = np.zeros_like(transform)
+    for h, gold in items:
+        grad += _sequence_gradient(transform, h, gold, task)
+    return grad / len(items)
+
+
+def _mean_loss(transform: np.ndarray, items: Sequence[Features], task: str) -> float:
+    total = 0.0
+    for h, gold in items:
+        total += l1_loss(_predict_raw(transform, h, task), gold, task)
+    return total / len(items)
 
 
 def loss_gradient(probe: Probe, batch: Sequence[Pair]) -> np.ndarray:
     """Gradient of the batch loss (mean per-sequence loss) w.r.t. the transform."""
     if not batch:
         raise ValueError("empty batch")
-    grad = np.zeros_like(probe.transform)
-    for labels, seq in batch:
-        h = seq.values.astype(np.float64)
-        grad += _sequence_gradient(probe.transform, h, _gold_array(labels, probe.task), probe.task)
-    return grad / len(batch)
+    return _batch_gradient(probe.transform, _features(batch, probe.task), probe.task)
 
 
 def dataset_loss(transform: np.ndarray, pairs: Sequence[Pair], task: str) -> float:
     """Mean per-sequence L1 loss over a dataset."""
-    total = 0.0
-    for labels, seq in pairs:
-        h = seq.values.astype(np.float64)
-        pred = _predict_raw(transform, h, task)
-        total += l1_loss(pred, _gold_array(labels, task), task)
-    return total / len(pairs)
+    return _mean_loss(transform, _features(pairs, task), task)
 
 
 def pair_records(
@@ -280,8 +288,8 @@ def train_probe(
     scale = np.sqrt(6.0 / (k + m))
     transform = rng.uniform(-scale, scale, size=(k, m))
 
-    feats = [seq.values.astype(np.float64) for _, seq in train]
-    golds = [_gold_array(labels, task) for labels, _ in train]
+    train_items = _features(train, task)
+    val_items = _features(val, task)
 
     opt = _Adam((k, m), cfg.lr) if cfg.optimizer == "adam" else _Sgd(cfg.lr)
     best_loss = np.inf
@@ -299,14 +307,11 @@ def train_probe(
             order = rng.permutation(len(train))
             for lo in range(0, len(order), cfg.batch_size):
                 chunk = order[lo : lo + cfg.batch_size]
-                grad = np.zeros_like(transform)
-                for i in chunk:
-                    grad += _sequence_gradient(transform, feats[i], golds[i], task)
-                grad /= len(chunk)
+                grad = _batch_gradient(transform, [train_items[i] for i in chunk], task)
                 if not np.all(np.isfinite(grad)):
                     raise TrainingDiverged(f"non-finite gradient in epoch {epoch}")
                 opt.step(transform, grad)
-            val_loss = dataset_loss(transform, val, task)
+            val_loss = _mean_loss(transform, val_items, task)
             if not np.isfinite(val_loss):
                 raise TrainingDiverged(f"non-finite validation loss in epoch {epoch}")
             history.append(val_loss)
@@ -364,7 +369,7 @@ def save_probe(probe: Probe, path: str | Path) -> None:
         "B": base64.b64encode(blob).decode("ascii"),
         "meta": probe.meta,
     }
-    Path(path).write_text(json.dumps(rec, separators=(",", ":")) + "\n", encoding="utf-8")
+    atomic_write_text(path, json.dumps(rec, separators=(",", ":")) + "\n")
 
 
 def load_probe(path: str | Path) -> Probe:

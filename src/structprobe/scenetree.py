@@ -54,10 +54,6 @@ class SceneTree:
     phrase_to_text: dict[str, int]
     region_of: dict[str, int]
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
 
 @dataclass(frozen=True)
 class GroundedCaption:
@@ -212,6 +208,8 @@ def read_grounding(path: str | Path) -> Iterator[GroundedCaption]:
                 tokens = tuple(str(t) for t in rec["tokens"])
                 phrases = []
                 for p in rec["phrases"]:
+                    if not isinstance(p, dict):
+                        raise ValueError(f"phrase {p!r} is not a JSON object")
                     if not p.get("region_ids"):
                         continue
                     ann = PhraseAnnotation(

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from structprobe import grid as grid_mod
 from structprobe.cli import main
-from structprobe.embed_io import EmbeddingSequence, write_embeddings
+from structprobe.embed_io import EmbeddingSequence, read_embeddings, write_embeddings
 from structprobe.metrics import read_report_tsv
 from structprobe.probe import load_probe
 from structprobe.synth import oracle_dataset
@@ -209,6 +210,28 @@ def test_sweep_command(tmp_path):
 def test_missing_file_exits_two(tmp_path):
     code = main(["--quiet", "build-labels", "--conll", str(tmp_path / "none.conll"),
                  "--out", str(tmp_path / "x.jsonl")])
+    assert code == 2
+
+
+def test_malformed_records_exit_two(tmp_path):
+    labels = tmp_path / "labels.jsonl"
+    emb = tmp_path / "emb.jsonl"
+    main(["--quiet", "synth", "--n-trees", "4", "--min-n", "4", "--max-n", "6",
+          "--seed", "2", "--out-labels", str(labels), "--out-emb", str(emb)])
+    bad_emb = tmp_path / "bad_emb.jsonl"
+    bad_emb.write_text(emb.read_text() + "[1, 2]\n")
+    code = main(["--quiet", "train", "--task", "depth", "--labels", str(labels),
+                 "--emb", str(bad_emb), "--val-labels", str(labels), "--val-emb", str(emb),
+                 "--rank", "2", "--epochs", "1", "--patience", "1",
+                 "--out", str(tmp_path / "probe.json")])
+    assert code == 2
+
+    conll = tmp_path / "x.conll"
+    conll.write_text(CONLL)
+    grounding = tmp_path / "g.jsonl"
+    grounding.write_text(json.dumps(dict(GROUNDING, phrases=[5])) + "\n")
+    code = main(["--quiet", "scene-tree", "--conll", str(conll),
+                 "--grounding", str(grounding), "--out", str(tmp_path / "scene.jsonl")])
     assert code == 2
 
 
@@ -438,3 +461,42 @@ def test_chart_command(tmp_path):
     code = main(["--quiet", "chart", "--report", str(out_dir / "report.tsv"),
                  "--metric", "bogus", "--out", str(chart)])
     assert code == 1
+
+
+def test_grid_with_failed_cells_exits_two_and_keeps_survivors(tmp_path):
+    paths = write_grid_inputs(tmp_path, n_trees=20)
+    # layer 1's validation embeddings get three more columns than its train split
+    target = paths["val_emb_l1"]
+    widened = [
+        EmbeddingSequence(id=s.id, layer=1, values=np.pad(s.values, ((0, 0), (0, 3))))
+        for s in read_embeddings(target)
+    ]
+    write_embeddings(widened, target)
+    out_dir = tmp_path / "run"
+    mpath = write_manifest(tmp_path, paths, out_dir, ranks=(2, 3))
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 2
+    rows = read_report_tsv(out_dir / "report.tsv")
+    assert {(r["layer"], r["rank"]) for r in rows} == {(0, 2), (0, 3)}
+    assert (out_dir / "probe_layer0_rank3.json").exists()
+    assert not list(out_dir.glob("*layer1*"))
+
+
+def test_grid_decodes_each_embedding_file_once(tmp_path, monkeypatch):
+    paths = write_grid_inputs(tmp_path, n_trees=15)
+    mpath = write_manifest(tmp_path, paths, tmp_path / "run", ranks=(2, 3))
+    doc = json.loads(mpath.read_text())
+    doc["baselines"] = [dict(doc["layers"].pop(), tag="baseline")]
+    mpath.write_text(json.dumps(doc))
+    decoded: list[str] = []
+    real_read = grid_mod.read_embeddings
+
+    def counting_read(path):
+        decoded.append(str(path))
+        return real_read(path)
+
+    monkeypatch.setattr(grid_mod, "read_embeddings", counting_read)
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 0
+    expected = [
+        str(paths[f"{split}_emb_l{tag}"]) for tag in "01" for split in ("train", "val", "eval")
+    ]
+    assert sorted(decoded) == sorted(expected)

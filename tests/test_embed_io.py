@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import base64
 import json
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,22 @@ def test_bad_base64_rejected(tmp_path):
         + "\n"
     )
     with pytest.raises(DataError, match="base64"):
+        list(read_embeddings(path))
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        "[1, 2]",
+        '"just a string"',
+        json.dumps({"id": "a", "layer": [1], "n": 1, "m": 1, "dtype": "f32le", "data": "AACAPw=="}),
+    ],
+)
+def test_malformed_record_names_file_and_line(tmp_path, bad_line):
+    path = tmp_path / "e.jsonl"
+    good = {"id": "ok", "layer": 0, "n": 1, "m": 1, "dtype": "f32le", "data": "AACAPw=="}
+    path.write_text(json.dumps(good) + "\n" + bad_line + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: ")):
         list(read_embeddings(path))
 
 

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import os
 
 import numpy as np
 import pytest
 
+from structprobe import io_utils
 from structprobe.metrics import (
+    EvalReport,
     decode_mst_edges,
     distance_sequence_score,
     evaluate_probe,
@@ -17,8 +20,10 @@ from structprobe.metrics import (
     root_accuracy,
     spearman,
     uuas,
+    write_report_json,
+    write_report_tsv,
 )
-from structprobe.probe import identity_probe
+from structprobe.probe import identity_probe, save_probe
 from structprobe.synth import oracle_dataset, random_tree
 from structprobe.trees import TreeLabels, tree_labels
 
@@ -278,3 +283,26 @@ def test_evaluate_probe_is_pure():
     b = evaluate_probe(probe, pairs)
     assert a.aggregates == b.aggregates
     assert a.records == b.records
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: save_probe(identity_probe("depth", 2), path),
+        lambda path: write_report_json(EvalReport(task="depth", tag=0, rank=2), path),
+        lambda path: write_report_tsv([], path),
+    ],
+    ids=["save_probe", "write_report_json", "write_report_tsv"],
+)
+def test_writers_are_atomic(tmp_path, monkeypatch, write):
+    target = tmp_path / "out"
+    target.write_bytes(b"old contents\n")
+
+    def failing_replace(src, dst):
+        raise OSError("simulated crash before rename")
+
+    monkeypatch.setattr(io_utils.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="simulated crash"):
+        write(target)
+    assert target.read_bytes() == b"old contents\n"
+    assert os.listdir(tmp_path) == ["out"]

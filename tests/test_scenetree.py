@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -249,4 +250,13 @@ def test_read_grounding_rejects_bad_span(tmp_path):
     path = tmp_path / "g.jsonl"
     path.write_text(json.dumps(rec) + "\n")
     with pytest.raises(DataError):
+        list(read_grounding(path))
+
+
+def test_read_grounding_rejects_non_object_phrase(tmp_path):
+    good = {"image_id": "i1", "sentence_id": "s1", "tokens": ["a"], "phrases": []}
+    bad = dict(good, sentence_id="s2", phrases=[5])
+    path = tmp_path / "g.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: ") + ".*not a JSON object"):
         list(read_grounding(path))
