@@ -25,7 +25,7 @@ from .metrics import (
     write_report_json,
     write_report_tsv,
 )
-from .probe import TrainConfig, load_probe, pair_records, save_probe, sweep_ranks, train_probe
+from .probe import TrainConfig, _rank_runs, load_probe, pair_records, save_probe, train_probe
 from .scenetree import (
     construct_scene_tree,
     overlapping_phrase_pairs,
@@ -170,22 +170,19 @@ def cmd_sweep(args) -> int:
     cfg = _train_config(args)
     ranks = [int(r) for r in args.ranks.split(",") if r.strip()]
     layer = _emb_layer_tag(train_pairs)
-    table = sweep_ranks(ranks, train_pairs, val_pairs, cfg, args.task, layer=layer)
     rows = []
-    for entry in table:
-        for metric in sorted(entry):
-            if metric == "rank" or entry[metric] is None:
-                continue
-            rows.append(
-                {
-                    "layer": layer if layer is not None else "",
-                    "rank": entry["rank"],
-                    "task": args.task,
-                    "metric": metric,
-                    "value": float(entry[metric]),
-                    "n_sequences": len(val_pairs),
-                }
-            )
+    for probe, report in _rank_runs(ranks, train_pairs, val_pairs, cfg, args.task, layer):
+        rows += report.tsv_rows()
+        rows.append(
+            {
+                "layer": layer if layer is not None else "",
+                "rank": report.rank,
+                "task": args.task,
+                "metric": "val_loss",
+                "value": float(probe.meta["val_loss"]),
+                "n_sequences": len(val_pairs),
+            }
+        )
     write_report_tsv(rows, args.out)
     log.info("swept ranks %s -> %s", ranks, args.out)
     return 0
@@ -260,7 +257,7 @@ def _add_train_flags(p: CliParser) -> None:
     p.add_argument("--patience", type=int, default=5)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--optimizer", choices=["adam", "sgd"], default="adam")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="wins over the global --seed")
 
 
 def build_parser() -> CliParser:
@@ -272,7 +269,7 @@ def build_parser() -> CliParser:
         dest="global_seed",
         type=int,
         default=None,
-        help="seed override applied to any subcommand",
+        help="seed of any subcommand not given its own --seed; replaces a grid manifest's seed",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=CliParser)
 
@@ -294,7 +291,7 @@ def build_parser() -> CliParser:
     p.add_argument("--max-n", type=int, default=50)
     p.add_argument("--extra-dims", type=int, default=16)
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="wins over the global --seed")
     p.add_argument("--layer", type=int, default=0)
     p.add_argument("--out-labels", required=True)
     p.add_argument("--out-emb", required=True)

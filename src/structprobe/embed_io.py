@@ -6,13 +6,14 @@ base64 payload of little-endian float32 values in row-major order:
     {"id": str, "layer": int, "n": int, "m": int,
      "dtype": "f32le", "data": "<base64 of n*m*4 bytes>"}
 
-Values are stored in 32-bit floats; arithmetic on them is done in 64-bit.
+``layer`` defaults to 0 and ``n`` and ``m`` are at least 1; header scans
+and decodes apply one rule. Values are stored in 32-bit floats; arithmetic
+on them is done in 64-bit.
 """
 
 from __future__ import annotations
 
 import base64
-import binascii
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DataError
+from .io_utils import atomic_open, read_jsonl
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,52 +84,34 @@ def align_wordpieces(seq: EmbeddingSequence, amap: AlignmentMap) -> EmbeddingSeq
     return EmbeddingSequence(id=seq.id, layer=seq.layer, values=rows.astype(np.float32))
 
 
-def _decode_record(rec: object, where: str) -> EmbeddingSequence:
-    if not isinstance(rec, dict):
-        raise DataError(f"{where}: record is not a JSON object")
-    seq_id = str(rec.get("id", "<missing id>"))
-    try:
-        layer = int(rec.get("layer", 0))
-        n = int(rec["n"])
-        m = int(rec["m"])
-        dtype = rec["dtype"]
-        payload = rec["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{where}: record {seq_id}: missing or bad field: {exc}") from exc
-    if dtype != "f32le":
-        raise DataError(f"{where}: record {seq_id}: unsupported dtype {dtype!r}")
-    try:
-        blob = base64.b64decode(payload, validate=True)
-    except binascii.Error as exc:
-        raise DataError(f"{where}: record {seq_id}: bad base64 payload: {exc}") from exc
-    expect = n * m * 4
-    if len(blob) != expect:
-        raise DataError(
-            f"{where}: record {seq_id}: payload is {len(blob)} bytes, expected {expect}"
-        )
+def _header(rec: dict) -> tuple[str, int, int, int]:
+    """(id, layer, n, m) of a record; the rule both scan and decode apply."""
+    seq_id = str(rec["id"])
+    layer, n, m = int(rec.get("layer", 0)), int(rec["n"]), int(rec["m"])
+    if rec["dtype"] != "f32le":
+        raise ValueError(f"sequence {seq_id}: unsupported dtype {rec['dtype']!r}")
+    if n < 1 or m < 1:
+        raise ValueError(f"sequence {seq_id}: n={n} and m={m} must both be at least 1")
+    return seq_id, layer, n, m
+
+
+def _decode(rec: dict) -> EmbeddingSequence:
+    seq_id, layer, n, m = _header(rec)
+    blob = base64.b64decode(rec["data"], validate=True)
+    if len(blob) != n * m * 4:
+        raise ValueError(f"sequence {seq_id}: payload is {len(blob)} bytes, expected {n * m * 4}")
     values = np.frombuffer(blob, dtype="<f4").reshape(n, m)
-    if not np.all(np.isfinite(values)):
-        raise DataError(f"{where}: record {seq_id}: non-finite values in payload")
     return EmbeddingSequence(id=seq_id, layer=layer, values=values)
 
 
 def read_embeddings(path: str | Path) -> Iterator[EmbeddingSequence]:
     """Lazily yield embedding sequences from an EMB-JSONL file."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            yield _decode_record(rec, f"{path}:{lineno}")
+    return read_jsonl(path, "embedding", _decode)
 
 
 def write_embeddings(seqs: Iterable[EmbeddingSequence], path: str | Path) -> None:
-    """Write sequences as EMB-JSONL (row-major little-endian float32)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Atomically write sequences as EMB-JSONL (row-major little-endian float32)."""
+    with atomic_open(path) as fh:
         for seq in seqs:
             blob = np.ascontiguousarray(seq.values, dtype="<f4").tobytes()
             rec = {
@@ -144,17 +127,4 @@ def write_embeddings(seqs: Iterable[EmbeddingSequence], path: str | Path) -> Non
 
 def scan_embedding_headers(path: str | Path) -> list[tuple[str, int, int, int]]:
     """(id, layer, n, m) per record, without decoding the payloads."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                out.append(
-                    (str(rec["id"]), int(rec.get("layer", 0)), int(rec["n"]), int(rec["m"]))
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: bad embedding header: {exc}") from exc
-    return out
+    return list(read_jsonl(path, "embedding", _header))

@@ -3,9 +3,10 @@
 A manifest (single JSON file) names the label files, one embedding file
 triple per layer or baseline tag, the ranks, and the training config. All
 referenced files are checked for existence and id/length agreement before
-any cell trains. Layers run in a bounded worker pool: each job decodes its
-layer's three embedding files once, then trains and evaluates one (layer,
-rank) cell per rank in turn. The aggregate TSV and charts are written
+any cell trains; a layer whose train, val and eval records differ in width
+fails its cells without being decoded. Layers run in a bounded worker
+pool: each job decodes its layer's three embedding files once, then trains
+and evaluates one (layer, rank) cell per rank in turn. The aggregate TSV and charts are written
 once, atomically, in a deterministic order.
 """
 
@@ -20,7 +21,7 @@ from typing import Sequence
 
 from .chart import render_line_chart
 from .embed_io import read_embeddings, scan_embedding_headers
-from .errors import StructProbeError, ValidationError
+from .errors import DataError, StructProbeError, ValidationError
 from .io_utils import atomic_write_text
 from .metrics import EvalReport, evaluate_probe, write_report_json, write_report_tsv
 from .probe import TrainConfig, pair_records, save_probe, train_probe
@@ -92,6 +93,8 @@ def load_manifest(path: str | Path, out_dir_override: str | None = None) -> Expe
         ranks = tuple(int(r) for r in doc.get("ranks", [128]))
         train_doc = dict(doc.get("train", {}))
         cfg = TrainConfig(**train_doc)
+        for rank in ranks:
+            replace(cfg, rank=rank)  # TrainConfig's own rule rejects a rank below 1
         out_dir = Path(out_dir_override or doc["out_dir"])
         chart_metrics = tuple(doc.get("chart_metrics", DEFAULT_CHART_METRICS[task]))
         manifest = ExperimentManifest(
@@ -117,8 +120,10 @@ def load_manifest(path: str | Path, out_dir_override: str | None = None) -> Expe
     return manifest
 
 
-def _check_pairing(labels: Sequence[TreeLabels], emb_path: Path) -> None:
+def _check_pairing(labels: Sequence[TreeLabels], emb_path: Path) -> set[int]:
+    """Check ids and lengths; return the widths m of the paired records."""
     headers = {rec[0]: rec for rec in scan_embedding_headers(emb_path)}
+    widths = set()
     for lab in labels:
         rec = headers.get(lab.id)
         if rec is None:
@@ -128,11 +133,20 @@ def _check_pairing(labels: Sequence[TreeLabels], emb_path: Path) -> None:
                 f"{emb_path}: sequence {lab.id!r} has {rec[2]} rows but {lab.n} "
                 "labelled nodes"
             )
+        widths.add(rec[3])
+    return widths
 
 
-def validate_manifest_data(manifest: ExperimentManifest) -> dict[str, list[TreeLabels]]:
-    """Check every file and every (labels, embeddings) pairing up front."""
+def validate_manifest_data(
+    manifest: ExperimentManifest,
+) -> tuple[dict[str, list[TreeLabels]], dict[int | str, str]]:
+    """Check every file and every (labels, embeddings) pairing up front.
+
+    Returns the labels of each split and, for each layer whose train, val
+    and eval records do not share one width m, why its cells will fail.
+    """
     split_labels = {}
+    width_errors = {}
     for name, lpath in (
         ("train", manifest.train_labels),
         ("val", manifest.val_labels),
@@ -144,6 +158,7 @@ def validate_manifest_data(manifest: ExperimentManifest) -> dict[str, list[TreeL
         if not split_labels[name]:
             raise ValidationError(f"{lpath}: no label records")
     for cell in manifest.cells:
+        widths = {}
         for split, epath in (
             ("train", cell.train_emb),
             ("val", cell.val_emb),
@@ -151,8 +166,12 @@ def validate_manifest_data(manifest: ExperimentManifest) -> dict[str, list[TreeL
         ):
             if not epath.exists():
                 raise ValidationError(f"layer {cell.tag}: missing embeddings file {epath}")
-            _check_pairing(split_labels[split], epath)
-    return split_labels
+            widths[split] = _check_pairing(split_labels[split], epath)
+        if len(set().union(*widths.values())) > 1:
+            width_errors[cell.tag] = f"layer {cell.tag}: embedding widths differ: " + ", ".join(
+                f"{split} m={sorted(ms)}" for split, ms in widths.items()
+            )
+    return split_labels, width_errors
 
 
 def _tag_sort_key(tag: int | str):
@@ -172,10 +191,12 @@ def run_layer_grid(
     skipped. Raises only if every cell fails. Returns the successful
     reports in manifest order and the (cell, error) failures.
     """
-    split_labels = validate_manifest_data(manifest)
+    split_labels, width_errors = validate_manifest_data(manifest)
     manifest.out_dir.mkdir(parents=True, exist_ok=True)
 
     def run_layer(cell: GridCell) -> list[EvalReport | Exception]:
+        if cell.tag in width_errors:
+            raise DataError(width_errors[cell.tag])
         train_pairs = pair_records(split_labels["train"], read_embeddings(cell.train_emb))
         val_pairs = pair_records(split_labels["val"], read_embeddings(cell.val_emb))
         eval_pairs = pair_records(split_labels["eval"], read_embeddings(cell.eval_emb))

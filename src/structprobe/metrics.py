@@ -310,11 +310,11 @@ def write_report_tsv(rows: Iterable[dict], path: str | Path) -> None:
 def read_report_tsv(path: str | Path) -> list[dict]:
     """Read rows written by write_report_tsv."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0].split("\t") != list(REPORT_COLUMNS):
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln]
+    if not lines or lines[0][1].split("\t") != list(REPORT_COLUMNS):
         raise DataError(f"{path}: not a report TSV (bad header)")
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split("\t")
         if len(parts) != len(REPORT_COLUMNS):
             raise DataError(f"{path}:{lineno}: expected {len(REPORT_COLUMNS)} columns")
@@ -323,16 +323,19 @@ def read_report_tsv(path: str | Path) -> list[dict]:
             layer = int(parts[0])
         except ValueError:
             layer = parts[0]
-        rows.append(
-            {
-                "layer": layer,
-                "rank": int(parts[1]),
-                "task": parts[2],
-                "metric": parts[3],
-                "value": float(parts[4]),
-                "n_sequences": int(parts[5]),
-            }
-        )
+        try:
+            rows.append(
+                {
+                    "layer": layer,
+                    "rank": int(parts[1]),
+                    "task": parts[2],
+                    "metric": parts[3],
+                    "value": float(parts[4]),
+                    "n_sequences": int(parts[5]),
+                }
+            )
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad report row: {exc}") from exc
     return rows
 
 

@@ -15,7 +15,7 @@ import binascii
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,6 +23,9 @@ from .embed_io import EmbeddingSequence
 from .errors import DataError, TrainingDiverged
 from .io_utils import atomic_write_text
 from .trees import TreeLabels
+
+if TYPE_CHECKING:
+    from .metrics import EvalReport
 
 TASKS = ("distance", "depth")
 
@@ -338,6 +341,22 @@ def train_probe(
     return Probe(task=task, transform=best_transform, meta=meta)
 
 
+def _rank_runs(
+    ranks: Sequence[int],
+    train: Sequence[Pair],
+    val: Sequence[Pair],
+    cfg: TrainConfig,
+    task: str,
+    layer: int | str | None,
+) -> Iterator[tuple[Probe, EvalReport]]:
+    """Train one probe per rank (shared seed) and evaluate it on the validation split."""
+    from .metrics import evaluate_probe
+
+    for rank in ranks:
+        probe = train_probe(task, train, val, replace(cfg, rank=rank), layer=layer)
+        yield probe, evaluate_probe(probe, val, tag=layer, rank=rank)
+
+
 def sweep_ranks(
     ranks: Sequence[int],
     train: Sequence[Pair],
@@ -347,13 +366,9 @@ def sweep_ranks(
     layer: int | str | None = None,
 ) -> list[dict]:
     """Train one probe per rank (shared seed) and tabulate validation metrics."""
-    from .metrics import evaluate_probe
-
     table = []
-    for rank in ranks:
-        probe = train_probe(task, train, val, replace(cfg, rank=rank), layer=layer)
-        report = evaluate_probe(probe, val, tag=layer, rank=rank)
-        row = {"rank": int(rank), "val_loss": probe.meta["val_loss"]}
+    for probe, report in _rank_runs(ranks, train, val, cfg, task, layer):
+        row = {"rank": int(report.rank), "val_loss": probe.meta["val_loss"]}
         row.update(report.aggregates)
         table.append(row)
     return table

@@ -10,13 +10,13 @@ share one anchor node, later ones attach below the earliest-attached one.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from .errors import DataError
+from .io_utils import read_jsonl
 from .trees import ROOT, DepTree, TreeLabels, all_pairs_path_lengths, tree_depths
 
 log = logging.getLogger(__name__)
@@ -65,16 +65,19 @@ class GroundedCaption:
     phrases: tuple[PhraseAnnotation, ...]
 
 
-def find_highest_node(phrase: PhraseAnnotation, tree: DepTree) -> int:
-    """Token in the phrase span closest to the root; leftmost wins ties."""
+def _anchor(phrase: PhraseAnnotation, tree: DepTree, token_depths: Sequence[int]) -> int:
     if phrase.end > tree.n:
         raise ValueError(
             f"phrase {phrase.phrase_id}: span end {phrase.end} beyond sentence "
             f"length {tree.n}"
         )
-    depths = tree_depths(tree)
     span = range(phrase.start, phrase.end)
-    return min(span, key=lambda i: (depths[i], i))
+    return min(span, key=lambda i: (token_depths[i], i))
+
+
+def find_highest_node(phrase: PhraseAnnotation, tree: DepTree) -> int:
+    """Token in the phrase span closest to the root; leftmost wins ties."""
+    return _anchor(phrase, tree, tree_depths(tree))
 
 
 def construct_scene_tree(
@@ -92,13 +95,9 @@ def construct_scene_tree(
         if p.phrase_id in seen_ids:
             raise ValueError(f"duplicate phrase id {p.phrase_id}")
         seen_ids.add(p.phrase_id)
-        if p.end > tree.n:
-            raise ValueError(
-                f"phrase {p.phrase_id}: span end {p.end} beyond sentence length {tree.n}"
-            )
 
     token_depths = tree_depths(tree)
-    anchor = {p.phrase_id: find_highest_node(p, tree) for p in phrases}
+    anchor = {p.phrase_id: _anchor(p, tree, token_depths) for p in phrases}
     order = sorted(
         range(len(phrases)), key=lambda i: (token_depths[anchor[phrases[i].phrase_id]], i)
     )
@@ -191,6 +190,33 @@ def overlapping_phrase_pairs(phrases: Sequence[PhraseAnnotation]) -> list[tuple[
     return out
 
 
+def _decode_caption(rec: dict) -> GroundedCaption:
+    tokens = tuple(str(t) for t in rec["tokens"])
+    phrases = []
+    for p in rec["phrases"]:
+        if not isinstance(p, dict):
+            raise ValueError(f"phrase {p!r} is not a JSON object")
+        if not p.get("region_ids"):
+            continue
+        ann = PhraseAnnotation(
+            phrase_id=str(p["phrase_id"]),
+            start=int(p["start"]),
+            end=int(p["end"]),
+            region_ids=tuple(str(r) for r in p["region_ids"]),
+        )
+        if ann.end > len(tokens):
+            raise ValueError(
+                f"phrase {ann.phrase_id} span end {ann.end} beyond {len(tokens)} tokens"
+            )
+        phrases.append(ann)
+    return GroundedCaption(
+        image_id=str(rec["image_id"]),
+        sentence_id=str(rec["sentence_id"]),
+        tokens=tokens,
+        phrases=tuple(phrases),
+    )
+
+
 def read_grounding(path: str | Path) -> Iterator[GroundedCaption]:
     """Read grounded captions from JSON Lines.
 
@@ -198,40 +224,7 @@ def read_grounding(path: str | Path) -> Iterator[GroundedCaption]:
     [{"phrase_id", "start", "end", "region_ids"}]}. Phrases without
     region ids are dropped here, before any tree construction.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                tokens = tuple(str(t) for t in rec["tokens"])
-                phrases = []
-                for p in rec["phrases"]:
-                    if not isinstance(p, dict):
-                        raise ValueError(f"phrase {p!r} is not a JSON object")
-                    if not p.get("region_ids"):
-                        continue
-                    ann = PhraseAnnotation(
-                        phrase_id=str(p["phrase_id"]),
-                        start=int(p["start"]),
-                        end=int(p["end"]),
-                        region_ids=tuple(str(r) for r in p["region_ids"]),
-                    )
-                    if ann.end > len(tokens):
-                        raise ValueError(
-                            f"phrase {ann.phrase_id} span end {ann.end} beyond "
-                            f"{len(tokens)} tokens"
-                        )
-                    phrases.append(ann)
-                yield GroundedCaption(
-                    image_id=str(rec["image_id"]),
-                    sentence_id=str(rec["sentence_id"]),
-                    tokens=tokens,
-                    phrases=tuple(phrases),
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise DataError(f"{path}:{lineno}: bad grounding record: {exc}") from exc
+    return read_jsonl(path, "grounding", _decode_caption)
 
 
 def scene_record_extra(scene: SceneTree) -> dict:

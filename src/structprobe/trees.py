@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
+from .io_utils import atomic_open, read_jsonl
 
 ROOT = -1
 
@@ -101,6 +102,8 @@ class TreeLabels:
     def __post_init__(self):
         object.__setattr__(self, "distances", np.asarray(self.distances, dtype=np.int64))
         object.__setattr__(self, "depths", np.asarray(self.depths, dtype=np.int64))
+        if self.depths.ndim != 1:
+            raise ValueError(f"depths must be 1-D, got {self.depths.ndim}-D")
         n = self.depths.shape[0]
         if self.distances.shape != (n, n):
             raise ValueError(
@@ -111,6 +114,8 @@ class TreeLabels:
         if not np.array_equal(self.distances, self.distances.T):
             raise ValueError("distance matrix is not symmetric")
         if self.root is not None:
+            if isinstance(self.root, bool) or not isinstance(self.root, (int, np.integer)):
+                raise ValueError(f"root index {self.root!r} is not an integer")
             if not 0 <= self.root < n:
                 raise ValueError(f"root index {self.root} out of range for n={n}")
             if self.depths[self.root] != 0:
@@ -265,8 +270,8 @@ def read_conllu(path: str | Path) -> list[DepTree]:
 
 
 def write_labels(labels: Iterable[TreeLabels], path: str | Path) -> None:
-    """Write gold labels as JSON Lines, one record per sequence."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Atomically write gold labels as JSON Lines, one record per sequence."""
+    with atomic_open(path) as fh:
         for lab in labels:
             fh.write(labels_record(lab) + "\n")
 
@@ -286,25 +291,18 @@ def labels_record(lab: TreeLabels, extra: dict | None = None) -> str:
     return json.dumps(rec, separators=(",", ":"))
 
 
+def _decode_labels(rec: dict) -> TreeLabels:
+    lab = TreeLabels(
+        id=str(rec["id"]),
+        distances=rec["distances"],
+        depths=rec["depths"],
+        root=rec.get("root"),
+    )
+    if lab.n != int(rec["n"]):
+        raise ValueError(f"declared n={rec['n']} but found {lab.n} depths")
+    return lab
+
+
 def read_labels(path: str | Path) -> list[TreeLabels]:
     """Read a labels JSONL file; extra record keys are ignored."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                lab = TreeLabels(
-                    id=str(rec["id"]),
-                    distances=rec["distances"],
-                    depths=rec["depths"],
-                    root=rec.get("root"),
-                )
-                if lab.n != int(rec["n"]):
-                    raise ValueError(f"declared n={rec['n']} but found {lab.n} depths")
-            except (KeyError, ValueError, TypeError) as exc:
-                raise DataError(f"{path}:{lineno}: bad labels record: {exc}") from exc
-            out.append(lab)
-    return out
+    return list(read_jsonl(path, "labels", _decode_labels))

@@ -174,6 +174,44 @@ def test_train_seed_flag_wins_over_global(tmp_path):
     assert a.meta["seed"] == b.meta["seed"] == 9
 
 
+def test_train_seed_flag_wins_over_a_different_global_seed(tmp_path):
+    labels = tmp_path / "labels.jsonl"
+    emb = tmp_path / "emb.jsonl"
+    main(["--quiet", "synth", "--n-trees", "10", "--min-n", "4", "--max-n", "8",
+          "--seed", "3", "--out-labels", str(labels), "--out-emb", str(emb)])
+    base = ["train", "--task", "depth", "--labels", str(labels), "--emb", str(emb),
+            "--val-labels", str(labels), "--val-emb", str(emb),
+            "--rank", "4", "--epochs", "2", "--patience", "2"]
+    out_local, out_both = tmp_path / "local.json", tmp_path / "both.json"
+    assert main(["--quiet"] + base + ["--seed", "9", "--out", str(out_local)]) == 0
+    assert main(["--quiet", "--seed", "5"] + base + ["--seed", "9", "--out", str(out_both)]) == 0
+    local, both = load_probe(out_local), load_probe(out_both)
+    assert both.meta["seed"] == 9
+    assert np.array_equal(local.transform, both.transform)
+
+
+def test_sweep_counts_sequences_as_eval_does(tmp_path):
+    labels = tmp_path / "labels.jsonl"
+    emb = tmp_path / "emb.jsonl"
+    main(["--quiet", "synth", "--n-trees", "20", "--min-n", "2", "--max-n", "7",
+          "--seed", "4", "--out-labels", str(labels), "--out-emb", str(emb)])
+    flags = ["--task", "distance", "--labels", str(labels), "--emb", str(emb),
+             "--val-labels", str(labels), "--val-emb", str(emb),
+             "--epochs", "2", "--patience", "2", "--seed", "0"]
+    sweep, probe, report = tmp_path / "sweep.tsv", tmp_path / "p.json", tmp_path / "r.tsv"
+    assert main(["--quiet", "sweep"] + flags + ["--ranks", "4", "--out", str(sweep)]) == 0
+    assert main(["--quiet", "train"] + flags + ["--rank", "4", "--out", str(probe)]) == 0
+    assert main(["--quiet", "eval", "--probe", str(probe), "--labels", str(labels),
+                 "--emb", str(emb), "--out", str(report)]) == 0
+    swept = {r["metric"]: r for r in read_report_tsv(sweep)}
+    evaluated = {r["metric"]: r for r in read_report_tsv(report)}
+    assert evaluated["dspr"]["n_sequences"] < 20
+    for metric, row in evaluated.items():
+        assert swept[metric]["n_sequences"] == row["n_sequences"]
+        assert swept[metric]["value"] == row["value"]
+    assert swept["val_loss"]["n_sequences"] == 20
+
+
 def test_eval_exclude_deprels_requires_conll(tmp_path):
     labels = tmp_path / "labels.jsonl"
     emb = tmp_path / "emb.jsonl"
@@ -233,6 +271,33 @@ def test_malformed_records_exit_two(tmp_path):
     code = main(["--quiet", "scene-tree", "--conll", str(conll),
                  "--grounding", str(grounding), "--out", str(tmp_path / "scene.jsonl")])
     assert code == 2
+
+
+def test_overflowing_and_non_utf8_records_exit_two_without_traceback(tmp_path, capsys):
+    labels = tmp_path / "labels.jsonl"
+    emb = tmp_path / "emb.jsonl"
+    main(["--quiet", "synth", "--n-trees", "4", "--min-n", "4", "--max-n", "6",
+          "--seed", "2", "--out-labels", str(labels), "--out-emb", str(emb)])
+    bad_labels = tmp_path / "bad_labels.jsonl"
+    first, rest = labels.read_text().split("\n", 1)
+    bad_labels.write_text(first + "\n" + rest.replace('"depths":[', '"depths":[1e999,', 1))
+    code = main(["--quiet", "train", "--task", "depth", "--labels", str(bad_labels),
+                 "--emb", str(emb), "--val-labels", str(labels), "--val-emb", str(emb),
+                 "--rank", "2", "--epochs", "1", "--patience", "1",
+                 "--out", str(tmp_path / "probe.json")])
+    assert code == 2
+    assert f"{bad_labels}:2: bad labels record" in capsys.readouterr().err
+
+    conll = tmp_path / "x.conll"
+    conll.write_text(CONLL)
+    grounding = tmp_path / "g.jsonl"
+    grounding.write_bytes(json.dumps(GROUNDING).encode().replace(b"bench", b"b\xffnch") + b"\n")
+    code = main(["--quiet", "scene-tree", "--conll", str(conll),
+                 "--grounding", str(grounding), "--out", str(tmp_path / "scene.jsonl")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{grounding}:1: bad grounding record: not valid UTF-8" in err
+    assert "Traceback" not in err
 
 
 def test_usage_error_exits_one():
@@ -500,3 +565,38 @@ def test_grid_decodes_each_embedding_file_once(tmp_path, monkeypatch):
         str(paths[f"{split}_emb_l{tag}"]) for tag in "01" for split in ("train", "val", "eval")
     ]
     assert sorted(decoded) == sorted(expected)
+
+
+def test_grid_rank_below_one_rejected_before_any_decode(tmp_path, monkeypatch):
+    paths = write_grid_inputs(tmp_path, n_trees=10)
+    mpath = write_manifest(tmp_path, paths, tmp_path / "run", ranks=(2, 0))
+    decoded: list[str] = []
+    monkeypatch.setattr(grid_mod, "read_embeddings", lambda path: decoded.append(path) or [])
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 1
+    assert decoded == []
+    assert not (tmp_path / "run").exists()
+
+
+def test_grid_layer_with_mismatched_widths_fails_before_decode(tmp_path, monkeypatch, caplog):
+    paths = write_grid_inputs(tmp_path, n_trees=15)
+    target = paths["eval_emb_l1"]
+    widened = [
+        EmbeddingSequence(id=s.id, layer=1, values=np.pad(s.values, ((0, 0), (0, 2))))
+        for s in read_embeddings(target)
+    ]
+    write_embeddings(widened, target)
+    decoded: list[str] = []
+    real_read = grid_mod.read_embeddings
+
+    def counting_read(path):
+        decoded.append(str(path))
+        return real_read(path)
+
+    monkeypatch.setattr(grid_mod, "read_embeddings", counting_read)
+    out_dir = tmp_path / "run"
+    mpath = write_manifest(tmp_path, paths, out_dir, ranks=(2, 3))
+    assert main(["grid", "--manifest", str(mpath)]) == 2
+    assert not [p for p in decoded if "_l1" in p]
+    assert "layer 1: embedding widths differ" in caplog.text
+    rows = read_report_tsv(out_dir / "report.tsv")
+    assert {(r["layer"], r["rank"]) for r in rows} == {(0, 2), (0, 3)}

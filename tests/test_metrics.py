@@ -5,11 +5,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import os
+import re
 
 import numpy as np
 import pytest
 
 from structprobe import io_utils
+from structprobe.embed_io import write_embeddings
+from structprobe.errors import DataError
 from structprobe.metrics import (
     EvalReport,
     decode_mst_edges,
@@ -20,12 +23,13 @@ from structprobe.metrics import (
     root_accuracy,
     spearman,
     uuas,
+    read_report_tsv,
     write_report_json,
     write_report_tsv,
 )
 from structprobe.probe import identity_probe, save_probe
 from structprobe.synth import oracle_dataset, random_tree
-from structprobe.trees import TreeLabels, tree_labels
+from structprobe.trees import TreeLabels, tree_labels, write_labels
 
 
 def brute_force_spearman(x, y):
@@ -291,8 +295,10 @@ def test_evaluate_probe_is_pure():
         lambda path: save_probe(identity_probe("depth", 2), path),
         lambda path: write_report_json(EvalReport(task="depth", tag=0, rank=2), path),
         lambda path: write_report_tsv([], path),
+        lambda path: write_labels(oracle_dataset(2, 3, 4, seed=1).labels, path),
+        lambda path: write_embeddings(oracle_dataset(2, 3, 4, seed=1).embeddings, path),
     ],
-    ids=["save_probe", "write_report_json", "write_report_tsv"],
+    ids=["save_probe", "write_report_json", "write_report_tsv", "write_labels", "write_embeddings"],
 )
 def test_writers_are_atomic(tmp_path, monkeypatch, write):
     target = tmp_path / "out"
@@ -306,3 +312,16 @@ def test_writers_are_atomic(tmp_path, monkeypatch, write):
         write(target)
     assert target.read_bytes() == b"old contents\n"
     assert os.listdir(tmp_path) == ["out"]
+
+
+@pytest.mark.parametrize("bad_field", [1, 4, 5], ids=["rank", "value", "n_sequences"])
+def test_read_report_tsv_bad_field_names_line(tmp_path, bad_field):
+    path = tmp_path / "r.tsv"
+    row = {"layer": 0, "rank": 4, "task": "depth", "metric": "nspr", "value": 0.5, "n_sequences": 3}
+    write_report_tsv([row, row], path)
+    lines = path.read_text().splitlines()
+    parts = lines[2].split("\t")
+    parts[bad_field] = "x"
+    path.write_text("\n".join(lines[:2] + ["", "\t".join(parts)]) + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:4: ")):
+        read_report_tsv(path)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from structprobe import scenetree
 from structprobe.errors import DataError
 from structprobe.scenetree import (
     PhraseAnnotation,
@@ -66,6 +67,23 @@ def test_find_highest_node_leftmost_tie():
     # siblings at depth 2 on positions 4 and 6; 5 is deeper
     tree = make_tree([-1, 0, 1, 0, 1, 4, 3])
     assert find_highest_node(PhraseAnnotation("p", 4, 7, ("r",)), tree) == 4
+
+
+def test_construct_scene_tree_computes_token_depths_once(monkeypatch):
+    calls = []
+
+    def counting_depths(tree):
+        calls.append(tree)
+        return tree_depths(tree)
+
+    monkeypatch.setattr(scenetree, "tree_depths", counting_depths)
+    tree = make_tree([ROOT, 0, 1, 2, 1, 4])
+    phrases = make_phrases(
+        [{"id": "a", "start": 0, "end": 2}, {"id": "b", "start": 2, "end": 4},
+         {"id": "c", "start": 4, "end": 6}]
+    )
+    construct_scene_tree(tree, phrases, image_id="img")
+    assert len(calls) == 1
 
 
 def test_find_highest_node_span_out_of_bounds():

@@ -199,6 +199,12 @@ def test_labels_roundtrip(tmp_path):
         assert np.array_equal(a.depths, b.depths)
 
 
+@pytest.mark.parametrize("root", [1.5, True, "0", [0]])
+def test_labels_root_must_be_an_integer(root):
+    with pytest.raises(ValueError, match="not an integer"):
+        TreeLabels(id="x", distances=[[0, 1], [1, 0]], depths=[0, 1], root=root)
+
+
 def test_labels_validation():
     with pytest.raises(ValueError):
         TreeLabels(id="x", distances=[[0, 1], [2, 0]], depths=[0, 1], root=0)
