@@ -6,9 +6,9 @@ base64 payload of little-endian float32 values in row-major order:
     {"id": str, "layer": int, "n": int, "m": int,
      "dtype": "f32le", "data": "<base64 of n*m*4 bytes>"}
 
-``layer`` defaults to 0 and ``n`` and ``m`` are at least 1; header scans
-and decodes apply one rule. Values are stored in 32-bit floats; arithmetic
-on them is done in 64-bit.
+``layer``, ``n`` and ``m`` are JSON integers; ``layer`` defaults to 0 and
+``n`` and ``m`` are at least 1. Header scans and decodes apply one rule.
+Values are stored in 32-bit floats; arithmetic on them is done in 64-bit.
 """
 
 from __future__ import annotations
@@ -87,7 +87,10 @@ def align_wordpieces(seq: EmbeddingSequence, amap: AlignmentMap) -> EmbeddingSeq
 def _header(rec: dict) -> tuple[str, int, int, int]:
     """(id, layer, n, m) of a record; the rule both scan and decode apply."""
     seq_id = str(rec["id"])
-    layer, n, m = int(rec.get("layer", 0)), int(rec["n"]), int(rec["m"])
+    layer, n, m = rec.get("layer", 0), rec["n"], rec["m"]
+    for key, value in (("layer", layer), ("n", n), ("m", m)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"sequence {seq_id}: {key} {value!r} is not an integer")
     if rec["dtype"] != "f32le":
         raise ValueError(f"sequence {seq_id}: unsupported dtype {rec['dtype']!r}")
     if n < 1 or m < 1:

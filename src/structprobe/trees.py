@@ -2,14 +2,15 @@
 
 Trees are stored as per-token head arrays. The root token's head is the
 sentinel ``ROOT`` (-1), never a token index, so index 0 stays unambiguous.
-Gold labels are the all-pairs path-length matrix (breadth-first search from
-every node) and the per-node depth vector (root depth 0, +1 per level).
+Gold labels are the all-pairs path-length matrix and the per-node depth
+vector (root depth 0, +1 per level). Both come from one pass over the nodes
+in parent order: a node's ancestor set is its head's plus itself, and the
+path between two nodes runs through their deepest common ancestor.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -57,8 +58,7 @@ class DepTree:
             if h != ROOT and not 0 <= h < n:
                 raise ValueError(f"token {i} has out-of-range head {h}")
         object.__setattr__(self, "root", roots[0])
-        if self._count_reachable() != n:
-            raise ValueError("head relation is cyclic or disconnected")
+        _parent_order(self.heads)  # raises if the heads hold a cycle
 
     @property
     def n(self) -> int:
@@ -72,18 +72,17 @@ class DepTree:
                 out[h].append(i)
         return out
 
-    def _count_reachable(self) -> int:
-        children = self.children()
-        seen = {self.root}
-        queue = deque([self.root])
-        while queue:
-            node = queue.popleft()
-            for child in children[node]:
-                if child in seen:
-                    return -1
-                seen.add(child)
-                queue.append(child)
-        return len(seen)
+
+def _whole_numbers(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array; ValueError if any is not a whole number."""
+    arr = np.asarray(values)
+    if arr.dtype == np.int64:
+        return arr
+    with np.errstate(invalid="ignore"):  # NaN and infinities fail the comparison
+        ints = arr.astype(np.int64)
+    if not np.array_equal(ints, arr):
+        raise ValueError(f"{what} must be whole numbers")
+    return ints
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,8 +99,8 @@ class TreeLabels:
     root: int | None
 
     def __post_init__(self):
-        object.__setattr__(self, "distances", np.asarray(self.distances, dtype=np.int64))
-        object.__setattr__(self, "depths", np.asarray(self.depths, dtype=np.int64))
+        object.__setattr__(self, "distances", _whole_numbers(self.distances, "distances"))
+        object.__setattr__(self, "depths", _whole_numbers(self.depths, "depths"))
         if self.depths.ndim != 1:
             raise ValueError(f"depths must be 1-D, got {self.depths.ndim}-D")
         n = self.depths.shape[0]
@@ -126,36 +125,47 @@ class TreeLabels:
         return int(self.depths.shape[0])
 
 
-def _neighbor_lists(heads: Sequence[int]) -> list[list[int]]:
-    """Undirected adjacency from a head array with a single ROOT sentinel."""
+def _parent_order(heads: Sequence[int]) -> list[int]:
+    """Node indices ordered so that each node comes after its head.
+
+    Raises ValueError unless ``heads`` is one tree: exactly one ROOT, every
+    other head a node index, and every node reachable from the root.
+    """
     n = len(heads)
-    adj: list[list[int]] = [[] for _ in range(n)]
+    children: list[list[int]] = [[] for _ in range(n)]
+    order = []
     for i, h in enumerate(heads):
         if h == ROOT:
-            continue
-        adj[i].append(h)
-        adj[h].append(i)
-    return adj
+            order.append(i)
+        elif 0 <= h < n:
+            children[h].append(i)
+        else:
+            raise ValueError(f"node {i} has out-of-range head {h}")
+    if len(order) != 1:
+        raise ValueError(f"{len(order)} nodes have head ROOT; a tree has exactly one")
+    for node in order:  # grows while it is read: a breadth-first order
+        order.extend(children[node])
+    if len(order) != n:
+        raise ValueError("head relation is cyclic or disconnected")
+    return order
 
 
 def all_pairs_path_lengths(heads: Sequence[int]) -> np.ndarray:
-    """Edge counts between every node pair, by BFS from each node."""
+    """Edge counts between every node pair of the tree a head array encodes.
+
+    Row v of ``anc`` marks v and its ancestors, so ``(anc @ anc.T)[i, j]``
+    counts the common ancestors of i and j, which is one more than the
+    depth of their deepest common ancestor. The counts are exact in float64.
+    """
     n = len(heads)
-    adj = _neighbor_lists(heads)
-    dist = np.full((n, n), -1, dtype=np.int64)
-    for src in range(n):
-        row = dist[src]
-        row[src] = 0
-        queue = deque([src])
-        while queue:
-            node = queue.popleft()
-            for nxt in adj[node]:
-                if row[nxt] < 0:
-                    row[nxt] = row[node] + 1
-                    queue.append(nxt)
-    if np.any(dist < 0):
-        raise ValueError("node array is not connected")
-    return dist
+    anc = np.zeros((n, n))
+    for v in _parent_order(heads):
+        if heads[v] != ROOT:
+            anc[v] = anc[heads[v]]
+        anc[v, v] = 1.0
+    common = anc @ anc.T
+    own = common.diagonal()
+    return (own[:, None] + own[None, :] - 2.0 * common).astype(np.int64)
 
 
 def tree_distances(tree: DepTree) -> np.ndarray:
@@ -165,25 +175,21 @@ def tree_distances(tree: DepTree) -> np.ndarray:
 
 def tree_depths(tree: DepTree) -> np.ndarray:
     """Per-token edge count to the root; the root itself gets 0."""
-    depths = np.full(tree.n, -1, dtype=np.int64)
-    depths[tree.root] = 0
-    children = tree.children()
-    queue = deque([tree.root])
-    while queue:
-        node = queue.popleft()
-        for child in children[node]:
-            depths[child] = depths[node] + 1
-            queue.append(child)
-    return depths
+    depths = [0] * tree.n
+    for v in _parent_order(tree.heads):
+        if tree.heads[v] != ROOT:
+            depths[v] = depths[tree.heads[v]] + 1
+    return np.array(depths, dtype=np.int64)
 
 
 def tree_labels(tree: DepTree, seq_id: str) -> TreeLabels:
-    """Bundle gold distances and depths for one sentence."""
+    """Bundle gold distances and depths for one sentence.
+
+    A token's depth is its distance to the root.
+    """
+    distances = tree_distances(tree)
     return TreeLabels(
-        id=seq_id,
-        distances=tree_distances(tree),
-        depths=tree_depths(tree),
-        root=tree.root,
+        id=seq_id, distances=distances, depths=distances[tree.root].copy(), root=tree.root
     )
 
 
@@ -265,8 +271,14 @@ def parse_conllu(text: str) -> list[DepTree]:
 
 
 def read_conllu(path: str | Path) -> list[DepTree]:
-    """Parse a UTF-8 CoNLL file."""
-    return parse_conllu(Path(path).read_text(encoding="utf-8"))
+    """Parse a UTF-8 CoNLL file; bytes that are not UTF-8 are a ConllError."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConllError(f"{path}:{line}: not valid UTF-8: {exc.reason}") from exc
+    return parse_conllu(text)
 
 
 def write_labels(labels: Iterable[TreeLabels], path: str | Path) -> None:

@@ -251,6 +251,17 @@ def test_missing_file_exits_two(tmp_path):
     assert code == 2
 
 
+def test_build_labels_on_non_utf8_conll_names_file_and_line(tmp_path, capsys):
+    conll = tmp_path / "x.conll"
+    conll.write_bytes(b"1 a 2 x\n2 \xff 0 root\n")
+    code = main(["--quiet", "build-labels", "--conll", str(conll),
+                 "--out", str(tmp_path / "labels.jsonl")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{conll}:2: not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_malformed_records_exit_two(tmp_path):
     labels = tmp_path / "labels.jsonl"
     emb = tmp_path / "emb.jsonl"

@@ -35,9 +35,12 @@ def emb_line(**changes) -> str:
 
 EMB_READERS = [read_embeddings, scan_embedding_headers]
 
-# (reader, bad second line); every case raised something other than DataError before
+# (reader, bad second line); every case raised something other than DataError,
+# or was read with its numbers truncated, before
 BAD_SECOND_LINE = [
     (read_labels, LABELS.replace('"depths":[0,1]', '"depths":[0,1e999]')),
+    (read_labels, LABELS.replace('"depths":[0,1]', '"depths":[0,1.7]')),
+    (read_labels, LABELS.replace('"distances":[[0,1],[1,0]]', '"distances":[[0,1.2],[1.9,0]]')),
     (read_labels, LABELS.replace('"depths":[0,1]', f'"depths":[0,{10**30}]')),
     (read_labels, LABELS.replace('"depths":[0,1]', '"depths":' + "[" * 100_000 + "]" * 100_000)),
     (read_labels, LABELS.replace('"root":0', '"root":1.5')),
@@ -47,6 +50,9 @@ BAD_SECOND_LINE = [
     (read_embeddings, emb_line(id=None)),
     *[(reader, emb_line(dtype="f64")) for reader in EMB_READERS],
     *[(reader, emb_line(n=-1, m=-1, data="AACAPw==")) for reader in EMB_READERS],
+    *[(reader, emb_line(n=1.9)) for reader in EMB_READERS],
+    *[(reader, emb_line(n=True)) for reader in EMB_READERS],
+    *[(reader, emb_line(layer="7")) for reader in EMB_READERS],
 ]
 GOOD_LINE = {read_labels: LABELS, read_grounding: json.dumps(CAPTION)}
 
@@ -55,10 +61,12 @@ GOOD_LINE = {read_labels: LABELS, read_grounding: json.dumps(CAPTION)}
     "reader, bad",
     BAD_SECOND_LINE,
     ids=[
-        "labels-1e999", "labels-10**30", "labels-nested", "labels-root-1.5", "labels-scalar-depths",
+        "labels-1e999", "labels-depth-1.7", "labels-distance-1.2",
+        "labels-10**30", "labels-nested", "labels-root-1.5", "labels-scalar-depths",
         "grounding-end-1e999",
         "emb-layer-1e999", "scan-layer-1e999", "emb-no-id",
         "emb-f64", "scan-f64", "emb-negative-shape", "scan-negative-shape",
+        "emb-n-1.9", "scan-n-1.9", "emb-n-true", "scan-n-true", "emb-layer-str", "scan-layer-str",
     ],
 )
 def test_bad_record_is_data_error_at_its_line(tmp_path, reader, bad):

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
+from structprobe.scenetree import PhraseAnnotation, construct_scene_tree
 from structprobe.synth import random_tree
 from structprobe.trees import (
     ROOT,
     ConllError,
     DepTree,
     TreeLabels,
+    all_pairs_path_lengths,
     parse_conllu,
+    read_conllu,
     read_labels,
     tree_depths,
     tree_distances,
@@ -103,6 +108,13 @@ def test_parse_conllu_bad_head_value():
         parse_conllu("1 a 5 x\n2 b 0 root\n")
 
 
+def test_read_conllu_non_utf8_names_file_and_line(tmp_path):
+    path = tmp_path / "x.conll"
+    path.write_bytes(b"1 a 2 x\n2 b 0 root\n\n1 \xff 0 root\n")
+    with pytest.raises(ConllError, match=f"{re.escape(str(path))}:4: not valid UTF-8"):
+        read_conllu(path)
+
+
 def test_deptree_rejects_bad_head_index():
     with pytest.raises(ValueError):
         DepTree(tokens=("a", "b", "c"), heads=(1, 2, ROOT - 1))
@@ -133,12 +145,47 @@ def test_depths_trivial_cases():
     assert tree_depths(chain).tolist() == [0, 1, 2]
 
 
+def random_heads(n, rng):
+    """A raw head array: chains, stars and the shapes between, relabelled."""
+    reach = int(rng.integers(1, n + 1))  # how far back in attachment order a node may attach
+    parents = [ROOT] + [int(rng.integers(max(0, i - reach), i)) for i in range(1, n)]
+    perm = rng.permutation(n)
+    heads = np.empty(n, dtype=np.int64)
+    for i, p in enumerate(parents):
+        heads[perm[i]] = ROOT if p == ROOT else perm[p]
+    return heads
+
+
+def random_scene_parents(n, rng):
+    tree = random_tree(n, rng)
+    phrases = []
+    for i in range(int(rng.integers(1, 17))):
+        start = int(rng.integers(0, n))
+        end = int(rng.integers(start + 1, n + 1))
+        phrases.append(PhraseAnnotation(f"p{i}", start, end, (f"r{i}",)))
+    return construct_scene_tree(tree, phrases, "img").parents
+
+
 def test_distances_match_floyd_warshall_on_random_trees():
     rng = np.random.default_rng(42)
     for _ in range(25):
-        n = int(rng.integers(2, 13))
+        n = int(rng.integers(2, 61))
         tree = random_tree(n, rng)
         assert np.array_equal(tree_distances(tree), floyd_warshall(tree.heads))
+        heads = random_heads(n, rng)
+        assert np.array_equal(all_pairs_path_lengths(heads), floyd_warshall(heads))
+        parents = random_scene_parents(n, rng)
+        assert np.array_equal(all_pairs_path_lengths(parents), floyd_warshall(parents))
+
+
+@pytest.mark.parametrize(
+    "heads",
+    [[ROOT, ROOT], [-2, ROOT, 0], [ROOT, 3, 0], [1, 2, 0]],
+    ids=["two-roots", "head-minus-2", "head-n", "rootless-cycle"],
+)
+def test_non_tree_head_arrays_rejected(heads):
+    with pytest.raises(ValueError):
+        all_pairs_path_lengths(heads)
 
 
 def test_depths_equal_distance_row_of_root():
