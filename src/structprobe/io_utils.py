@@ -9,6 +9,8 @@ import re
 from pathlib import Path
 from typing import Callable, Iterator, TextIO, TypeVar
 
+import numpy as np
+
 from .errors import DataError
 
 T = TypeVar("T")
@@ -17,22 +19,75 @@ T = TypeVar("T")
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
+def _loads(line: str):
+    """``json.loads(line.strip())``, without scanning a plain last string member.
+
+    The slice rule: if the stripped line ends in ``"key":"value"}``, the
+    key's opening quote follows ``{`` or ``,``, neither key nor value holds a
+    backslash, and the value is ASCII with no character below 0x20, then only
+    the stub ``line[:p+1] + '"}'`` is parsed, ``p`` being the value's opening
+    quote, and ``rec[key] = value`` is set.
+
+    Why it is exact: the stub and the line agree up to and including the
+    quote at ``p``. If that quote closes a string, the stub ends in an
+    unterminated string and fails. If it opens one, both give the same tokens
+    except that one string, which the final ``}`` makes the value of the
+    outermost object's last member. Its key ends at the quote before ``:``;
+    with no backslash in the key and ``{`` or ``,`` before the quote found,
+    no earlier quote can open it, so the key decodes to the sliced ``key``,
+    and the value (no quote, backslash or control character) to the sliced
+    ``value``. A stub that parses thus gives the line's record, duplicate keys
+    and key order included. Any other line, or a stub that fails to parse,
+    goes through ``json.loads(line.strip())``, so errors are the same too.
+    """
+    end = len(line)
+    while end and line[end - 1].isspace():
+        end -= 1
+    if line.endswith('"}', 0, end):
+        p = line.rfind('"', 0, end - 2)
+        k = line.rfind('"', 0, max(p - 2, 0))
+        key, value = line[k + 1 : p - 2], line[p + 1 : end - 2]
+        if (
+            k > 0
+            and line[k - 1] in "{,"
+            and line.startswith('":', p - 2)
+            and "\\" not in key
+            and value.isascii()
+            and "\\" not in value
+            and (not value or np.frombuffer(value.encode("ascii"), np.uint8).min() >= 0x20)
+        ):
+            try:
+                rec = json.loads(line[: p + 1] + '"}')
+            except (ValueError, RecursionError):
+                pass
+            else:
+                rec[key] = value
+                return rec
+    return json.loads(line.strip())
+
+
 def read_jsonl(path: str | Path, what: str, decode: Callable[[dict], T]) -> Iterator[T]:
     """Lazily yield ``decode(rec)`` for each non-blank line of a JSON Lines file.
 
     A line that is not UTF-8, not JSON or not an object, or on which ``decode``
     raises KeyError, TypeError, ValueError, OverflowError or RecursionError,
     ends the read in one DataError that names ``path:line``.
+
+    Each line gives what ``json.loads(line.strip())`` gives, record or error.
+    A line whose last member is a plain ``"key":"value"`` string, such as an
+    EMB-JSONL payload, is read without scanning that string: only the part
+    before the value is parsed, with ``""`` in its place, and the sliced value
+    is set. This is exact because the two texts share every token but that
+    string; ``_loads`` states the rule and the argument in full.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
             try:
                 if not line.isascii() and _NOT_UTF8.search(line):
                     raise ValueError("not valid UTF-8")
-                rec = json.loads(line)
+                rec = _loads(line)
                 if not isinstance(rec, dict):
                     raise TypeError("not a JSON object")
                 item = decode(rec)

@@ -310,7 +310,9 @@ def write_report_tsv(rows: Iterable[dict], path: str | Path) -> None:
 def read_report_tsv(path: str | Path) -> list[dict]:
     """Read rows written by write_report_tsv."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln]
+    # read_text turns "\r\n" into "\n"; a layer tag may hold U+2028 and the
+    # other separators at which splitlines() would also break
+    lines = [(i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln]
     if not lines or lines[0][1].split("\t") != list(REPORT_COLUMNS):
         raise DataError(f"{path}: not a report TSV (bad header)")
     rows = []

@@ -74,15 +74,17 @@ class DepTree:
 
 
 def _whole_numbers(values, what: str) -> np.ndarray:
-    """``values`` as an int64 array; ValueError if any is not a whole number."""
+    """``values`` as an int64 array; ValueError if any is not a whole number >= 0."""
     arr = np.asarray(values)
-    if arr.dtype == np.int64:
-        return arr
-    with np.errstate(invalid="ignore"):  # NaN and infinities fail the comparison
-        ints = arr.astype(np.int64)
-    if not np.array_equal(ints, arr):
-        raise ValueError(f"{what} must be whole numbers")
-    return ints
+    if arr.dtype != np.int64:
+        with np.errstate(invalid="ignore"):  # NaN and infinities fail the comparison
+            ints = arr.astype(np.int64)
+        if not np.array_equal(ints, arr):
+            raise ValueError(f"{what} must be whole numbers")
+        arr = ints
+    if arr.size and arr.min() < 0:
+        raise ValueError(f"{what} must not be negative")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,7 +244,12 @@ def parse_conllu(text: str) -> list[DepTree]:
         block = []
         pending_id = None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # only "\n" ends a line (splitlines() would also break at U+2028 and the
+    # other Unicode separators a FORM may hold); strip() drops a CRLF's "\r"
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             flush(lineno)

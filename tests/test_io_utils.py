@@ -6,9 +6,11 @@ import json
 import re
 import stat
 
+import numpy as np
 import pytest
 
-from structprobe.embed_io import read_embeddings, scan_embedding_headers
+from structprobe import io_utils
+from structprobe.embed_io import EmbeddingSequence, read_embeddings, scan_embedding_headers, write_embeddings
 from structprobe.errors import DataError
 from structprobe.io_utils import atomic_write_text
 from structprobe.scenetree import read_grounding
@@ -36,7 +38,7 @@ def emb_line(**changes) -> str:
 EMB_READERS = [read_embeddings, scan_embedding_headers]
 
 # (reader, bad second line); every case raised something other than DataError,
-# or was read with its numbers truncated, before
+# or was read with its numbers truncated or negative, before
 BAD_SECOND_LINE = [
     (read_labels, LABELS.replace('"depths":[0,1]', '"depths":[0,1e999]')),
     (read_labels, LABELS.replace('"depths":[0,1]', '"depths":[0,1.7]')),
@@ -45,6 +47,9 @@ BAD_SECOND_LINE = [
     (read_labels, LABELS.replace('"depths":[0,1]', '"depths":' + "[" * 100_000 + "]" * 100_000)),
     (read_labels, LABELS.replace('"root":0', '"root":1.5')),
     (read_labels, LABELS.replace('"depths":[0,1]', '"depths":0')),
+    (read_labels, '{"id":"a","n":2,"depths":[0,-3],"distances":[[0,-5],[-5,0]],"root":0}'),
+    (read_labels, LABELS.replace('"depths":[0,1]', '"depths":[0,-1]')),
+    (read_labels, LABELS.replace('"distances":[[0,1],[1,0]]', '"distances":[[0,-1],[-1,0]]')),
     (read_grounding, json.dumps(CAPTION).replace('"end": 2', '"end": 1e999')),
     *[(reader, emb_line(layer=0).replace('"layer": 0', '"layer": 1e999')) for reader in EMB_READERS],
     (read_embeddings, emb_line(id=None)),
@@ -63,6 +68,7 @@ GOOD_LINE = {read_labels: LABELS, read_grounding: json.dumps(CAPTION)}
     ids=[
         "labels-1e999", "labels-depth-1.7", "labels-distance-1.2",
         "labels-10**30", "labels-nested", "labels-root-1.5", "labels-scalar-depths",
+        "labels-negative", "labels-negative-depth", "labels-negative-distance",
         "grounding-end-1e999",
         "emb-layer-1e999", "scan-layer-1e999", "emb-no-id",
         "emb-f64", "scan-f64", "emb-negative-shape", "scan-negative-shape",
@@ -100,3 +106,26 @@ def test_atomic_writes_keep_the_default_file_mode(tmp_path):
     atomic = tmp_path / "atomic"
     atomic_write_text(atomic, "x")
     assert stat.S_IMODE(atomic.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+
+def test_emb_payloads_are_not_json_scanned(tmp_path, monkeypatch):
+    rng = np.random.default_rng(2)
+    seqs = [
+        EmbeddingSequence(id=f"s{i}", layer=1, values=rng.standard_normal((4, 48)).astype(np.float32))
+        for i in range(3)
+    ]
+    path = tmp_path / "e.jsonl"
+    write_embeddings(seqs, path)
+    payload_chars = 4 * 48 * 4 * 4 // 3
+    parsed = []
+    loads = io_utils.json.loads
+
+    def recording_loads(text, *args, **kwargs):
+        parsed.append(len(text))
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(io_utils.json, "loads", recording_loads)
+    back = list(read_embeddings(path))
+    assert scan_embedding_headers(path) == [(s.id, 1, 4, 48) for s in seqs]
+    assert [b.values.tobytes() for b in back] == [s.values.tobytes() for s in seqs]
+    assert len(parsed) == 6 and max(parsed) < payload_chars

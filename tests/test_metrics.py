@@ -325,3 +325,14 @@ def test_read_report_tsv_bad_field_names_line(tmp_path, bad_field):
     path.write_text("\n".join(lines[:2] + ["", "\t".join(parts)]) + "\n")
     with pytest.raises(DataError, match=re.escape(f"{path}:4: ")):
         read_report_tsv(path)
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_report_tsv_roundtrip_keeps_unicode_line_breaks_in_layer_tags(tmp_path, sep):
+    path = tmp_path / "r.tsv"
+    rows = [
+        {"layer": f"a{sep}b", "rank": 4, "task": "depth", "metric": "nspr", "value": 0.5, "n_sequences": 3},
+        {"layer": 2, "rank": 4, "task": "depth", "metric": "root_acc", "value": 0.25, "n_sequences": 3},
+    ]
+    write_report_tsv(rows, path)
+    assert read_report_tsv(path) == rows

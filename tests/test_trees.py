@@ -103,6 +103,19 @@ def test_parse_conllu_skips_mwt_and_empty_nodes():
     assert tree.tokens == ("de", "le")
 
 
+# every character besides "\n" and "\r" at which str.splitlines breaks a line
+UNICODE_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", UNICODE_LINE_BREAKS)
+def test_parse_conllu_keeps_unicode_line_breaks_inside_a_form(sep):
+    text = f"1\ta{sep}b\t_\t_\t_\t_\t2\tdet\t_\t_\r\n2\tman\t_\t_\t_\t_\t0\troot\t_\t_\r\n\nBAD\n"
+    with pytest.raises(ConllError, match="line 4"):
+        parse_conllu(text)
+    (tree,) = parse_conllu(text.removesuffix("BAD\n"))
+    assert tree.tokens == (f"a{sep}b", "man")
+
+
 def test_parse_conllu_bad_head_value():
     with pytest.raises(ConllError):
         parse_conllu("1 a 5 x\n2 b 0 root\n")
