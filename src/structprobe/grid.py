@@ -19,11 +19,16 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-from .chart import render_line_chart
+from .chart import emit_chart
 from .embed_io import read_embeddings, scan_embedding_headers
 from .errors import DataError, StructProbeError, ValidationError
-from .io_utils import atomic_write_text
-from .metrics import EvalReport, evaluate_probe, write_report_json, write_report_tsv
+from .metrics import (
+    EvalReport,
+    check_layer_tag,
+    evaluate_probe,
+    write_report_json,
+    write_report_tsv,
+)
 from .probe import TrainConfig, pair_records, save_probe, train_probe
 from .trees import TreeLabels, read_labels
 
@@ -59,13 +64,11 @@ class ExperimentManifest:
 
 
 def _as_tag(value) -> int | str:
-    if isinstance(value, bool):
-        raise ValidationError(f"bad layer tag {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str) and value:
-        return value
-    raise ValidationError(f"bad layer tag {value!r}")
+    """A manifest's layer tag; ValueError unless the report TSV keeps it as it is."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)) or value == "":
+        raise ValueError(f"bad layer tag {value!r}")
+    check_layer_tag(value)
+    return value
 
 
 def load_manifest(path: str | Path, out_dir_override: str | None = None) -> ExperimentManifest:
@@ -73,7 +76,7 @@ def load_manifest(path: str | Path, out_dir_override: str | None = None) -> Expe
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8 and bad JSON
         raise ValidationError(f"{path}: cannot read manifest: {exc}") from exc
     try:
         task = doc["task"]
@@ -90,11 +93,14 @@ def load_manifest(path: str | Path, out_dir_override: str | None = None) -> Expe
                     eval_emb=Path(entry["eval_emb"]),
                 )
             )
-        ranks = tuple(int(r) for r in doc.get("ranks", [128]))
+        ranks = doc.get("ranks", [128])
+        if not isinstance(ranks, list):
+            raise ValueError(f"ranks must be a list of integers, got {ranks!r}")
+        ranks = tuple(ranks)
         train_doc = dict(doc.get("train", {}))
         cfg = TrainConfig(**train_doc)
         for rank in ranks:
-            replace(cfg, rank=rank)  # TrainConfig's own rule rejects a rank below 1
+            replace(cfg, rank=rank)  # TrainConfig's own rule checks each rank
         out_dir = Path(out_dir_override or doc["out_dir"])
         chart_metrics = tuple(doc.get("chart_metrics", DEFAULT_CHART_METRICS[task]))
         manifest = ExperimentManifest(
@@ -245,7 +251,6 @@ def run_layer_grid(
         if not present:
             log.warning("no rows for chart metric %s; skipping chart", metric)
             continue
-        svg = render_line_chart(present, metric)
-        atomic_write_text(manifest.out_dir / f"chart_{metric}.svg", svg)
+        emit_chart(present, metric, manifest.out_dir / f"chart_{metric}.svg")
 
     return reports, failures

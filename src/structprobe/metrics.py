@@ -299,17 +299,50 @@ def _format_tsv_value(value: float | int | str) -> str:
     return str(value)
 
 
+def _canonical_int(text: str) -> int | None:
+    """The int whose canonical decimal text is ``text``, else None."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if str(value) == text else None
+
+
+def check_layer_tag(tag: int | str) -> None:
+    """Raise ValueError unless a report TSV reads ``tag`` back as written.
+
+    A string tag may hold no tab, ``\\n`` or ``\\r``, which would end its field
+    or line, and may not be an int's canonical text, which reads back as
+    that int. ``""`` is the tag of a report with no layer.
+    """
+    if isinstance(tag, str) and (
+        any(c in tag for c in "\t\n\r") or _canonical_int(tag) is not None
+    ):
+        raise ValueError(f"layer tag {tag!r} does not read back from a report TSV")
+
+
 def write_report_tsv(rows: Iterable[dict], path: str | Path) -> None:
-    """Atomically write report rows as TSV; floats keep full round-trip precision."""
+    """Atomically write report rows as TSV; floats keep full round-trip precision.
+
+    Each row's layer tag must pass ``check_layer_tag``.
+    """
     lines = ["\t".join(REPORT_COLUMNS)]
     for row in rows:
+        check_layer_tag(row["layer"])
         lines.append("\t".join(_format_tsv_value(row[c]) for c in REPORT_COLUMNS))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_report_tsv(path: str | Path) -> list[dict]:
-    """Read rows written by write_report_tsv."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read rows written by write_report_tsv.
+
+    A layer field reads as an int only when it is that int's canonical
+    decimal text; any other field stays a string.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8: {exc.reason}") from exc
     # read_text turns "\r\n" into "\n"; a layer tag may hold U+2028 and the
     # other separators at which splitlines() would also break
     lines = [(i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln]
@@ -320,15 +353,11 @@ def read_report_tsv(path: str | Path) -> list[dict]:
         parts = line.split("\t")
         if len(parts) != len(REPORT_COLUMNS):
             raise DataError(f"{path}:{lineno}: expected {len(REPORT_COLUMNS)} columns")
-        layer: int | str
-        try:
-            layer = int(parts[0])
-        except ValueError:
-            layer = parts[0]
+        layer = _canonical_int(parts[0])
         try:
             rows.append(
                 {
-                    "layer": layer,
+                    "layer": parts[0] if layer is None else layer,
                     "rank": int(parts[1]),
                     "task": parts[2],
                     "metric": parts[3],

@@ -79,9 +79,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "max_epochs", "patience", "rank", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("batch_size", "max_epochs", "patience", "rank"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError("seed cannot be negative")
         if self.patience > self.max_epochs:
             raise ValueError("patience cannot exceed max_epochs")
         if self.lr < 0:
@@ -391,7 +397,9 @@ def load_probe(path: str | Path) -> Probe:
     """Read a probe written by save_probe."""
     try:
         rec = json.loads(Path(path).read_text(encoding="utf-8"))
-        k, m = int(rec["k"]), int(rec["m"])
+        k, m = rec["k"], rec["m"]
+        if not all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in (k, m)):
+            raise ValueError(f"k={k!r} and m={m!r} must be positive integers")
         blob = base64.b64decode(rec["B"], validate=True)
         if len(blob) != k * m * 8:
             raise ValueError(f"payload is {len(blob)} bytes, expected {k * m * 8}")

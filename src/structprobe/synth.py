@@ -9,13 +9,12 @@ trained probe has a known-achievable optimum.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 import numpy as np
 
 from .embed_io import EmbeddingSequence
 from .probe import Pair
-from .trees import ROOT, DepTree, TreeLabels, tree_labels
+from .trees import ROOT, DepTree, TreeLabels, _ancestors, tree_labels
 
 
 def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
@@ -55,31 +54,20 @@ def oracle_embed_tree(
 ) -> EmbeddingSequence:
     """Path-indicator embedding of a tree, optionally padded and noised.
 
-    Width is (n - 1) + extra_dims, floored at 1 so single-node trees still
-    produce a valid sequence. Noise is i.i.d. Gaussian with the given
-    scale; at zero the label identities are exact.
+    Each non-root token, in token order, owns the coordinate of the edge to
+    its head, so row v is v's ancestor-indicator row without the root's
+    column: the edges on v's root path. Width is (n - 1) + extra_dims,
+    floored at 1 so single-node trees still produce a valid sequence. Noise
+    is i.i.d. Gaussian with the given scale; at zero the label identities
+    are exact.
     """
     if extra_dims < 0:
         raise ValueError("extra_dims cannot be negative")
     if noise_sigma < 0:
         raise ValueError("noise_sigma cannot be negative")
     n = tree.n
-    m = max(n - 1 + extra_dims, 1)
-    coord = {}
-    nxt = 0
-    for v in range(n):
-        if v != tree.root:
-            coord[v] = nxt
-            nxt += 1
-    vectors = np.zeros((n, m), dtype=np.float64)
-    children = tree.children()
-    queue = deque([tree.root])
-    while queue:
-        node = queue.popleft()
-        for child in children[node]:
-            vectors[child] = vectors[node]
-            vectors[child, coord[child]] = 1.0
-            queue.append(child)
+    vectors = np.zeros((n, max(n - 1 + extra_dims, 1)))
+    vectors[:, : n - 1] = np.delete(_ancestors(tree.heads, tree.order), tree.root, axis=1)
     if noise_sigma > 0:
         rng = _as_rng(seed)
         vectors = vectors + rng.normal(0.0, noise_sigma, size=vectors.shape)
@@ -132,7 +120,7 @@ def oracle_dataset(
         embeddings.append(
             oracle_embed_tree(
                 tree,
-                extra_dims=width - (n - 1) if n > 1 else width,
+                extra_dims=width - (n - 1),
                 noise_sigma=noise_sigma,
                 seed=rng,
                 seq_id=seq_id,

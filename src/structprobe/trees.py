@@ -2,10 +2,11 @@
 
 Trees are stored as per-token head arrays. The root token's head is the
 sentinel ``ROOT`` (-1), never a token index, so index 0 stays unambiguous.
-Gold labels are the all-pairs path-length matrix and the per-node depth
-vector (root depth 0, +1 per level). Both come from one pass over the nodes
-in parent order: a node's ancestor set is its head's plus itself, and the
-path between two nodes runs through their deepest common ancestor.
+Each tree is walked once, when ``DepTree`` checks its heads, and the walk
+is kept as ``DepTree.order``. Gold labels, the all-pairs path-length matrix
+and the depth vector (root 0, +1 per level), read that order: a node's
+ancestors are its head's plus itself, and a path runs through the deepest
+common ancestor of its ends.
 """
 
 from __future__ import annotations
@@ -29,13 +30,13 @@ class ConllError(DataError):
 
 @dataclass(frozen=True, eq=False)
 class DepTree:
-    """A rooted dependency tree over the tokens of one sentence."""
+    """A rooted dependency tree; ``order`` lists its tokens root first, each after its head."""
 
     tokens: tuple[str, ...]
     heads: tuple[int, ...]
     deprels: tuple[str, ...] | None = None
     sent_id: str | None = None
-    root: int = field(init=False)
+    order: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))
@@ -49,28 +50,15 @@ class DepTree:
             raise ValueError(f"{n} tokens but {len(self.heads)} heads")
         if self.deprels is not None and len(self.deprels) != n:
             raise ValueError(f"{n} tokens but {len(self.deprels)} deprels")
-        roots = [i for i, h in enumerate(self.heads) if h == ROOT]
-        if len(roots) == 0:
-            raise ValueError("no root token (no head equals ROOT)")
-        if len(roots) > 1:
-            raise ValueError(f"multiple root tokens at indices {roots}")
-        for i, h in enumerate(self.heads):
-            if h != ROOT and not 0 <= h < n:
-                raise ValueError(f"token {i} has out-of-range head {h}")
-        object.__setattr__(self, "root", roots[0])
-        _parent_order(self.heads)  # raises if the heads hold a cycle
+        object.__setattr__(self, "order", tuple(_parent_order(self.heads)))
 
     @property
     def n(self) -> int:
         return len(self.tokens)
 
-    def children(self) -> list[list[int]]:
-        """Child index lists, ordered by token position."""
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for i, h in enumerate(self.heads):
-            if h != ROOT:
-                out[h].append(i)
-        return out
+    @property
+    def root(self) -> int:
+        return self.order[0]
 
 
 def _whole_numbers(values, what: str) -> np.ndarray:
@@ -144,7 +132,7 @@ def _parent_order(heads: Sequence[int]) -> list[int]:
         else:
             raise ValueError(f"node {i} has out-of-range head {h}")
     if len(order) != 1:
-        raise ValueError(f"{len(order)} nodes have head ROOT; a tree has exactly one")
+        raise ValueError(f"a tree has exactly one root, but {len(order)} nodes have head ROOT")
     for node in order:  # grows while it is read: a breadth-first order
         order.extend(children[node])
     if len(order) != n:
@@ -152,35 +140,42 @@ def _parent_order(heads: Sequence[int]) -> list[int]:
     return order
 
 
-def all_pairs_path_lengths(heads: Sequence[int]) -> np.ndarray:
-    """Edge counts between every node pair of the tree a head array encodes.
-
-    Row v of ``anc`` marks v and its ancestors, so ``(anc @ anc.T)[i, j]``
-    counts the common ancestors of i and j, which is one more than the
-    depth of their deepest common ancestor. The counts are exact in float64.
-    """
-    n = len(heads)
-    anc = np.zeros((n, n))
-    for v in _parent_order(heads):
+def _ancestors(heads: Sequence[int], order: Sequence[int]) -> np.ndarray:
+    """0/1 float64 matrix whose row v marks v and its ancestors; ``order`` is a parent order."""
+    anc = np.zeros((len(heads), len(heads)))
+    for v in order:
         if heads[v] != ROOT:
             anc[v] = anc[heads[v]]
         anc[v, v] = 1.0
+    return anc
+
+
+def _path_lengths(anc: np.ndarray) -> np.ndarray:
+    """Edge counts between node pairs, from the ancestor matrix ``anc``.
+
+    ``(anc @ anc.T)[i, j]`` counts the common ancestors of i and j, one more
+    than the depth of their deepest common ancestor; exact in float64.
+    """
     common = anc @ anc.T
     own = common.diagonal()
     return (own[:, None] + own[None, :] - 2.0 * common).astype(np.int64)
 
 
+def all_pairs_path_lengths(heads: Sequence[int]) -> np.ndarray:
+    """Edge counts between every node pair of the tree a head array encodes."""
+    return _path_lengths(_ancestors(heads, _parent_order(heads)))
+
+
 def tree_distances(tree: DepTree) -> np.ndarray:
     """n-by-n matrix of undirected path lengths between tokens."""
-    return all_pairs_path_lengths(tree.heads)
+    return _path_lengths(_ancestors(tree.heads, tree.order))
 
 
 def tree_depths(tree: DepTree) -> np.ndarray:
     """Per-token edge count to the root; the root itself gets 0."""
     depths = [0] * tree.n
-    for v in _parent_order(tree.heads):
-        if tree.heads[v] != ROOT:
-            depths[v] = depths[tree.heads[v]] + 1
+    for v in tree.order[1:]:
+        depths[v] = depths[tree.heads[v]] + 1
     return np.array(depths, dtype=np.int64)
 
 

@@ -12,7 +12,7 @@ from structprobe import grid as grid_mod
 from structprobe.cli import main
 from structprobe.embed_io import EmbeddingSequence, read_embeddings, write_embeddings
 from structprobe.metrics import read_report_tsv
-from structprobe.probe import load_probe
+from structprobe.probe import identity_probe, load_probe, save_probe
 from structprobe.synth import oracle_dataset
 from structprobe.trees import read_labels, write_labels
 
@@ -611,3 +611,71 @@ def test_grid_layer_with_mismatched_widths_fails_before_decode(tmp_path, monkeyp
     assert "layer 1: embedding widths differ" in caplog.text
     rows = read_report_tsv(out_dir / "report.tsv")
     assert {(r["layer"], r["rank"]) for r in rows} == {(0, 2), (0, 3)}
+
+
+@pytest.mark.parametrize(
+    "key, raw",
+    [("ranks", "[2.7]"), ("ranks", '"12"'), ("ranks", "[true]"), ("ranks", "[1e999]"),
+     ("batch_size", "2.5"), ("seed", "1.5"), ("tag", '"7"'), ("tag", '"a\\tb"'),
+     ("tag", '"a\\nb"'), ("tag", '"a\\rb"')],
+)
+def test_grid_bad_manifest_value_is_validation_error_before_any_decode(
+    tmp_path, monkeypatch, capsys, key, raw
+):
+    paths = write_grid_inputs(tmp_path, n_trees=10)
+    mpath = write_manifest(tmp_path, paths, tmp_path / "run")
+    doc = json.loads(mpath.read_text())
+    target = {"ranks": doc, "tag": doc["layers"][1]}.get(key, doc["train"])
+    target[key] = "@VALUE@"
+    mpath.write_text(json.dumps(doc).replace('"@VALUE@"', raw))
+    decoded: list = []
+    monkeypatch.setattr(grid_mod, "read_embeddings", lambda path: decoded.append(path) or [])
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 1
+    err = capsys.readouterr().err
+    assert f"{mpath}: bad manifest" in err and "Traceback" not in err
+    assert decoded == []
+    assert not (tmp_path / "run").exists()
+
+
+def test_grid_non_utf8_manifest_is_validation_error_naming_it(tmp_path, capsys):
+    paths = write_grid_inputs(tmp_path, n_trees=10)
+    mpath = write_manifest(tmp_path, paths, tmp_path / "run")
+    mpath.write_bytes(mpath.read_bytes().replace(b'"distance"', b'"dist\xffance"'))
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 1
+    assert f"{mpath}: cannot read manifest" in capsys.readouterr().err
+
+
+def test_eval_probe_with_overflowing_k_exits_two_naming_file(tmp_path, capsys):
+    labels = tmp_path / "labels.jsonl"
+    emb = tmp_path / "emb.jsonl"
+    main(["--quiet", "synth", "--n-trees", "3", "--min-n", "4", "--max-n", "5",
+          "--extra-dims", "0", "--out-labels", str(labels), "--out-emb", str(emb)])
+    probe = tmp_path / "probe.json"
+    save_probe(identity_probe("depth", 4), probe)
+    probe.write_text(probe.read_text().replace('"k":4,', '"k":1e999,'))
+    code = main(["--quiet", "eval", "--probe", str(probe), "--labels", str(labels),
+                 "--emb", str(emb), "--out", str(tmp_path / "r.tsv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{probe}: bad probe file" in err and "Traceback" not in err
+
+
+def test_grid_charts_are_written_by_the_chart_command_writer(tmp_path, monkeypatch):
+    paths = write_grid_inputs(tmp_path, n_trees=12)
+    out_dir = tmp_path / "run"
+    mpath = write_manifest(tmp_path, paths, out_dir)
+    written: list[str] = []
+    real_emit = grid_mod.emit_chart
+
+    def recording_emit(rows, metric, out_path):
+        written.append(metric)
+        real_emit(rows, metric, out_path)
+
+    monkeypatch.setattr(grid_mod, "emit_chart", recording_emit)
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 0
+    assert written == ["dspr", "uuas"]
+    for metric in written:
+        chart = tmp_path / f"{metric}.svg"
+        assert main(["--quiet", "chart", "--report", str(out_dir / "report.tsv"),
+                     "--metric", metric, "--out", str(chart)]) == 0
+        assert chart.read_bytes() == (out_dir / f"chart_{metric}.svg").read_bytes()

@@ -336,3 +336,29 @@ def test_report_tsv_roundtrip_keeps_unicode_line_breaks_in_layer_tags(tmp_path, 
     ]
     write_report_tsv(rows, path)
     assert read_report_tsv(path) == rows
+
+
+@pytest.mark.parametrize("tag", ["007", "1_0", " 7", "7 ", "+7", "-0", "", "baseline", 0, -3, 12])
+def test_report_tsv_layer_tags_read_back_as_written(tmp_path, tag):
+    path = tmp_path / "r.tsv"
+    rows = [{"layer": tag, "rank": 4, "task": "depth", "metric": "nspr", "value": 0.5, "n_sequences": 3}]
+    write_report_tsv(rows, path)
+    assert read_report_tsv(path) == rows
+
+
+@pytest.mark.parametrize("tag", ["a\tb", "a\nb", "a\rb", "7", "-3", "0"])
+def test_write_report_tsv_rejects_tags_that_do_not_read_back(tmp_path, tag):
+    path = tmp_path / "r.tsv"
+    row = {"layer": tag, "rank": 4, "task": "depth", "metric": "nspr", "value": 0.5, "n_sequences": 3}
+    with pytest.raises(ValueError, match="layer tag"):
+        write_report_tsv([row], path)
+    assert not path.exists()
+
+
+def test_read_report_tsv_non_utf8_is_data_error_naming_file(tmp_path):
+    path = tmp_path / "r.tsv"
+    row = {"layer": "ab", "rank": 4, "task": "depth", "metric": "nspr", "value": 0.5, "n_sequences": 3}
+    write_report_tsv([row], path)
+    path.write_bytes(path.read_bytes().replace(b"ab", b"a\xffb"))
+    with pytest.raises(DataError, match=re.escape(f"{path}: not valid UTF-8")):
+        read_report_tsv(path)

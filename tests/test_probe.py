@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -328,4 +330,28 @@ def test_load_probe_rejects_garbage(tmp_path):
     path = tmp_path / "probe.json"
     path.write_text("{not json")
     with pytest.raises(DataError):
+        load_probe(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("batch_size", 2.5), ("seed", 1.5), ("rank", 2.0), ("rank", True), ("max_epochs", "40"),
+     ("patience", float("inf")), ("seed", -1)],
+)
+def test_train_config_integer_fields_must_be_integers(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_numpy_integers():
+    assert TrainConfig(rank=np.int64(3), seed=np.int32(2)).rank == 3
+
+
+@pytest.mark.parametrize("field, text", [("k", "1e999"), ("k", "4.0"), ("m", "true"), ("m", "-7")])
+def test_load_probe_requires_integer_k_and_m(tmp_path, field, text):
+    path = tmp_path / "probe.json"
+    save_probe(Probe(task="depth", transform=np.ones((4, 7))), path)
+    good = f'"{field}":{4 if field == "k" else 7},'
+    path.write_text(path.read_text().replace(good, f'"{field}":{text},'))
+    with pytest.raises(DataError, match=re.escape(f"{path}: bad probe file")):
         load_probe(path)

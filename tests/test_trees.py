@@ -7,8 +7,9 @@ import re
 import numpy as np
 import pytest
 
-from structprobe.scenetree import PhraseAnnotation, construct_scene_tree
-from structprobe.synth import random_tree
+from structprobe import trees as trees_mod
+from structprobe.scenetree import PhraseAnnotation, construct_scene_tree, find_highest_node
+from structprobe.synth import oracle_embed_tree, random_tree
 from structprobe.trees import (
     ROOT,
     ConllError,
@@ -270,3 +271,25 @@ def test_labels_validation():
         TreeLabels(id="x", distances=[[0, 1], [2, 0]], depths=[0, 1], root=0)
     with pytest.raises(ValueError):
         TreeLabels(id="x", distances=[[0, 1], [1, 0]], depths=[0, 1], root=1)
+
+
+def test_a_tree_is_walked_once_when_built(monkeypatch):
+    calls = []
+    real_order = trees_mod._parent_order
+
+    def counting_order(heads):
+        calls.append(tuple(heads))
+        return real_order(heads)
+
+    monkeypatch.setattr(trees_mod, "_parent_order", counting_order)
+    tree = DepTree(tokens=("a", "man", "on", "a", "bench"), heads=(1, ROOT, 1, 4, 2))
+    assert calls == [tree.heads]
+    assert tree.order == (1, 0, 2, 4, 3) and tree.root == 1
+    phrase = PhraseAnnotation("p1", 3, 5, ("r1",))
+    tree_distances(tree)
+    tree_depths(tree)
+    tree_labels(tree, "s")
+    find_highest_node(phrase, tree)
+    construct_scene_tree(tree, [phrase], "img")
+    oracle_embed_tree(tree)
+    assert len(calls) == 1

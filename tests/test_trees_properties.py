@@ -51,3 +51,20 @@ def test_any_head_array_is_a_tree_or_rejected(heads):
     else:
         with pytest.raises(ValueError):
             all_pairs_path_lengths(heads)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(st.integers(-2, n), min_size=n, max_size=n)))
+def test_deptree_order_lists_each_token_after_its_head_or_rejects(heads):
+    n = len(heads)
+    is_tree = heads.count(ROOT) == 1 and all(h == ROOT or 0 <= h < n for h in heads)
+    is_tree = is_tree and bool(np.all(floyd_warshall(heads) < 10**6))
+    if not is_tree:
+        with pytest.raises(ValueError):
+            DepTree(tokens=("w",) * n, heads=heads)
+        return
+    tree = DepTree(tokens=("w",) * n, heads=heads)
+    assert sorted(tree.order) == list(range(n))
+    assert tree.root == tree.order[0] and heads[tree.root] == ROOT
+    position = {v: i for i, v in enumerate(tree.order)}
+    assert all(position[heads[v]] < position[v] for v in tree.order[1:])
