@@ -126,15 +126,18 @@ def cmd_synth(args) -> int:
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        batch_size=args.batch,
-        max_epochs=args.epochs,
-        patience=args.patience,
-        rank=args.rank,
-        lr=args.lr,
-        optimizer=args.optimizer,
-        seed=_effective_seed(args, 0),
-    )
+    try:
+        return TrainConfig(
+            batch_size=args.batch,
+            max_epochs=args.epochs,
+            patience=args.patience,
+            rank=args.rank,
+            lr=args.lr,
+            optimizer=args.optimizer,
+            seed=_effective_seed(args, 0),
+        )
+    except ValueError as exc:
+        raise ValidationError(f"bad training options: {exc}") from exc
 
 
 def _load_pairs(labels_path, emb_path):
@@ -148,9 +151,9 @@ def _emb_layer_tag(pairs):
 
 
 def cmd_train(args) -> int:
+    cfg = _train_config(args)
     train_pairs = _load_pairs(args.labels, args.emb)
     val_pairs = _load_pairs(args.val_labels, args.val_emb)
-    cfg = _train_config(args)
     probe = train_probe(args.task, train_pairs, val_pairs, cfg, layer=_emb_layer_tag(train_pairs))
     save_probe(probe, args.out)
     log.info(
@@ -165,9 +168,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    cfg = _train_config(args)
     train_pairs = _load_pairs(args.labels, args.emb)
     val_pairs = _load_pairs(args.val_labels, args.val_emb)
-    cfg = _train_config(args)
     ranks = [int(r) for r in args.ranks.split(",") if r.strip()]
     layer = _emb_layer_tag(train_pairs)
     rows = []
@@ -225,9 +228,11 @@ def cmd_grid(args) -> int:
     out_dir = os.environ.get("STRUCTPROBE_OUT_DIR")
     manifest = grid_mod.load_manifest(args.manifest, out_dir_override=out_dir)
     if args.global_seed is not None:
-        manifest = dataclasses.replace(
-            manifest, train=dataclasses.replace(manifest.train, seed=args.global_seed)
-        )
+        try:
+            train = dataclasses.replace(manifest.train, seed=args.global_seed)
+        except ValueError as exc:
+            raise ValidationError(f"bad --seed: {exc}") from exc
+        manifest = dataclasses.replace(manifest, train=train)
     reports, failures = grid_mod.run_layer_grid(manifest, jobs=args.jobs)
     log.info(
         "grid finished: %d cell(s) succeeded, %d failed; outputs in %s",

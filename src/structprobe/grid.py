@@ -34,6 +34,7 @@ from .trees import TreeLabels, read_labels
 
 log = logging.getLogger(__name__)
 
+# every metric each task reports; the grid charts all of them by default
 DEFAULT_CHART_METRICS = {
     "distance": ("dspr", "uuas"),
     "depth": ("nspr", "root_acc"),
@@ -102,7 +103,14 @@ def load_manifest(path: str | Path, out_dir_override: str | None = None) -> Expe
         for rank in ranks:
             replace(cfg, rank=rank)  # TrainConfig's own rule checks each rank
         out_dir = Path(out_dir_override or doc["out_dir"])
-        chart_metrics = tuple(doc.get("chart_metrics", DEFAULT_CHART_METRICS[task]))
+        chart_metrics = doc.get("chart_metrics", list(DEFAULT_CHART_METRICS[task]))
+        if not isinstance(chart_metrics, list) or any(
+            metric not in DEFAULT_CHART_METRICS[task] for metric in chart_metrics
+        ):
+            raise ValueError(
+                f"chart_metrics must be a list of {task} metrics "
+                f"{list(DEFAULT_CHART_METRICS[task])}, got {chart_metrics!r}"
+            )
         manifest = ExperimentManifest(
             task=task,
             train_labels=Path(doc["train_labels"]),
@@ -112,7 +120,7 @@ def load_manifest(path: str | Path, out_dir_override: str | None = None) -> Expe
             ranks=ranks,
             train=cfg,
             out_dir=out_dir,
-            chart_metrics=chart_metrics,
+            chart_metrics=tuple(chart_metrics),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: bad manifest: {exc}") from exc

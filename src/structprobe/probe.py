@@ -13,6 +13,8 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -90,8 +92,14 @@ class TrainConfig:
             raise ValueError("seed cannot be negative")
         if self.patience > self.max_epochs:
             raise ValueError("patience cannot exceed max_epochs")
-        if self.lr < 0:
-            raise ValueError("learning rate cannot be negative")
+        lr = self.lr
+        if (
+            isinstance(lr, bool)
+            or not isinstance(lr, (int, float, np.integer, np.floating))
+            or not 0 <= lr < math.inf  # NaN fails both comparisons
+            or isinstance(lr, int) and lr > sys.float_info.max  # no float holds it
+        ):
+            raise ValueError(f"lr must be a finite number >= 0, got {lr!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 

@@ -617,7 +617,11 @@ def test_grid_layer_with_mismatched_widths_fails_before_decode(tmp_path, monkeyp
     "key, raw",
     [("ranks", "[2.7]"), ("ranks", '"12"'), ("ranks", "[true]"), ("ranks", "[1e999]"),
      ("batch_size", "2.5"), ("seed", "1.5"), ("tag", '"7"'), ("tag", '"a\\tb"'),
-     ("tag", '"a\\nb"'), ("tag", '"a\\rb"')],
+     ("tag", '"a\\nb"'), ("tag", '"a\\rb"'), ("lr", "true"), ("lr", "NaN"), ("lr", "Infinity"),
+     ("lr", "1e999"), ("lr", "-0.5"), ("lr", '"0.1"'), ("lr", "null"),
+     pytest.param("lr", "1" + "0" * 400, id="lr-int-beyond-float"), ("chart_metrics", '"dspr"'),
+     ("chart_metrics", '["nspr"]'), ("chart_metrics", '["dspr", 1]'),
+     ("chart_metrics", '[["dspr"]]'), ("chart_metrics", "null")],
 )
 def test_grid_bad_manifest_value_is_validation_error_before_any_decode(
     tmp_path, monkeypatch, capsys, key, raw
@@ -625,7 +629,7 @@ def test_grid_bad_manifest_value_is_validation_error_before_any_decode(
     paths = write_grid_inputs(tmp_path, n_trees=10)
     mpath = write_manifest(tmp_path, paths, tmp_path / "run")
     doc = json.loads(mpath.read_text())
-    target = {"ranks": doc, "tag": doc["layers"][1]}.get(key, doc["train"])
+    target = {"ranks": doc, "chart_metrics": doc, "tag": doc["layers"][1]}.get(key, doc["train"])
     target[key] = "@VALUE@"
     mpath.write_text(json.dumps(doc).replace('"@VALUE@"', raw))
     decoded: list = []
@@ -679,3 +683,32 @@ def test_grid_charts_are_written_by_the_chart_command_writer(tmp_path, monkeypat
         assert main(["--quiet", "chart", "--report", str(out_dir / "report.tsv"),
                      "--metric", metric, "--out", str(chart)]) == 0
         assert chart.read_bytes() == (out_dir / f"chart_{metric}.svg").read_bytes()
+
+
+def test_negative_seed_is_a_validation_error_for_train_and_grid(tmp_path, capsys):
+    labels = tmp_path / "labels.jsonl"
+    emb = tmp_path / "emb.jsonl"
+    main(["--quiet", "synth", "--n-trees", "4", "--min-n", "3", "--max-n", "4",
+          "--out-labels", str(labels), "--out-emb", str(emb)])
+    code = main(["--quiet", "train", "--task", "depth", "--labels", str(labels),
+                 "--emb", str(emb), "--val-labels", str(labels), "--val-emb", str(emb),
+                 "--rank", "2", "--seed", "-1", "--out", str(tmp_path / "p.json")])
+    assert code == 1
+    assert "seed" in capsys.readouterr().err
+
+    paths = write_grid_inputs(tmp_path, n_trees=10)
+    mpath = write_manifest(tmp_path, paths, tmp_path / "run")
+    assert main(["--quiet", "--seed", "-1", "grid", "--manifest", str(mpath)]) == 1
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_grid_chart_metrics_may_name_some_of_the_task_metrics(tmp_path):
+    paths = write_grid_inputs(tmp_path, n_trees=10)
+    mpath = write_manifest(tmp_path, paths, tmp_path / "run")
+    doc = json.loads(mpath.read_text())
+    for chosen in (["uuas"], []):
+        doc["chart_metrics"] = chosen
+        mpath.write_text(json.dumps(doc))
+        assert grid_mod.load_manifest(mpath).chart_metrics == tuple(chosen)

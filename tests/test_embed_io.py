@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from structprobe import embed_io
 from structprobe.embed_io import (
     AlignmentMap,
     EmbeddingSequence,
@@ -117,6 +118,36 @@ def test_scan_headers(tmp_path):
         [EmbeddingSequence(id="x", layer=3, values=np.zeros((2, 5), dtype=np.float32))], path
     )
     assert scan_embedding_headers(path) == [("x", 3, 2, 5)]
+
+
+def test_canonical_payloads_skip_the_strict_decoder(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    # n*m*4 bytes of 0, 1 and 2 mod 3: payloads with no, two and one pad
+    seqs = [
+        EmbeddingSequence(id=f"s{i}", layer=2, values=rng.standard_normal(shape).astype(np.float32))
+        for i, shape in enumerate([(3, 6), (1, 1), (1, 5), (20, 768)])
+    ]
+    path = tmp_path / "e.jsonl"
+    write_embeddings(seqs, path)
+    calls = []
+    b64decode = embed_io.base64.b64decode
+
+    def recording_b64decode(*args, **kwargs):
+        calls.append(args[0])
+        return b64decode(*args, **kwargs)
+
+    monkeypatch.setattr(embed_io.base64, "b64decode", recording_b64decode)
+    back = list(read_embeddings(path))
+    assert calls == []
+    assert [b.values.tobytes() for b in back] == [s.values.tobytes() for s in seqs]
+    assert all(not b.values.flags.writeable for b in back)
+
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    recs[1]["data"] = recs[1]["data"].replace("=", "", 1)  # a pad too few
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: ")):
+        list(read_embeddings(path))
+    assert calls == [recs[1]["data"]]
 
 
 def test_align_identity_groups():
