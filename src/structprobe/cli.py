@@ -105,15 +105,18 @@ def _effective_seed(args, default: int) -> int:
 
 
 def cmd_synth(args) -> int:
-    data = oracle_dataset(
-        n_trees=args.n_trees,
-        min_n=args.min_n,
-        max_n=args.max_n,
-        extra_dims=args.extra_dims,
-        noise_sigma=args.noise,
-        seed=_effective_seed(args, 7),
-        layer=args.layer,
-    )
+    try:
+        data = oracle_dataset(
+            n_trees=args.n_trees,
+            min_n=args.min_n,
+            max_n=args.max_n,
+            extra_dims=args.extra_dims,
+            noise_sigma=args.noise,
+            seed=_effective_seed(args, 7),
+            layer=args.layer,
+        )
+    except ValueError as exc:
+        raise ValidationError(f"bad synth options: {exc}") from exc
     write_labels(data.labels, args.out_labels)
     write_embeddings(data.embeddings, args.out_emb)
     log.info(
@@ -169,9 +172,16 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _train_config(args)
+    try:  # TrainConfig's own rule checks each rank, before any input is read
+        ranks = [int(r) for r in args.ranks.split(",") if r.strip()]
+        for rank in ranks:
+            dataclasses.replace(cfg, rank=rank)
+    except ValueError as exc:
+        raise ValidationError(f"bad --ranks {args.ranks!r}: {exc}") from exc
+    if not ranks:
+        raise ValidationError(f"--ranks {args.ranks!r} names no rank")
     train_pairs = _load_pairs(args.labels, args.emb)
     val_pairs = _load_pairs(args.val_labels, args.val_emb)
-    ranks = [int(r) for r in args.ranks.split(",") if r.strip()]
     layer = _emb_layer_tag(train_pairs)
     rows = []
     for probe, report in _rank_runs(ranks, train_pairs, val_pairs, cfg, args.task, layer):

@@ -5,7 +5,9 @@ probe predicts the squared norm of the transformed difference of two node
 vectors; the depth probe predicts the squared norm of a single transformed
 vector. Both are trained by minimizing an L1 loss against integer gold
 labels with mini-batch first-order updates and early stopping on the
-validation loss.
+validation loss. One forward z = H Bᵀ per sequence serves prediction, loss
+and gradient: the subgradient is Zᵀ(L H), with L built from the signs of the
+errors, so no m-by-m matrix is built.
 """
 
 from __future__ import annotations
@@ -104,23 +106,12 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
-def _squared_pairwise(z: np.ndarray) -> np.ndarray:
-    """Exactly symmetric matrix of squared row distances of z."""
-    gram = z @ z.T
-    gram = (gram + gram.T) / 2.0
-    sq = np.diag(gram)
-    dist = sq[:, None] + sq[None, :] - 2.0 * gram
-    np.maximum(dist, 0.0, out=dist)
-    np.fill_diagonal(dist, 0.0)
-    return dist
-
-
 def _predict(probe: Probe, seq: EmbeddingSequence, task: str) -> np.ndarray:
     if probe.task != task:
         raise ValueError(f"expected a {task} probe, got task {probe.task!r}")
     if probe.m != seq.m:
         raise ValueError(f"probe width {probe.m} does not match embedding width {seq.m}")
-    return _predict_raw(probe.transform, seq.values.astype(np.float64), task)
+    return _prediction(seq.values.astype(np.float64) @ probe.transform.T, task)
 
 
 def predict_distances(probe: Probe, seq: EmbeddingSequence) -> np.ndarray:
@@ -161,43 +152,47 @@ def _features(pairs: Sequence[Pair], task: str) -> list[Features]:
     return [(seq.values.astype(np.float64), _gold_array(labels, task)) for labels, seq in pairs]
 
 
-def _predict_raw(transform: np.ndarray, h: np.ndarray, task: str) -> np.ndarray:
-    z = h @ transform.T
-    if task == "distance":
-        return _squared_pairwise(z)
-    return np.einsum("ij,ij->i", z, z)
+def _prediction(z: np.ndarray, task: str) -> np.ndarray:
+    """The task's prediction from one sequence's forward z = H Bᵀ.
 
-
-def _sequence_gradient(
-    transform: np.ndarray, h: np.ndarray, gold: np.ndarray, task: str
-) -> np.ndarray:
-    """Analytic subgradient of the per-sequence L1 loss w.r.t. the transform.
-
-    For a pair difference u the squared prediction differentiates to
-    2*(Bu)u^T; summing sign-weighted pair terms reduces to B H^T L H with L
-    the Laplacian of the sign matrix. Ties (prediction equal to gold) get
-    subgradient zero.
+    Distances come out as an exactly symmetric matrix with a zero diagonal.
     """
-    n = h.shape[0]
-    signs = np.sign(_predict_raw(transform, h, task) - gold)
-    if task == "distance":
-        np.fill_diagonal(signs, 0.0)
-        lap = np.diag(signs.sum(axis=1)) - signs
-        return (2.0 / (n * n)) * (transform @ (h.T @ lap @ h))
-    return (2.0 / n) * (transform @ (h.T @ (signs[:, None] * h)))
+    if task != "distance":
+        return np.einsum("ij,ij->i", z, z)
+    gram = z @ z.T
+    gram = (gram + gram.T) / 2.0
+    sq = np.diag(gram)
+    dist = sq[:, None] + sq[None, :] - 2.0 * gram
+    np.maximum(dist, 0.0, out=dist)
+    np.fill_diagonal(dist, 0.0)
+    return dist
 
 
 def _batch_gradient(transform: np.ndarray, items: Sequence[Features], task: str) -> np.ndarray:
+    """Analytic subgradient of the mean per-sequence L1 loss w.r.t. the transform B.
+
+    For a pair difference u the squared prediction differentiates to
+    2(Bu)uᵀ; summing sign-weighted pair terms gives (2/n²) B Hᵀ L H, with L
+    the Laplacian of the sign matrix, and a depth gives (2/n) B Hᵀ (s ⊙ H).
+    Both are read off the forward's own z = H Bᵀ as Zᵀ(L H), so no m-by-m
+    matrix is built. Ties (prediction equal to gold) get subgradient zero.
+    """
     grad = np.zeros_like(transform)
     for h, gold in items:
-        grad += _sequence_gradient(transform, h, gold, task)
+        n = h.shape[0]
+        z = h @ transform.T
+        signs = np.sign(_prediction(z, task) - gold)
+        if task == "distance":  # L = diag(signs·1) - signs
+            grad += (2.0 / (n * n)) * (z.T @ (signs.sum(axis=1)[:, None] * h - signs @ h))
+        else:
+            grad += (2.0 / n) * (z.T @ (signs[:, None] * h))
     return grad / len(items)
 
 
 def _mean_loss(transform: np.ndarray, items: Sequence[Features], task: str) -> float:
     total = 0.0
     for h, gold in items:
-        total += l1_loss(_predict_raw(transform, h, task), gold, task)
+        total += l1_loss(_prediction(h @ transform.T, task), gold, task)
     return total / len(items)
 
 

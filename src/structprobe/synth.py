@@ -63,8 +63,8 @@ def oracle_embed_tree(
     """
     if extra_dims < 0:
         raise ValueError("extra_dims cannot be negative")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma cannot be negative")
+    if not (noise_sigma >= 0 and np.isfinite(noise_sigma)):
+        raise ValueError(f"noise_sigma must be a finite number >= 0, got {noise_sigma!r}")
     n = tree.n
     vectors = np.zeros((n, max(n - 1 + extra_dims, 1)))
     vectors[:, : n - 1] = np.delete(_ancestors(tree.heads, tree.order), tree.root, axis=1)
@@ -105,7 +105,11 @@ def oracle_dataset(
     if n_trees < 1:
         raise ValueError("n_trees must be at least 1")
     if not 1 <= min_n <= max_n:
-        raise ValueError(f"bad size range [{min_n}, {max_n}]")
+        raise ValueError(f"bad size range [{min_n}, {max_n}]: need 1 <= min_n <= max_n")
+    if extra_dims < 0:
+        raise ValueError("extra_dims cannot be negative")
+    if seed < 0:
+        raise ValueError("seed cannot be negative")
     rng = np.random.default_rng(seed)
     width = max(max_n - 1 + extra_dims, 1)
     trees = []

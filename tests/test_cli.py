@@ -245,6 +245,45 @@ def test_sweep_command(tmp_path):
     assert {r["metric"] for r in rows} >= {"nspr", "root_acc", "val_loss"}
 
 
+@pytest.mark.parametrize("ranks", ["0,2", "2.5", ",", " ", "2,-3", "4,x"])
+def test_sweep_bad_ranks_rejected_before_any_read(tmp_path, monkeypatch, capsys, ranks):
+    from structprobe import cli
+
+    read: list[str] = []
+    monkeypatch.setattr(cli, "read_embeddings", lambda path: read.append(path) or [])
+    monkeypatch.setattr(cli, "read_labels", lambda path: read.append(path) or [])
+    out = tmp_path / "sweep.tsv"
+    code = main(["--quiet", "sweep", "--task", "distance", "--labels", "l.jsonl",
+                 "--emb", "e.jsonl", "--val-labels", "vl.jsonl", "--val-emb", "ve.jsonl",
+                 "--ranks", ranks, "--out", str(out)])
+    assert code == 1
+    assert "--ranks" in capsys.readouterr().err
+    assert read == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "option, value, named",
+    [
+        ("--seed", "-1", "seed"),
+        ("--n-trees", "0", "n_trees"),
+        ("--min-n", "0", "min_n"),
+        ("--max-n", "2", "max_n"),
+        ("--noise", "-1", "noise_sigma"),
+        ("--noise", "nan", "noise_sigma"),
+        ("--extra-dims", "-1", "extra_dims"),
+    ],
+)
+def test_synth_bad_option_exits_one_naming_it(tmp_path, capsys, option, value, named):
+    labels, emb = tmp_path / "labels.jsonl", tmp_path / "emb.jsonl"
+    code = main(["--quiet", "synth", "--n-trees", "3", "--min-n", "3", "--max-n", "5",
+                 f"{option}={value}", "--out-labels", str(labels), "--out-emb", str(emb)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not labels.exists() and not emb.exists()
+
+
 def test_missing_file_exits_two(tmp_path):
     code = main(["--quiet", "build-labels", "--conll", str(tmp_path / "none.conll"),
                  "--out", str(tmp_path / "x.jsonl")])
