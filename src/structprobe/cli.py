@@ -172,12 +172,16 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _train_config(args)
-    try:  # TrainConfig's own rule checks each rank, before any input is read
-        ranks = [int(r) for r in args.ranks.split(",") if r.strip()]
+    # each entry is a JSON integer, as in a grid manifest; TrainConfig's own
+    # rule checks each rank, before any input is read
+    try:
+        ranks = [json.loads(r) for r in args.ranks.split(",") if r.strip()]
         for rank in ranks:
             dataclasses.replace(cfg, rank=rank)
     except ValueError as exc:
-        raise ValidationError(f"bad --ranks {args.ranks!r}: {exc}") from exc
+        raise ValidationError(
+            f"bad --ranks {args.ranks!r}: not JSON integers of at least 1: {exc}"
+        ) from exc
     if not ranks:
         raise ValidationError(f"--ranks {args.ranks!r} names no rank")
     train_pairs = _load_pairs(args.labels, args.emb)
@@ -235,6 +239,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
     out_dir = os.environ.get("STRUCTPROBE_OUT_DIR")
     manifest = grid_mod.load_manifest(args.manifest, out_dir_override=out_dir)
     if args.global_seed is not None:
@@ -319,7 +325,7 @@ def build_parser() -> CliParser:
 
     p = sub.add_parser("sweep", help="train probes across ranks")
     _add_train_flags(p)
-    p.add_argument("--ranks", required=True, help="comma-separated rank list")
+    p.add_argument("--ranks", required=True, help="comma-separated JSON integer ranks")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -13,7 +13,9 @@ Values are stored in 32-bit floats; arithmetic on them is done in 64-bit.
 A canonical payload, the strict base64 text of exactly ``n*m*4`` bytes, is
 decoded by a vectorised kernel (``_decode_canonical``); any other payload
 goes through ``base64.b64decode(validate=True)`` and the length check, so
-errors are those of the strict decoder. Decoded values are read-only.
+errors are those of the strict decoder. Decoded values are read-only. The
+readers name ``data`` as ``read_jsonl``'s payload member, so an ASCII line's
+payload arrives as a memoryview of the line and is never copied into a str.
 """
 
 from __future__ import annotations
@@ -126,30 +128,38 @@ _PAIRS = _pair_table()
 def _decode_canonical(data, n: int, m: int) -> np.ndarray | None:
     """The read-only ``(n, m)`` values of canonical base64 ``data``, else None.
 
-    Canonical means a str of ``4*ceil(B/3)`` ASCII characters, ``B = n*m*4``,
-    whose last ``(-B) % 3`` are ``=`` and all others in the alphabet. A string
-    that strict ``a2b_base64`` decodes to ``B`` bytes has exactly that form,
-    and on it the kernel gives the same bytes: both drop the unused bits
-    before a pad. So None, for any other payload, loses nothing but speed,
-    and no buffer sized from the header is made before the length matches.
+    Canonical means a str, or a contiguous memoryview of bytes, of
+    ``4*ceil(B/3)`` ASCII characters, ``B = n*m*4``, whose last ``(-B) % 3``
+    are ``=`` and all others in the alphabet. A string that strict
+    ``a2b_base64`` decodes to ``B`` bytes has exactly that form, and on it the
+    kernel gives the same bytes: both drop the unused bits before a pad. So
+    None, for any other payload, loses nothing but speed, and no buffer sized
+    from the header is made before the length matches.
 
-    The bytes come from wide integer operations on one table lookup per
-    character pair (Muła and Lemire, 2018). Every view and buffer has an
-    explicit little-endian dtype, so the result is the same on a big-endian
-    host.
+    A memoryview is read in place; only its last 4-character group, where the
+    pads are, is copied. The bytes come from wide integer operations on one
+    table lookup per character pair (Muła and Lemire, 2018). Every view and
+    buffer has an explicit little-endian dtype, so the result is the same on a
+    big-endian host.
     """
     size = n * m * 4
+    chars = 4 * -(-size // 3)
     pads = -size % 3
-    if not (
-        isinstance(data, str)
-        and len(data) == 4 * -(-size // 3)
-        and data.isascii()
-        and data.endswith("=" * pads)
-    ):
+    if isinstance(data, str):
+        if len(data) != chars or not data.isascii():
+            return None
+        data = data.encode("ascii")
+    elif not (isinstance(data, memoryview) and data.c_contiguous and data.nbytes == chars):
         return None
-    text = bytearray(data, "ascii")
-    text[len(text) - pads :] = b"A" * pads  # zero bits, in bytes sliced off below
-    pairs = _PAIRS.take(np.frombuffer(text, dtype="<u2"))
+    text = np.frombuffer(data, dtype=np.uint8)
+    last = bytearray(text[-4:])
+    if not last.endswith(b"=" * pads):
+        return None
+    last[4 - pads :] = b"A" * pads  # zero bits, in bytes sliced off below
+    # a <u2 index is below len(_PAIRS) == 65536, so clipping never moves one
+    pairs = np.empty(chars // 2, dtype="<u2")
+    _PAIRS.take(text[:-4].view("<u2"), out=pairs[:-2], mode="clip")
+    _PAIRS.take(np.frombuffer(last, dtype="<u2"), out=pairs[-2:], mode="clip")
     if pairs.max() > 0xFFF:
         return None
     # one 4-character group per word: first pair in bits 0..11, second in 16..27
@@ -181,7 +191,7 @@ def _decode(rec: dict) -> EmbeddingSequence:
 
 def read_embeddings(path: str | Path) -> Iterator[EmbeddingSequence]:
     """Lazily yield embedding sequences from an EMB-JSONL file."""
-    return read_jsonl(path, "embedding", _decode)
+    return read_jsonl(path, "embedding", _decode, payload="data")
 
 
 def write_embeddings(seqs: Iterable[EmbeddingSequence], path: str | Path) -> None:
@@ -202,4 +212,4 @@ def write_embeddings(seqs: Iterable[EmbeddingSequence], path: str | Path) -> Non
 
 def scan_embedding_headers(path: str | Path) -> list[tuple[str, int, int, int]]:
     """(id, layer, n, m) per record, without decoding the payloads."""
-    return list(read_jsonl(path, "embedding", _header))
+    return list(read_jsonl(path, "embedding", _header, payload="data"))

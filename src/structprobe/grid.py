@@ -205,6 +205,8 @@ def run_layer_grid(
     skipped. Raises only if every cell fails. Returns the successful
     reports in manifest order and the (cell, error) failures.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     split_labels, width_errors = validate_manifest_data(manifest)
     manifest.out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -230,7 +232,7 @@ def run_layer_grid(
 
     reports: list[EvalReport] = []
     failures: list[tuple[str, str]] = []
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(run_layer, cell) for cell in manifest.cells]
         for cell, future in zip(manifest.cells, futures):
             try:

@@ -17,6 +17,8 @@ T = TypeVar("T")
 
 # a byte that is not UTF-8 is read as a lone surrogate, so its line is known
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
+# the ASCII bytes that str.isspace counts, so str.strip takes them off a line
+_SPACE = frozenset(b" \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f")
 
 
 def _loads(line: str):
@@ -66,28 +68,74 @@ def _loads(line: str):
     return json.loads(line.strip())
 
 
-def read_jsonl(path: str | Path, what: str, decode: Callable[[dict], T]) -> Iterator[T]:
+def _loads_ascii(line: bytes, payload: str | None):
+    """``_loads`` on the bytes of an ASCII line, or None where it would parse the whole line.
+
+    The same slice rule as ``_loads``, checked in place: trailing whitespace
+    is what ``str.isspace`` counts, the value holds no backslash and no byte
+    below 0x20, and only the stub before the value is decoded and parsed. A
+    value under the key ``payload`` is set as a read-only memoryview of the
+    line, any other as a str. None, for a line the rule does not take or whose
+    stub fails to parse, sends the line to ``_loads``, which gives its record
+    or error.
+    """
+    end = len(line)
+    while end and line[end - 1] in _SPACE:
+        end -= 1
+    if not line.endswith(b'"}', 0, end):
+        return None
+    p = line.rfind(b'"', 0, end - 2)
+    k = line.rfind(b'"', 0, max(p - 2, 0))
+    if not (
+        k > 0
+        and line[k - 1] in b"{,"
+        and line.startswith(b'":', p - 2)
+        and line.find(b"\\", k + 1, p - 2) < 0
+        and line.find(b"\\", p + 1, end - 2) < 0
+        and (end - p == 3 or np.frombuffer(line, np.uint8, end - p - 3, p + 1).min() >= 0x20)
+    ):
+        return None
+    try:
+        rec = json.loads(line[: p + 1].decode("ascii") + '"}')
+    except (ValueError, RecursionError):
+        return None
+    key, value = line[k + 1 : p - 2].decode("ascii"), memoryview(line)[p + 1 : end - 2]
+    rec[key] = value if key == payload else str(value, "ascii")
+    return rec
+
+
+def read_jsonl(
+    path: str | Path, what: str, decode: Callable[[dict], T], payload: str | None = None
+) -> Iterator[T]:
     """Lazily yield ``decode(rec)`` for each non-blank line of a JSON Lines file.
 
-    A line that is not UTF-8, not JSON or not an object, or on which ``decode``
-    raises KeyError, TypeError, ValueError, OverflowError or RecursionError,
-    ends the read in one DataError that names ``path:line``.
+    Lines end at ``\\n`` only; a ``\\r`` before it is whitespace like any
+    other. The file is read as bytes through a 1 MiB buffer, so memory is
+    that buffer and one line. A line that is not UTF-8, not JSON or not an
+    object, or on which ``decode`` raises KeyError, TypeError, ValueError,
+    OverflowError or RecursionError, ends the read in one DataError that
+    names ``path:line``.
 
     Each line gives what ``json.loads(line.strip())`` gives, record or error.
     A line whose last member is a plain ``"key":"value"`` string, such as an
     EMB-JSONL payload, is read without scanning that string: only the part
     before the value is parsed, with ``""`` in its place, and the sliced value
     is set. This is exact because the two texts share every token but that
-    string; ``_loads`` states the rule and the argument in full.
+    string; ``_loads`` states the rule and the argument in full. On an ASCII
+    line the rule is applied to the bytes (``_loads_ascii``), and the value of
+    the member named ``payload`` is a memoryview of the line, not a str.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
+    with open(path, "rb", buffering=1 << 20) as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
-                if not line.isascii() and _NOT_UTF8.search(line):
-                    raise ValueError("not valid UTF-8")
-                rec = _loads(line)
+                rec = _loads_ascii(raw, payload) if raw.isascii() else None
+                if rec is None:
+                    line = raw.decode("utf-8", "surrogateescape")
+                    if line.isspace():
+                        continue
+                    if not line.isascii() and _NOT_UTF8.search(line):
+                        raise ValueError("not valid UTF-8")
+                    rec = _loads(line)
                 if not isinstance(rec, dict):
                     raise TypeError("not a JSON object")
                 item = decode(rec)

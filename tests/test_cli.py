@@ -245,7 +245,11 @@ def test_sweep_command(tmp_path):
     assert {r["metric"] for r in rows} >= {"nspr", "root_acc", "val_loss"}
 
 
-@pytest.mark.parametrize("ranks", ["0,2", "2.5", ",", " ", "2,-3", "4,x"])
+# the last five are not JSON integers, as a manifest's ranks must be; int()
+# read the first two of them as ranks 10 and 3
+@pytest.mark.parametrize(
+    "ranks", ["0,2", "2.5", ",", " ", "2,-3", "4,x", "1_0", "\u0663", "1e2", "true", "4,1.0"]
+)
 def test_sweep_bad_ranks_rejected_before_any_read(tmp_path, monkeypatch, capsys, ranks):
     from structprobe import cli
 
@@ -615,6 +619,25 @@ def test_grid_decodes_each_embedding_file_once(tmp_path, monkeypatch):
         str(paths[f"{split}_emb_l{tag}"]) for tag in "01" for split in ("train", "val", "eval")
     ]
     assert sorted(decoded) == sorted(expected)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_grid_jobs_below_one_rejected_before_the_manifest_is_read(
+    tmp_path, monkeypatch, capsys, jobs
+):
+    paths = write_grid_inputs(tmp_path)
+    out_dir = tmp_path / "run"
+    mpath = write_manifest(tmp_path, paths, out_dir)
+    read: list = []
+    load = grid_mod.load_manifest
+    monkeypatch.setattr(grid_mod, "load_manifest", lambda *a, **k: read.append(a) or load(*a, **k))
+    assert main(["--quiet", "--jobs", jobs, "grid", "--manifest", str(mpath)]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert read == []
+    assert not out_dir.exists()
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        grid_mod.run_layer_grid(load(mpath), jobs=int(jobs))
+    assert not out_dir.exists()
 
 
 def test_grid_rank_below_one_rejected_before_any_decode(tmp_path, monkeypatch):

@@ -7,7 +7,9 @@ is that fallback alone: strict base64, the payload length check, then
 ways that must leave the kernel: characters outside the alphabet or ASCII,
 ``\\n``, ``=`` in the middle, a pad too few or too many, lengths off by 1 to
 4, and data that is not a string. Non-zero bits before the pads are drawn
-too; both decoders drop them.
+too; both decoders drop them. The kernel must give the same on a memoryview of
+a payload's bytes, the form in which ``read_jsonl`` hands over an ASCII line's
+payload, as on the str.
 """
 
 from __future__ import annotations
@@ -55,6 +57,19 @@ def outcome(decode, rec: dict):
         return "error", type(exc), str(exc)
     v = seq.values
     return "values", v.tobytes(), v.dtype.str, v.shape, v.flags.writeable
+
+
+def kernel_outcome(data, n: int, m: int):
+    values = embed_io._decode_canonical(data, n, m)
+    return None if values is None else (
+        values.tobytes(), values.dtype.str, values.shape, values.flags.writeable
+    )
+
+
+def assert_view_decodes_as_str(data, n: int, m: int) -> None:
+    if isinstance(data, str):
+        view = memoryview(data.encode("utf-8", "surrogateescape"))
+        assert kernel_outcome(view, n, m) == kernel_outcome(data, n, m)
 
 
 def record(n: int, m: int, data) -> dict:
@@ -112,6 +127,7 @@ def test_decode_matches_strict_base64_reference(case):
     n, m, data, damaged = case
     rec = record(n, m, data)
     assert outcome(_decode, rec) == outcome(reference, rec)
+    assert_view_decodes_as_str(data, n, m)
     if not damaged:
         # an undamaged payload is canonical: the kernel, not the fallback, decodes it
         assert embed_io._decode_canonical(data, n, m) is not None
@@ -147,4 +163,5 @@ def test_decode_matches_strict_base64_reference(case):
 def test_decode_matches_reference_on_hand_picked_payloads(n, m, data):
     rec = record(n, m, data)
     assert outcome(_decode, rec) == outcome(reference, rec)
+    assert_view_decodes_as_str(data, n, m)
 

@@ -150,6 +150,30 @@ def test_canonical_payloads_skip_the_strict_decoder(tmp_path, monkeypatch):
     assert calls == [recs[1]["data"]]
 
 
+def test_canonical_lines_reach_the_kernel_as_views_and_scans_decode_nothing(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    seqs = [
+        EmbeddingSequence(id=f"s{i}", layer=0, values=rng.standard_normal(shape).astype(np.float32))
+        for i, shape in enumerate([(2, 3), (1, 1), (4, 2048)])
+    ]
+    path = tmp_path / "e.jsonl"
+    write_embeddings(seqs, path)
+    kernel_args, b64_args = [], []
+    kernel, b64decode = embed_io._decode_canonical, embed_io.base64.b64decode
+    monkeypatch.setattr(
+        embed_io, "_decode_canonical", lambda data, *a: kernel_args.append(data) or kernel(data, *a)
+    )
+    monkeypatch.setattr(
+        embed_io.base64, "b64decode", lambda *a, **k: b64_args.append(a) or b64decode(*a, **k)
+    )
+    assert scan_embedding_headers(path) == [(s.id, 0, s.n, s.m) for s in seqs]
+    assert kernel_args == [] and b64_args == []
+    back = list(read_embeddings(path))
+    assert [b.values.tobytes() for b in back] == [s.values.tobytes() for s in seqs]
+    assert [type(a) for a in kernel_args] == [memoryview] * 3 and b64_args == []
+    assert all(a.readonly for a in kernel_args)
+
+
 def test_align_identity_groups():
     seq = EmbeddingSequence(id="a", layer=0, values=np.arange(6, dtype=np.float32).reshape(2, 3))
     out = align_wordpieces(seq, AlignmentMap(id="a", groups=((0,), (1,))))

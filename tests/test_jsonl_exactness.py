@@ -5,13 +5,24 @@ scanning that string. Lines here are EMB-JSONL records with long payloads, so
 the slice path is reached, damaged in the ways that must send it back to a full
 parse: quotes, backslashes, control and non-ASCII characters, structure
 characters, duplicate keys, a member after the payload, and odd whitespace.
+``io_utils._loads_ascii`` applies the same rule to the bytes of an ASCII line
+and must give the same records, or None where ``_loads`` parses in full.
+
+At the file level, ``read_jsonl`` reads bytes and splits lines at ``\\n``
+only. The reference is the text-mode reader it replaced, opened with
+``newline="\\n"`` so that a lone ``\\r`` does not end a line either; every
+reader of the package must give its items, or its DataError text.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import string
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -19,7 +30,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from structprobe.io_utils import _loads
+from structprobe.embed_io import (
+    EmbeddingSequence,
+    _decode,
+    _header,
+    read_embeddings,
+    scan_embedding_headers,
+)
+from structprobe.errors import DataError
+from structprobe.io_utils import _NOT_UTF8, _loads, _loads_ascii
+from structprobe.scenetree import _decode_caption, read_grounding
+from structprobe.trees import _decode_labels, read_labels
 
 B64 = string.ascii_letters + string.digits + "+/="
 PAYLOAD = "AbCd+/09" * 40
@@ -46,6 +67,22 @@ def outcome(parse, line: str):
 
 def reference(line: str):
     return json.loads(line.strip())
+
+
+def loads_bytes(line: str):
+    """``_loads_ascii`` on the line's bytes, the payload read back as a str; else ``_loads``.
+
+    This is what ``read_jsonl`` does with a line. A memoryview the byte path
+    sets must be a read-only view of the line.
+    """
+    raw = line.encode("utf-8", "surrogateescape")
+    rec = _loads_ascii(raw, "data") if raw.isascii() else None
+    if rec is None:
+        return _loads(line)
+    if isinstance(rec.get("data"), memoryview):
+        assert rec["data"].obj is raw and rec["data"].readonly
+        rec["data"] = str(rec["data"], "ascii")
+    return rec
 
 
 @st.composite
@@ -87,6 +124,22 @@ def test_loads_matches_json_loads_of_stripped_line(line):
     assert outcome(_loads, line) == outcome(reference, line)
 
 
+@st.composite
+def payload_damaged_lines(draw):
+    """A compact EMB line with one character written over or into its payload."""
+    payload = draw(st.text(alphabet=B64, min_size=200, max_size=600))
+    line = '{"id":"a","n":1,"m":768,"dtype":"f32le","data":"' + payload + '"}'
+    at = draw(st.integers(line.rfind('"', 0, -2) + 1, len(line) - 2))
+    line = line[:at] + draw(CHARS) + line[at + draw(st.integers(0, 1)) :]
+    return line + draw(st.sampled_from(["\n", "\r\n", "\x1c\n", ""]))
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(emb_lines() | payload_damaged_lines())
+def test_byte_slice_rule_matches_json_loads_of_stripped_line(line):
+    assert outcome(loads_bytes, line) == outcome(reference, line)
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -109,3 +162,157 @@ def test_loads_matches_json_loads_of_stripped_line(line):
 )
 def test_loads_matches_json_loads_on_hand_picked_lines(line):
     assert outcome(_loads, line) == outcome(reference, line)
+    assert outcome(loads_bytes, line) == outcome(reference, line)
+
+
+@pytest.mark.parametrize(
+    "trail", ["\n", "\r\n", " \x1c\x1f\n", "\x0b\x0c\t", ""],
+    ids=["lf", "crlf", "x1c", "vt-ff-tab", "none"],
+)
+def test_byte_path_takes_a_canonical_line(trail):
+    raw = ('{"id":"a","n":1,"data":"' + PAYLOAD + '"}' + trail).encode("ascii")
+    rec = _loads_ascii(raw, "data")
+    assert isinstance(rec["data"], memoryview) and rec["data"].tobytes() == PAYLOAD.encode("ascii")
+    assert rec == dict(reference(raw.decode("ascii")), data=rec["data"])
+    assert _loads_ascii(raw, None)["data"] == PAYLOAD
+
+
+def reference_read(path, what: str, decode):
+    """The text-mode reader ``read_jsonl`` replaced, with lines split at ``\\n`` only.
+
+    ``_loads``, which that reader called, is ``json.loads(line.strip())``
+    (the properties above), so the reference calls ``json.loads`` itself.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            try:
+                if not line.isascii() and _NOT_UTF8.search(line):
+                    raise ValueError("not valid UTF-8")
+                rec = json.loads(line.strip())
+                if not isinstance(rec, dict):
+                    raise TypeError("not a JSON object")
+                item = decode(rec)
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+                raise DataError(f"{path}:{lineno}: bad {what} record: {exc}") from exc
+            yield item
+
+
+READERS = {
+    "emb": (read_embeddings, "embedding", _decode),
+    "scan": (scan_embedding_headers, "embedding", _header),
+    "labels": (read_labels, "labels", _decode_labels),
+    "grounding": (read_grounding, "grounding", _decode_caption),
+}
+
+
+def summary(item):
+    """An item's fields, numpy arrays by bytes, dtype, shape and writeable flag."""
+    if isinstance(item, tuple):
+        return repr(item)
+    return [
+        (k, (v.tobytes(), v.dtype.str, v.shape, v.flags.writeable))
+        if isinstance(v, np.ndarray) else (k, repr(v))
+        for k, v in vars(item).items()
+    ]
+
+
+def read_outcome(read):
+    try:
+        return "items", [summary(item) for item in read()]
+    except Exception as exc:  # the reference's exception, whatever it is, must be matched
+        return "error", type(exc), str(exc)
+
+
+def _emb_text(n: int, m: int, seed: int, id_: str = "s") -> str:
+    values = np.random.default_rng(seed).standard_normal((n, m)).astype("<f4")
+    data = base64.b64encode(values.tobytes()).decode("ascii")
+    rec = {"id": id_, "layer": 1, "n": n, "m": m, "dtype": "f32le", "data": data}
+    return json.dumps(rec, separators=(",", ":"), ensure_ascii=False)
+
+
+# one canonical record longer than read_jsonl's 1 MiB buffer
+BIG_EMB = _emb_text(3, 100_000, 0, "big").encode("ascii")
+LABELS = '{"id":"%s","n":2,"depths":[0,1],"distances":[[0,1],[1,0]],"root":0}'
+CAPTION = {
+    "image_id": "i1",
+    "sentence_id": "s1",
+    "tokens": ["a", "man"],
+    "phrases": [{"phrase_id": "p1", "start": 0, "end": 2, "region_ids": ["r1"]}],
+}
+BLANKS = [b"", b" ", b"\x1c", "\u2028".encode(), b"\t\x0c", b"\r"]
+ENDS = [b"\n"] * 4 + [b"\r\n"] * 3 + [b"\r", b""]
+# bytes a mutation writes: line ends, non-UTF-8 and UTF-8 lead bytes, JSON
+# structure, escapes, pads, whitespace and a character outside base64
+BYTES = st.sampled_from(list(b'\r\n\xff\x80\xc3\\"=A \x1c\x00}-'))
+IDS = st.sampled_from(["s", "é", "ein M\u00e4dchen", "\u2028", "a\\b"])
+
+
+@st.composite
+def record_line(draw, kind: str) -> bytes:
+    if kind in ("emb", "scan"):
+        n, m, seed = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(0, 9))
+        text = _emb_text(n, m, seed, draw(IDS))
+        if draw(st.booleans()):
+            text = text.replace('","', '", "').replace('":', '": ')  # spaced separators
+    elif kind == "labels":
+        text = LABELS % draw(IDS)
+    else:
+        text = json.dumps(dict(CAPTION, sentence_id=draw(IDS)), ensure_ascii=draw(st.booleans()))
+    raw = text.encode("utf-8")
+    damage = draw(st.sampled_from(
+        ["none", "none", "payload", "payload", "pad", "header", "anywhere"]
+    ))
+    if damage == "payload":  # a byte in the last string, or at its end
+        end = len(raw) - 2
+        start = raw.rfind(b'"', 0, end) + 1
+        at = draw(st.integers(max(end - 4, 0), end) | st.integers(start, end))
+        raw = raw[:at] + bytes([draw(BYTES)]) + raw[at + draw(st.integers(0, 1)) :]
+    elif damage == "pad":  # a pad added or dropped
+        end = len(raw) - 2
+        raw = raw[:end] + b"=" + raw[end:] if draw(st.booleans()) else raw[: end - 1] + raw[end:]
+    elif damage == "header":
+        at = draw(st.integers(0, min(40, len(raw))))
+        raw = raw[:at] + bytes([draw(BYTES)]) + raw[at:]
+    elif damage == "anywhere":
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + bytes([draw(BYTES)]) + raw[at + draw(st.integers(0, 1)) :]
+    return raw
+
+
+@st.composite
+def jsonl_files(draw):
+    """(reader kind, file bytes): records, blanks, maybe one huge record; mixed line ends."""
+    kind = draw(st.sampled_from(sorted(READERS)))
+    # mostly records of the reader's kind, some of another kind
+    kinds = st.sampled_from([kind] * 3 + sorted(READERS))
+    lines = draw(st.lists(
+        kinds.flatmap(record_line) | st.sampled_from(BLANKS), min_size=1, max_size=5
+    ))
+    if kind in ("emb", "scan") and draw(st.integers(0, 5)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), BIG_EMB)
+    return kind, b"".join(line + draw(st.sampled_from(ENDS)) for line in lines)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(jsonl_files())
+def test_byte_reader_matches_text_reader_on_whole_files(case):
+    kind, data = case
+    read, what, decode = READERS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.jsonl"
+        path.write_bytes(data)
+        got = read_outcome(lambda: read(path))
+        want = read_outcome(lambda: reference_read(path, what, decode))
+    assert got == want
+    assert got[0] == "items" or got[1] is DataError
+
+
+def test_a_lone_carriage_return_does_not_end_a_record(tmp_path):
+    path = tmp_path / "f.jsonl"
+    path.write_bytes((LABELS % "a").encode() + b"\r" + (LABELS % "b").encode() + b"\r\n")
+    with pytest.raises(DataError, match=f"{path}:1: bad labels record: Extra data"):
+        read_labels(path)
+    path.write_bytes((LABELS % "a").encode() + b"\r\n\r\n" + (LABELS % "b").encode())
+    assert [lab.id for lab in read_labels(path)] == ["a", "b"]
