@@ -8,9 +8,9 @@ tags (baselines) are drawn as flat dashed reference lines.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import Iterable, Sequence
-from xml.sax.saxutils import escape
 
 from .errors import ValidationError
 from .io_utils import atomic_write_text
@@ -23,6 +23,21 @@ MARGIN_TOP = 34.0
 MARGIN_BOTTOM = 46.0
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
+
+# what XML 1.0 cannot hold: C0 controls but tab, LF and CR, lone surrogates
+# (a command-line byte that is not UTF-8 arrives as one), U+FFFE and U+FFFF
+NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _escape(text: str) -> str:
+    """``text`` as an SVG text node: ``&``, ``<`` and ``>`` escaped.
+
+    ValidationError if it holds a character XML 1.0 cannot hold, which no
+    escape can write.
+    """
+    if NOT_XML.search(text):
+        raise ValidationError(f"chart text {text!r} holds a character XML cannot hold")
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(v: float) -> str:
@@ -93,7 +108,7 @@ def render_line_chart(rows: Sequence[dict], metric: str, title: str | None = Non
     heading = title if title is not None else metric
     out.append(
         f'<text x="{_fmt(WIDTH / 2)}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{escape(heading)}</text>'
+        f'font-family="sans-serif" font-size="14">{_escape(heading)}</text>'
     )
 
     # frame and ticks
@@ -124,7 +139,7 @@ def render_line_chart(rows: Sequence[dict], metric: str, title: str | None = Non
     out.append(
         f'<text x="16" y="{_fmt(MARGIN_TOP + plot_h / 2)}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" transform="rotate(-90 16 '
-        f'{_fmt(MARGIN_TOP + plot_h / 2)})">{escape(metric)}</text>'
+        f'{_fmt(MARGIN_TOP + plot_h / 2)})">{_escape(metric)}</text>'
     )
 
     legend: list[tuple[str, str, bool]] = []
@@ -167,7 +182,7 @@ def render_line_chart(rows: Sequence[dict], metric: str, title: str | None = Non
         )
         out.append(
             f'<text x="{_fmt(lx + 28)}" y="{_fmt(y + 4)}" font-family="sans-serif" '
-            f'font-size="11">{escape(name)}</text>'
+            f'font-size="11">{_escape(name)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

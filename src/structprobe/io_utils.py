@@ -21,22 +21,45 @@ _NOT_UTF8 = re.compile("[\udc80-\udcff]")
 _SPACE = frozenset(b" \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f")
 
 
+def _last_key(head: str) -> str | None:
+    """The key before the value string whose opening quote ends ``head``, if plain.
+
+    Plain: ``head`` ends in ``{"key":"`` or ``,"key":"`` with JSON whitespace
+    (space, tab, CR) allowed after the ``{`` or ``,`` and around the ``:``,
+    and the key holds no quote or backslash. Else None.
+    """
+    rest = head[:-1].rstrip(" \t\r")
+    if not rest.endswith(":"):
+        return None
+    rest = rest[:-1].rstrip(" \t\r")
+    k = rest.rfind('"', 0, len(rest) - 1)
+    if k < 1 or not rest.endswith('"') or not rest[:k].rstrip(" \t\r").endswith(("{", ",")):
+        return None
+    key = rest[k + 1 : -1]
+    return None if "\\" in key else key
+
+
 def _loads(line: str):
     """``json.loads(line.strip())``, without scanning a plain last string member.
 
-    The slice rule: if the stripped line ends in ``"key":"value"}``, the
-    key's opening quote follows ``{`` or ``,``, neither key nor value holds a
-    backslash, and the value is ASCII with no character below 0x20, then only
-    the stub ``line[:p+1] + '"}'`` is parsed, ``p`` being the value's opening
-    quote, and ``rec[key] = value`` is set.
+    The slice rule: if the stripped line ends in ``"value"}``, the value is
+    ASCII with no backslash and no character below 0x20, and the part up to
+    its opening quote at ``p`` ends in a plain ``{"key":"`` or ``,"key":"``
+    (``_last_key``: JSON whitespace allowed after ``{`` or ``,`` and around
+    ``:``, no backslash in the key), then only the stub
+    ``line[:p+1] + '"}'`` is parsed and ``rec[key] = value`` is set.
 
     Why it is exact: the stub and the line agree up to and including the
     quote at ``p``. If that quote closes a string, the stub ends in an
     unterminated string and fails. If it opens one, both give the same tokens
     except that one string, which the final ``}`` makes the value of the
-    outermost object's last member. Its key ends at the quote before ``:``;
-    with no backslash in the key and ``{`` or ``,`` before the quote found,
-    no earlier quote can open it, so the key decodes to the sliced ``key``,
+    outermost object's last member. Whitespace between tokens is no token,
+    so the ``:`` before ``p`` is the member's colon and the quote before it,
+    at ``q``, ends its key: had it opened a string, the string would have run
+    on to ``p``. The key's opening quote is the last quote before ``q`` at
+    ``k``, since the key holds none; ``{`` or ``,`` (and whitespace) before
+    ``k`` means no backslash escapes it, so it cannot close an earlier string
+    either. With no backslash in it the key decodes to the sliced ``key``,
     and the value (no quote, backslash or control character) to the sliced
     ``value``. A stub that parses thus gives the line's record, duplicate keys
     and key order included. Any other line, or a stub that fails to parse,
@@ -47,13 +70,10 @@ def _loads(line: str):
         end -= 1
     if line.endswith('"}', 0, end):
         p = line.rfind('"', 0, end - 2)
-        k = line.rfind('"', 0, max(p - 2, 0))
-        key, value = line[k + 1 : p - 2], line[p + 1 : end - 2]
+        value = line[p + 1 : end - 2]
+        key = _last_key(line[: p + 1])
         if (
-            k > 0
-            and line[k - 1] in "{,"
-            and line.startswith('":', p - 2)
-            and "\\" not in key
+            key is not None
             and value.isascii()
             and "\\" not in value
             and (not value or np.frombuffer(value.encode("ascii"), np.uint8).min() >= 0x20)
@@ -73,11 +93,11 @@ def _loads_ascii(line: bytes, payload: str | None):
 
     The same slice rule as ``_loads``, checked in place: trailing whitespace
     is what ``str.isspace`` counts, the value holds no backslash and no byte
-    below 0x20, and only the stub before the value is decoded and parsed. A
-    value under the key ``payload`` is set as a read-only memoryview of the
-    line, any other as a str. None, for a line the rule does not take or whose
-    stub fails to parse, sends the line to ``_loads``, which gives its record
-    or error.
+    below 0x20, and only the stub before the value is decoded, for
+    ``_last_key`` and the parse. A value under the key ``payload`` is set as
+    a read-only memoryview of the line, any other as a str. None, for a line
+    the rule does not take or whose stub fails to parse, sends the line to
+    ``_loads``, which gives its record or error.
     """
     end = len(line)
     while end and line[end - 1] in _SPACE:
@@ -85,21 +105,19 @@ def _loads_ascii(line: bytes, payload: str | None):
     if not line.endswith(b'"}', 0, end):
         return None
     p = line.rfind(b'"', 0, end - 2)
-    k = line.rfind(b'"', 0, max(p - 2, 0))
-    if not (
-        k > 0
-        and line[k - 1] in b"{,"
-        and line.startswith(b'":', p - 2)
-        and line.find(b"\\", k + 1, p - 2) < 0
-        and line.find(b"\\", p + 1, end - 2) < 0
-        and (end - p == 3 or np.frombuffer(line, np.uint8, end - p - 3, p + 1).min() >= 0x20)
+    head = line[: p + 1].decode("ascii")
+    key = _last_key(head)
+    if (
+        key is None
+        or line.find(b"\\", p + 1, end - 2) >= 0
+        or (end - p > 3 and np.frombuffer(line, np.uint8, end - p - 3, p + 1).min() < 0x20)
     ):
         return None
     try:
-        rec = json.loads(line[: p + 1].decode("ascii") + '"}')
+        rec = json.loads(head + '"}')
     except (ValueError, RecursionError):
         return None
-    key, value = line[k + 1 : p - 2].decode("ascii"), memoryview(line)[p + 1 : end - 2]
+    value = memoryview(line)[p + 1 : end - 2]
     rec[key] = value if key == payload else str(value, "ascii")
     return rec
 

@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .chart import NOT_XML
 from .errors import DataError
 from .io_utils import atomic_write_text
 from .probe import Pair, Probe, predict_depths, predict_distances
@@ -313,12 +314,15 @@ def check_layer_tag(tag: int | str) -> None:
 
     A string tag may hold no tab, ``\\n`` or ``\\r``, which would end its field
     or line, and may not be an int's canonical text, which reads back as
-    that int. ``""`` is the tag of a report with no layer.
+    that int. ``""`` is the tag of a report with no layer. Nor may it hold a
+    character a chart's XML cannot hold (``chart.NOT_XML``).
     """
-    if isinstance(tag, str) and (
-        any(c in tag for c in "\t\n\r") or _canonical_int(tag) is not None
-    ):
+    if not isinstance(tag, str):
+        return
+    if any(c in tag for c in "\t\n\r") or _canonical_int(tag) is not None:
         raise ValueError(f"layer tag {tag!r} does not read back from a report TSV")
+    if NOT_XML.search(tag):
+        raise ValueError(f"layer tag {tag!r} holds a character XML cannot hold")
 
 
 def write_report_tsv(rows: Iterable[dict], path: str | Path) -> None:
@@ -337,7 +341,9 @@ def read_report_tsv(path: str | Path) -> list[dict]:
     """Read rows written by write_report_tsv.
 
     A layer field reads as an int only when it is that int's canonical
-    decimal text; any other field stays a string.
+    decimal text; any other field stays a string. A layer or metric field
+    that a chart's XML cannot hold (``chart.NOT_XML``) is a DataError at its
+    line.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -355,6 +361,8 @@ def read_report_tsv(path: str | Path) -> list[dict]:
             raise DataError(f"{path}:{lineno}: expected {len(REPORT_COLUMNS)} columns")
         layer = _canonical_int(parts[0])
         try:
+            if NOT_XML.search(parts[0]) or NOT_XML.search(parts[3]):
+                raise ValueError("its layer or metric holds a character XML cannot hold")
             rows.append(
                 {
                     "layer": parts[0] if layer is None else layer,

@@ -98,9 +98,9 @@ class TreeLabels:
             raise ValueError(
                 f"distances shape {self.distances.shape} does not match {n} depths"
             )
-        if np.any(np.diag(self.distances) != 0):
+        if self.distances.diagonal().any():
             raise ValueError("distance matrix has a nonzero diagonal")
-        if not np.array_equal(self.distances, self.distances.T):
+        if not (self.distances == self.distances.T).all():
             raise ValueError("distance matrix is not symmetric")
         if self.root is not None:
             if isinstance(self.root, bool) or not isinstance(self.root, (int, np.integer)):
@@ -290,19 +290,53 @@ def write_labels(labels: Iterable[TreeLabels], path: str | Path) -> None:
             fh.write(labels_record(lab) + "\n")
 
 
+# the members labels_record writes itself; an extra member with one of these
+# keys replaces that member in place, so such a record is built as a dict
+_BASE_KEYS = frozenset(("id", "n", "depths", "distances", "root"))
+_DECIMAL = {i: str(i) for i in range(1024)}
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _ints(values: list[int]) -> str:
+    """``values`` as comma-separated decimals, from the cache where it has them all."""
+    try:
+        return ",".join(map(_DECIMAL.__getitem__, values))
+    except KeyError:
+        return ",".join(map(str, values))
+
+
 def labels_record(lab: TreeLabels, extra: dict | None = None) -> str:
-    """Serialize one TreeLabels to its JSONL line (without newline)."""
-    rec: dict = {
-        "id": lab.id,
-        "n": lab.n,
-        "depths": lab.depths.tolist(),
-        "distances": lab.distances.tolist(),
-    }
-    if lab.root is not None:
-        rec["root"] = int(lab.root)
-    if extra:
+    """Serialize one TreeLabels to its JSONL line (without newline).
+
+    The line is ``json.dumps`` with compact separators of the record
+    ``{"id", "n", "depths", "distances", "root"}`` (no ``root`` when it is
+    None) updated with ``extra``. The integer arrays are joined from cached
+    decimal strings, which is the text ``json.dumps`` gives an int.
+    """
+    extra = dict(extra) if extra else {}
+    if not _BASE_KEYS.isdisjoint(extra):
+        rec: dict = {
+            "id": lab.id,
+            "n": lab.n,
+            "depths": lab.depths.tolist(),
+            "distances": lab.distances.tolist(),
+        }
+        if lab.root is not None:
+            rec["root"] = int(lab.root)
         rec.update(extra)
-    return json.dumps(rec, separators=(",", ":"))
+        return _compact(rec)
+    rows = lab.distances.tolist()
+    parts = [
+        '{"id":', _compact(lab.id), ',"n":', str(lab.n),
+        ',"depths":[', _ints(lab.depths.tolist()),
+        '],"distances":', "[[" + "],[".join(map(_ints, rows)) + "]]" if rows else "[]",
+    ]
+    if lab.root is not None:
+        parts += [',"root":', str(int(lab.root))]
+    if extra:
+        parts += [",", _compact(extra)[1:-1]]
+    parts.append("}")
+    return "".join(parts)
 
 
 def _decode_labels(rec: dict) -> TreeLabels:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from structprobe import grid as grid_mod
 from structprobe.cli import main
 from structprobe.embed_io import EmbeddingSequence, read_embeddings, write_embeddings
-from structprobe.metrics import read_report_tsv
+from structprobe.metrics import read_report_tsv, write_report_tsv
 from structprobe.probe import identity_probe, load_probe, save_probe
 from structprobe.synth import oracle_dataset
 from structprobe.trees import read_labels, write_labels
@@ -582,6 +585,53 @@ def test_chart_command(tmp_path):
     assert code == 1
 
 
+CHART_ROWS = [
+    {"layer": 0, "rank": 8, "task": "depth", "metric": "nspr", "value": 0.4, "n_sequences": 5},
+    {"layer": 1, "rank": 8, "task": "depth", "metric": "nspr", "value": 0.6, "n_sequences": 5},
+]
+
+
+@pytest.mark.parametrize("title", ["a\x01b", "a\x0bb", "a\x1fb", "a\udcffb", "a\ufffeb"])
+def test_chart_title_xml_cannot_hold_is_validation_error_and_nothing_written(
+    tmp_path, capsys, title
+):
+    report, chart = tmp_path / "r.tsv", tmp_path / "c.svg"
+    write_report_tsv(CHART_ROWS, report)
+    code = main(["--quiet", "chart", "--report", str(report), "--metric", "nspr",
+                 "--out", str(chart), "--title", title])
+    assert code == 1
+    assert "XML cannot hold" in capsys.readouterr().err
+    assert not chart.exists()
+
+
+def test_chart_title_that_is_not_utf8_exits_one(tmp_path):
+    report, chart = tmp_path / "r.tsv", tmp_path / "c.svg"
+    write_report_tsv(CHART_ROWS, report)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "structprobe.cli", "--quiet", "chart", "--report", str(report),
+            "--metric", "nspr", "--out", str(chart), "--title", b"a\xffb"]
+    done = subprocess.run(argv, env=env, capture_output=True)
+    assert done.returncode == 1, done.stderr
+    assert b"XML cannot hold" in done.stderr and b"Traceback" not in done.stderr
+    assert not chart.exists()
+
+
+@pytest.mark.parametrize("column", [0, 3], ids=["layer", "metric"])
+def test_chart_report_row_xml_cannot_hold_is_data_error_at_its_line(tmp_path, capsys, column):
+    report, chart = tmp_path / "r.tsv", tmp_path / "c.svg"
+    write_report_tsv(CHART_ROWS, report)
+    lines = report.read_text().split("\n")
+    parts = lines[2].split("\t")
+    parts[column] = "base\x0bline" if column == 0 else "nspr\x0b"
+    report.write_text("\n".join(lines[:2] + ["\t".join(parts)] + lines[3:]))
+    code = main(["--quiet", "chart", "--report", str(report), "--metric", "nspr",
+                 "--out", str(chart)])
+    assert code == 2
+    assert f"{report}:3: " in capsys.readouterr().err
+    assert not chart.exists()
+
+
 def test_grid_with_failed_cells_exits_two_and_keeps_survivors(tmp_path):
     paths = write_grid_inputs(tmp_path, n_trees=20)
     # layer 1's validation embeddings get three more columns than its train split
@@ -683,7 +733,8 @@ def test_grid_layer_with_mismatched_widths_fails_before_decode(tmp_path, monkeyp
      ("lr", "1e999"), ("lr", "-0.5"), ("lr", '"0.1"'), ("lr", "null"),
      pytest.param("lr", "1" + "0" * 400, id="lr-int-beyond-float"), ("chart_metrics", '"dspr"'),
      ("chart_metrics", '["nspr"]'), ("chart_metrics", '["dspr", 1]'),
-     ("chart_metrics", '[["dspr"]]'), ("chart_metrics", "null")],
+     ("chart_metrics", '[["dspr"]]'), ("chart_metrics", "null"), ("tag", '"a\\u000bb"'),
+     ("tag", '"a\\u0001b"'), ("tag", '"a\\ud800b"'), ("tag", '"a\\uffffb"')],
 )
 def test_grid_bad_manifest_value_is_validation_error_before_any_decode(
     tmp_path, monkeypatch, capsys, key, raw

@@ -147,7 +147,8 @@ def test_canonical_payloads_skip_the_strict_decoder(tmp_path, monkeypatch):
     path.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
     with pytest.raises(DataError, match=re.escape(f"{path}:2: ")):
         list(read_embeddings(path))
-    assert calls == [recs[1]["data"]]
+    # json.dumps' spaced line takes the slice path too: the payload arrives as a view
+    assert [type(c) for c in calls] == [memoryview] and str(calls[0], "ascii") == recs[1]["data"]
 
 
 def test_canonical_lines_reach_the_kernel_as_views_and_scans_decode_nothing(tmp_path, monkeypatch):
@@ -168,6 +169,33 @@ def test_canonical_lines_reach_the_kernel_as_views_and_scans_decode_nothing(tmp_
     )
     assert scan_embedding_headers(path) == [(s.id, 0, s.n, s.m) for s in seqs]
     assert kernel_args == [] and b64_args == []
+    back = list(read_embeddings(path))
+    assert [b.values.tobytes() for b in back] == [s.values.tobytes() for s in seqs]
+    assert [type(a) for a in kernel_args] == [memoryview] * 3 and b64_args == []
+    assert all(a.readonly for a in kernel_args)
+
+
+@pytest.mark.parametrize(
+    "separators", [(", ", ": "), (",\t", " :\r")], ids=["json-dumps-default", "tab-and-cr"]
+)
+def test_spaced_canonical_lines_reach_the_kernel_as_views(tmp_path, monkeypatch, separators):
+    rng = np.random.default_rng(9)
+    seqs = [
+        EmbeddingSequence(id=f"s{i}", layer=0, values=rng.standard_normal(shape).astype(np.float32))
+        for i, shape in enumerate([(2, 3), (1, 1), (4, 2048)])
+    ]
+    path = tmp_path / "e.jsonl"
+    write_embeddings(seqs, path)
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps(rec, separators=separators) + "\n" for rec in recs))
+    kernel_args, b64_args = [], []
+    kernel, b64decode = embed_io._decode_canonical, embed_io.base64.b64decode
+    monkeypatch.setattr(
+        embed_io, "_decode_canonical", lambda data, *a: kernel_args.append(data) or kernel(data, *a)
+    )
+    monkeypatch.setattr(
+        embed_io.base64, "b64decode", lambda *a, **k: b64_args.append(a) or b64decode(*a, **k)
+    )
     back = list(read_embeddings(path))
     assert [b.values.tobytes() for b in back] == [s.values.tobytes() for s in seqs]
     assert [type(a) for a in kernel_args] == [memoryview] * 3 and b64_args == []

@@ -1,10 +1,12 @@
 """Property: the JSON Lines record parser agrees with ``json.loads(line.strip())``.
 
 ``io_utils._loads`` parses a line whose last member is a plain string without
-scanning that string. Lines here are EMB-JSONL records with long payloads, so
-the slice path is reached, damaged in the ways that must send it back to a full
-parse: quotes, backslashes, control and non-ASCII characters, structure
-characters, duplicate keys, a member after the payload, and odd whitespace.
+scanning that string, with JSON whitespace allowed around that member's key and
+colon. Lines here are EMB-JSONL records with long payloads and compact, spaced
+or other whitespace separators, so the slice path is reached, damaged in the
+ways that must send it back to a full parse: quotes, backslashes, control and
+non-ASCII characters, structure characters, duplicate keys, a member after the
+payload, and odd whitespace.
 ``io_utils._loads_ascii`` applies the same rule to the bytes of an ASCII line
 and must give the same records, or None where ``_loads`` parses in full.
 
@@ -37,6 +39,7 @@ from structprobe.embed_io import (
     read_embeddings,
     scan_embedding_headers,
 )
+from structprobe import io_utils
 from structprobe.errors import DataError
 from structprobe.io_utils import _NOT_UTF8, _loads, _loads_ascii
 from structprobe.scenetree import _decode_caption, read_grounding
@@ -53,6 +56,8 @@ CHARS = (
 # raw JSON text of the payload's key: escapes, and last characters "{" and ","
 # that precede a key's opening quote elsewhere
 KEYS = ["da\\ta", "d\\u0061ta", "data\\\\", 'k\\"data', "", "data,", "{data", "a{"]
+# item and key separators: compact, json.dumps' default, and other JSON whitespace
+SEPARATORS = [(",", ":"), (", ", ": "), (",\t", "\t:\r"), (" ,\r ", " : "), (",  ", ":\t")]
 # whole members a mutation inserts
 MEMBERS = ['"data":"AAAA",', ',"data":"AAAA"', ',"data":""', ',"x":1', '"k\\"data":"A",', ',"a":{"b":"c"}']
 
@@ -95,7 +100,8 @@ def emb_lines(draw):
         "dtype": "f32le",
         "data": draw(st.text(alphabet=B64, min_size=200, max_size=600)),
     }
-    line = json.dumps(rec, separators=draw(st.sampled_from([(",", ":"), (", ", ": ")])))
+    line = json.dumps(rec, separators=draw(st.sampled_from(SEPARATORS)))
+    line = "{" + draw(st.sampled_from(["", "", " ", "\t", "\r "])) + line[1:]
     line = line.replace('"data"', '"' + draw(st.just("data") | st.sampled_from(KEYS)) + '"')
     for _ in range(draw(st.integers(0, 3))):
         op = draw(st.sampled_from(["insert", "replace", "delete", "member"]))
@@ -126,9 +132,10 @@ def test_loads_matches_json_loads_of_stripped_line(line):
 
 @st.composite
 def payload_damaged_lines(draw):
-    """A compact EMB line with one character written over or into its payload."""
+    """An EMB line with one character written over or into its payload."""
     payload = draw(st.text(alphabet=B64, min_size=200, max_size=600))
-    line = '{"id":"a","n":1,"m":768,"dtype":"f32le","data":"' + payload + '"}'
+    comma, colon = draw(st.sampled_from(SEPARATORS))
+    line = '{"id":"a","n":1,"m":768,"dtype":"f32le"' + comma + '"data"' + colon + '"' + payload + '"}'
     at = draw(st.integers(line.rfind('"', 0, -2) + 1, len(line) - 2))
     line = line[:at] + draw(CHARS) + line[at + draw(st.integers(0, 1)) :]
     return line + draw(st.sampled_from(["\n", "\r\n", "\x1c\n", ""]))
@@ -175,6 +182,22 @@ def test_byte_path_takes_a_canonical_line(trail):
     assert isinstance(rec["data"], memoryview) and rec["data"].tobytes() == PAYLOAD.encode("ascii")
     assert rec == dict(reference(raw.decode("ascii")), data=rec["data"])
     assert _loads_ascii(raw, None)["data"] == PAYLOAD
+
+
+@pytest.mark.parametrize("comma, colon", SEPARATORS[1:])
+@pytest.mark.parametrize("lead", ["", " ", "\t\r"])
+def test_both_paths_take_a_line_with_json_whitespace(monkeypatch, comma, colon, lead):
+    line = "{" + lead + '"id"' + colon + '"a"' + comma + '"data"' + colon + '"' + PAYLOAD + '"}\n'
+    want = reference(line)
+    raw = line.encode("ascii")
+    parsed = []
+    real_loads = io_utils.json.loads
+    monkeypatch.setattr(io_utils.json, "loads", lambda text: parsed.append(text) or real_loads(text))
+    rec = _loads_ascii(raw, "data")
+    assert isinstance(rec["data"], memoryview) and rec["data"].tobytes() == PAYLOAD.encode("ascii")
+    assert rec == dict(want, data=rec["data"])
+    assert _loads(line) == want
+    assert len(parsed) == 2 and all(len(text) < len(PAYLOAD) for text in parsed)
 
 
 def reference_read(path, what: str, decode):
@@ -254,8 +277,8 @@ def record_line(draw, kind: str) -> bytes:
     if kind in ("emb", "scan"):
         n, m, seed = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(0, 9))
         text = _emb_text(n, m, seed, draw(IDS))
-        if draw(st.booleans()):
-            text = text.replace('","', '", "').replace('":', '": ')  # spaced separators
+        comma, colon = draw(st.sampled_from(SEPARATORS))  # compact, spaced or other whitespace
+        text = text.replace('","', '"' + comma + '"').replace('":', '"' + colon)
     elif kind == "labels":
         text = LABELS % draw(IDS)
     else:

@@ -327,7 +327,7 @@ def test_read_report_tsv_bad_field_names_line(tmp_path, bad_field):
         read_report_tsv(path)
 
 
-@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+@pytest.mark.parametrize("sep", ["\x85", "\u2028", "\u2029"])
 def test_report_tsv_roundtrip_keeps_unicode_line_breaks_in_layer_tags(tmp_path, sep):
     path = tmp_path / "r.tsv"
     rows = [
@@ -336,6 +336,26 @@ def test_report_tsv_roundtrip_keeps_unicode_line_breaks_in_layer_tags(tmp_path, 
     ]
     write_report_tsv(rows, path)
     assert read_report_tsv(path) == rows
+
+
+@pytest.mark.parametrize(
+    "char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x00", "\x1f", "\ufffe", "\uffff"]
+)
+def test_report_tsv_rejects_layer_tags_and_metrics_xml_cannot_hold(tmp_path, char):
+    path = tmp_path / "r.tsv"
+    row = {"layer": f"a{char}b", "rank": 4, "task": "depth", "metric": "nspr", "value": 0.5, "n_sequences": 3}
+    with pytest.raises(ValueError, match="XML cannot hold"):
+        write_report_tsv([row], path)
+    assert not path.exists()
+    good = dict(row, layer=2)
+    write_report_tsv([good, good], path)
+    lines = path.read_text().split("\n")
+    for column in (0, 3):  # the layer, then the metric
+        parts = lines[2].split("\t")
+        parts[column] = f"a{char}b"
+        path.write_text("\n".join(lines[:2] + ["\t".join(parts), ""]))
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: ") + ".*XML cannot hold"):
+            read_report_tsv(path)
 
 
 @pytest.mark.parametrize("tag", ["007", "1_0", " 7", "7 ", "+7", "-0", "", "baseline", 0, -3, 12])

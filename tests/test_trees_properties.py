@@ -1,6 +1,8 @@
-"""Properties: gold tree labels against the Floyd–Warshall reference."""
+"""Properties: gold tree labels against the Floyd–Warshall reference, and their JSONL lines."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -10,7 +12,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structprobe.trees import ROOT, DepTree, all_pairs_path_lengths, tree_depths, tree_labels
+from structprobe import trees as trees_mod
+from structprobe.trees import (
+    ROOT,
+    DepTree,
+    TreeLabels,
+    all_pairs_path_lengths,
+    labels_record,
+    tree_depths,
+    tree_labels,
+)
 from test_trees import floyd_warshall
 
 
@@ -68,3 +79,74 @@ def test_deptree_order_lists_each_token_after_its_head_or_rejects(heads):
     assert tree.root == tree.order[0] and heads[tree.root] == ROOT
     position = {v: i for i, v in enumerate(tree.order)}
     assert all(position[heads[v]] < position[v] for v in tree.order[1:])
+
+
+def reference_record(lab: TreeLabels, extra: dict | None = None) -> str:
+    """The reference line: ``json.dumps`` of the record as a dict, compact separators."""
+    rec: dict = {
+        "id": lab.id,
+        "n": lab.n,
+        "depths": lab.depths.tolist(),
+        "distances": lab.distances.tolist(),
+    }
+    if lab.root is not None:
+        rec["root"] = int(lab.root)
+    if extra:
+        rec.update(extra)
+    return json.dumps(rec, separators=(",", ":"))
+
+
+CACHE = len(trees_mod._DECIMAL)
+EXTRA_KEYS = st.sampled_from(["parents", "phrase_to_text", "é", "", "id", "n", "depths", "distances", "root"])
+EXTRA_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    head_arrays(),
+    st.text(max_size=6) | st.sampled_from(["s1", "ein M\u00e4dchen", "\u2028", 'a"b\\c', "\ud800"]),
+    st.sampled_from([1, 1, CACHE // 2, CACHE, 10**15]),
+    st.booleans(),
+    st.none() | st.dictionaries(EXTRA_KEYS, EXTRA_VALUES, max_size=3),
+)
+def test_labels_record_matches_json_dumps_of_the_record_dict(heads, seq_id, scale, has_root, extra):
+    tree = DepTree(tokens=tuple("w" * len(heads)), heads=heads)
+    gold = tree_labels(tree, seq_id)
+    # scaled labels keep the checks' invariants and reach values at and past the cache
+    lab = TreeLabels(
+        id=seq_id,
+        distances=gold.distances * scale,
+        depths=gold.depths * scale,
+        root=gold.root if has_root else None,
+    )
+    assert labels_record(lab, extra) == reference_record(lab, extra)
+    assert labels_record(lab) == reference_record(lab)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [None, {}, {"parents": [-1, 0]}, {"root": 7}, {"id": "z", "x": 1}, {"distances": None}],
+)
+def test_labels_record_of_an_empty_sequence_matches_json_dumps(extra):
+    lab = TreeLabels(id="e", distances=np.zeros((0, 0), dtype=np.int64), depths=[], root=None)
+    assert labels_record(lab, extra) == reference_record(lab, extra)
+
+
+@pytest.mark.parametrize(
+    "distances, message",
+    [
+        ([[1, 1], [1, 0]], "nonzero diagonal"),
+        ([[0, 1], [2, 0]], "not symmetric"),
+        ([[1, 1], [2, 0]], "nonzero diagonal"),  # the diagonal is checked first
+        ([[0, 1]], "does not match 2 depths"),
+        ([[0, -1], [-1, 0]], "must not be negative"),
+        ([[0, 1.5], [1.5, 0]], "whole numbers"),
+    ],
+)
+def test_tree_labels_checks_keep_their_order_and_messages(distances, message):
+    with pytest.raises(ValueError, match=message):
+        TreeLabels(id="x", distances=distances, depths=[0, 1], root=0)
