@@ -14,8 +14,9 @@ A canonical payload, the strict base64 text of exactly ``n*m*4`` bytes, is
 decoded by a vectorised kernel (``_decode_canonical``); any other payload
 goes through ``base64.b64decode(validate=True)`` and the length check, so
 errors are those of the strict decoder. Decoded values are read-only. The
-readers name ``data`` as ``read_jsonl``'s payload member, so an ASCII line's
-payload arrives as a memoryview of the line and is never copied into a str.
+readers name ``data`` as ``read_jsonl``'s payload member, so a payload that
+ends its line, as ``write_embeddings`` writes it, arrives as a memoryview of
+the line and is never copied into a str.
 """
 
 from __future__ import annotations

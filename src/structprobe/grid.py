@@ -73,8 +73,9 @@ def _as_tag(value) -> int | str:
 
 
 def load_manifest(path: str | Path, out_dir_override: str | None = None) -> ExperimentManifest:
-    """Parse and schema-check a manifest file."""
+    """Parse and schema-check a manifest file; its relative paths are taken from its directory."""
     path = Path(path)
+    base = path.parent
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8 and bad JSON
@@ -89,9 +90,9 @@ def load_manifest(path: str | Path, out_dir_override: str | None = None) -> Expe
             cells.append(
                 GridCell(
                     tag=_as_tag(entry["tag"]),
-                    train_emb=Path(entry["train_emb"]),
-                    val_emb=Path(entry["val_emb"]),
-                    eval_emb=Path(entry["eval_emb"]),
+                    train_emb=base / entry["train_emb"],
+                    val_emb=base / entry["val_emb"],
+                    eval_emb=base / entry["eval_emb"],
                 )
             )
         ranks = doc.get("ranks", [128])
@@ -102,7 +103,7 @@ def load_manifest(path: str | Path, out_dir_override: str | None = None) -> Expe
         cfg = TrainConfig(**train_doc)
         for rank in ranks:
             replace(cfg, rank=rank)  # TrainConfig's own rule checks each rank
-        out_dir = Path(out_dir_override or doc["out_dir"])
+        out_dir = Path(out_dir_override) if out_dir_override else base / doc["out_dir"]
         chart_metrics = doc.get("chart_metrics", list(DEFAULT_CHART_METRICS[task]))
         if not isinstance(chart_metrics, list) or any(
             metric not in DEFAULT_CHART_METRICS[task] for metric in chart_metrics
@@ -113,9 +114,9 @@ def load_manifest(path: str | Path, out_dir_override: str | None = None) -> Expe
             )
         manifest = ExperimentManifest(
             task=task,
-            train_labels=Path(doc["train_labels"]),
-            val_labels=Path(doc["val_labels"]),
-            eval_labels=Path(doc["eval_labels"]),
+            train_labels=base / doc["train_labels"],
+            val_labels=base / doc["val_labels"],
+            eval_labels=base / doc["eval_labels"],
             cells=tuple(cells),
             ranks=ranks,
             train=cfg,

@@ -15,110 +15,80 @@ from .errors import DataError
 
 T = TypeVar("T")
 
-# a byte that is not UTF-8 is read as a lone surrogate, so its line is known
-_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 # the ASCII bytes that str.isspace counts, so str.strip takes them off a line
 _SPACE = frozenset(b" \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f")
+# the end of the part before a plain last string value: {"key":" or ,"key":"
+# with JSON whitespace after the { or , and around the :, and no quote or
+# backslash in the key
+_LAST_KEY = re.compile(r'[{,][ \t\r]*"([^"\\]*)"[ \t\r]*:[ \t\r]*"\Z')
 
 
-def _last_key(head: str) -> str | None:
-    """The key before the value string whose opening quote ends ``head``, if plain.
+def _loads(line: bytes, payload: str | None = None) -> dict | None:
+    """The record of one JSON Lines line: ``json.loads(line.strip())`` of its UTF-8 text.
 
-    Plain: ``head`` ends in ``{"key":"`` or ``,"key":"`` with JSON whitespace
-    (space, tab, CR) allowed after the ``{`` or ``,`` and around the ``:``,
-    and the key holds no quote or backslash. Else None.
-    """
-    rest = head[:-1].rstrip(" \t\r")
-    if not rest.endswith(":"):
-        return None
-    rest = rest[:-1].rstrip(" \t\r")
-    k = rest.rfind('"', 0, len(rest) - 1)
-    if k < 1 or not rest.endswith('"') or not rest[:k].rstrip(" \t\r").endswith(("{", ",")):
-        return None
-    key = rest[k + 1 : -1]
-    return None if "\\" in key else key
+    None for a blank line. ValueError for a line that is not UTF-8 or not
+    JSON, TypeError for one that is not a JSON object. ``json.loads`` only
+    ever sees a str, never bytes, which it would accept with a BOM or as
+    UTF-16 or UTF-32.
 
+    The slice rule: if the line, less the trailing ASCII whitespace that
+    ``str.strip`` takes off, ends in ``"value"}``, the value holds no
+    backslash and no byte outside 0x20–0x7F, and the part up to its opening
+    quote at ``p`` is UTF-8 and ends in a plain ``{"key":"`` or ``,"key":"``
+    (``_LAST_KEY``: JSON whitespace allowed after ``{`` or ``,`` and around
+    ``:``, no quote or backslash in the key), then only the stub
+    ``line[:p+1] + '"}'`` is decoded and parsed, and ``rec[key]`` is set to
+    the sliced value: a read-only memoryview of the line under the key
+    ``payload``, else a str.
 
-def _loads(line: str):
-    """``json.loads(line.strip())``, without scanning a plain last string member.
-
-    The slice rule: if the stripped line ends in ``"value"}``, the value is
-    ASCII with no backslash and no character below 0x20, and the part up to
-    its opening quote at ``p`` ends in a plain ``{"key":"`` or ``,"key":"``
-    (``_last_key``: JSON whitespace allowed after ``{`` or ``,`` and around
-    ``:``, no backslash in the key), then only the stub
-    ``line[:p+1] + '"}'`` is parsed and ``rec[key] = value`` is set.
-
-    Why it is exact: the stub and the line agree up to and including the
-    quote at ``p``. If that quote closes a string, the stub ends in an
-    unterminated string and fails. If it opens one, both give the same tokens
-    except that one string, which the final ``}`` makes the value of the
-    outermost object's last member. Whitespace between tokens is no token,
-    so the ``:`` before ``p`` is the member's colon and the quote before it,
-    at ``q``, ends its key: had it opened a string, the string would have run
-    on to ``p``. The key's opening quote is the last quote before ``q`` at
-    ``k``, since the key holds none; ``{`` or ``,`` (and whitespace) before
-    ``k`` means no backslash escapes it, so it cannot close an earlier string
-    either. With no backslash in it the key decodes to the sliced ``key``,
-    and the value (no quote, backslash or control character) to the sliced
-    ``value``. A stub that parses thus gives the line's record, duplicate keys
-    and key order included. Any other line, or a stub that fails to parse,
-    goes through ``json.loads(line.strip())``, so errors are the same too.
-    """
-    end = len(line)
-    while end and line[end - 1].isspace():
-        end -= 1
-    if line.endswith('"}', 0, end):
-        p = line.rfind('"', 0, end - 2)
-        value = line[p + 1 : end - 2]
-        key = _last_key(line[: p + 1])
-        if (
-            key is not None
-            and value.isascii()
-            and "\\" not in value
-            and (not value or np.frombuffer(value.encode("ascii"), np.uint8).min() >= 0x20)
-        ):
-            try:
-                rec = json.loads(line[: p + 1] + '"}')
-            except (ValueError, RecursionError):
-                pass
-            else:
-                rec[key] = value
-                return rec
-    return json.loads(line.strip())
-
-
-def _loads_ascii(line: bytes, payload: str | None):
-    """``_loads`` on the bytes of an ASCII line, or None where it would parse the whole line.
-
-    The same slice rule as ``_loads``, checked in place: trailing whitespace
-    is what ``str.isspace`` counts, the value holds no backslash and no byte
-    below 0x20, and only the stub before the value is decoded, for
-    ``_last_key`` and the parse. A value under the key ``payload`` is set as
-    a read-only memoryview of the line, any other as a str. None, for a line
-    the rule does not take or whose stub fails to parse, sends the line to
-    ``_loads``, which gives its record or error.
+    Why it is exact: a quote byte is never part of a multi-byte UTF-8
+    character, so the stub ends on a character boundary, and with the ASCII
+    value and tail the whole line is UTF-8 exactly when the stub is. The
+    stub and the line agree up to and including the quote at ``p``. If that
+    quote closes a string, the stub ends in an unterminated string and fails.
+    If it opens one, both give the same tokens except that one string, which
+    the final ``}`` makes the value of the outermost object's last member.
+    Whitespace between tokens is no token, so the ``:`` before ``p`` is the
+    member's colon and the quote before it, at ``q``, ends its key: had it
+    opened a string, the string would have run on to ``p``. The key's opening
+    quote is the last quote before ``q`` at ``k``, since the key holds none;
+    ``{`` or ``,`` (and whitespace) before ``k`` means no backslash escapes
+    it, so it cannot close an earlier string either. With no backslash in it
+    the key decodes to the sliced ``key``, and the value (no quote, backslash
+    or control character) to the sliced ``value``. A stub that parses thus
+    gives the line's record, duplicate keys and key order included. Leading
+    whitespace JSON does not allow makes the stub fail. Any other line, or a
+    stub that fails to decode or parse, is decoded in full and goes through
+    ``json.loads(line.strip())``, so errors are the same too.
     """
     end = len(line)
     while end and line[end - 1] in _SPACE:
         end -= 1
-    if not line.endswith(b'"}', 0, end):
-        return None
-    p = line.rfind(b'"', 0, end - 2)
-    head = line[: p + 1].decode("ascii")
-    key = _last_key(head)
-    if (
-        key is None
-        or line.find(b"\\", p + 1, end - 2) >= 0
-        or (end - p > 3 and np.frombuffer(line, np.uint8, end - p - 3, p + 1).min() < 0x20)
-    ):
-        return None
+    if line.endswith(b'"}', 0, end):
+        p = line.rfind(b'"', 0, end - 2)
+        if line.find(b"\\", p + 1, end - 2) < 0 and (
+            # one min: a byte of 0x80 or more reads as a negative int8
+            end - p == 3 or np.frombuffer(line, np.int8, end - p - 3, p + 1).min() >= 0x20
+        ):
+            try:  # a UnicodeDecodeError is a ValueError too
+                head = line[: p + 1].decode("utf-8")
+                plain = _LAST_KEY.search(head)
+                rec = None if plain is None else json.loads(head + '"}')
+            except (ValueError, RecursionError):
+                rec = None
+            if rec is not None:
+                key, value = plain[1], memoryview(line)[p + 1 : end - 2]
+                rec[key] = value if key == payload else str(value, "ascii")
+                return rec
     try:
-        rec = json.loads(head + '"}')
-    except (ValueError, RecursionError):
+        text = line.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError("not valid UTF-8") from None
+    if text.isspace():
         return None
-    value = memoryview(line)[p + 1 : end - 2]
-    rec[key] = value if key == payload else str(value, "ascii")
+    rec = json.loads(text.strip())
+    if not isinstance(rec, dict):
+        raise TypeError("not a JSON object")
     return rec
 
 
@@ -134,28 +104,18 @@ def read_jsonl(
     OverflowError or RecursionError, ends the read in one DataError that
     names ``path:line``.
 
-    Each line gives what ``json.loads(line.strip())`` gives, record or error.
-    A line whose last member is a plain ``"key":"value"`` string, such as an
-    EMB-JSONL payload, is read without scanning that string: only the part
-    before the value is parsed, with ``""`` in its place, and the sliced value
-    is set. This is exact because the two texts share every token but that
-    string; ``_loads`` states the rule and the argument in full. On an ASCII
-    line the rule is applied to the bytes (``_loads_ascii``), and the value of
-    the member named ``payload`` is a memoryview of the line, not a str.
+    Each line gives what ``_loads`` gives, ``json.loads(line.strip())`` of its
+    UTF-8 text: a UTF-8 line whose last member is a plain ``"key":"value"``
+    string, such as an EMB-JSONL payload, is read without scanning that
+    string, and the value of the member named ``payload`` is a memoryview of
+    the line, not a str. ``_loads`` states the rule and why it is exact.
     """
     with open(path, "rb", buffering=1 << 20) as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                rec = _loads_ascii(raw, payload) if raw.isascii() else None
+                rec = _loads(raw, payload)
                 if rec is None:
-                    line = raw.decode("utf-8", "surrogateescape")
-                    if line.isspace():
-                        continue
-                    if not line.isascii() and _NOT_UTF8.search(line):
-                        raise ValueError("not valid UTF-8")
-                    rec = _loads(line)
-                if not isinstance(rec, dict):
-                    raise TypeError("not a JSON object")
+                    continue
                 item = decode(rec)
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise DataError(f"{path}:{lineno}: bad {what} record: {exc}") from exc

@@ -341,9 +341,11 @@ def read_report_tsv(path: str | Path) -> list[dict]:
     """Read rows written by write_report_tsv.
 
     A layer field reads as an int only when it is that int's canonical
-    decimal text; any other field stays a string. A layer or metric field
-    that a chart's XML cannot hold (``chart.NOT_XML``) is a DataError at its
-    line.
+    decimal text; any other field stays a string. A row is a DataError at its
+    line unless ``task`` is ``distance`` or ``depth``, ``rank`` and
+    ``n_sequences`` are canonical decimal integers, ``value`` is ASCII text
+    with no whitespace or ``_`` that ``float`` reads, and the layer and metric
+    hold no character a chart's XML cannot hold (``chart.NOT_XML``).
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -363,14 +365,22 @@ def read_report_tsv(path: str | Path) -> list[dict]:
         try:
             if NOT_XML.search(parts[0]) or NOT_XML.search(parts[3]):
                 raise ValueError("its layer or metric holds a character XML cannot hold")
+            if parts[2] not in ("distance", "depth"):
+                raise ValueError(f"unknown task {parts[2]!r}")
+            rank, n_sequences = _canonical_int(parts[1]), _canonical_int(parts[5])
+            if rank is None or n_sequences is None:
+                raise ValueError("rank and n_sequences must be canonical decimal integers")
+            value = parts[4]
+            if not value.isascii() or "_" in value or value.strip() != value:
+                raise ValueError(f"value {value!r} is not plain ASCII number text")
             rows.append(
                 {
                     "layer": parts[0] if layer is None else layer,
-                    "rank": int(parts[1]),
+                    "rank": rank,
                     "task": parts[2],
                     "metric": parts[3],
-                    "value": float(parts[4]),
-                    "n_sequences": int(parts[5]),
+                    "value": float(value),
+                    "n_sequences": n_sequences,
                 }
             )
         except ValueError as exc:

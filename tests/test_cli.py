@@ -457,6 +457,23 @@ def test_grid_determinism_and_out_dir_override(tmp_path, monkeypatch):
     assert (out_a / "chart_dspr.svg").read_bytes() == (out_b / "chart_dspr.svg").read_bytes()
 
 
+def test_grid_resolves_relative_manifest_paths_against_the_manifest(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    data.mkdir()
+    paths = {k: Path(v.name) for k, v in write_grid_inputs(data).items() if k != "out"}
+    mpath = write_manifest(data, paths, Path("run"))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 0
+    assert {r["layer"] for r in read_report_tsv(data / "run" / "report.tsv")} == {0, 1}
+    assert os.listdir(elsewhere) == []
+    # --manifest and STRUCTPROBE_OUT_DIR stay relative to the current directory
+    monkeypatch.setenv("STRUCTPROBE_OUT_DIR", "override")
+    assert main(["--quiet", "grid", "--manifest", os.path.join("..", "data", "manifest.json")]) == 0
+    assert (elsewhere / "override" / "report.tsv").read_bytes() == (data / "run" / "report.tsv").read_bytes()
+
+
 def test_grid_on_exact_layers_recovers_gold_everywhere(tmp_path):
     # two noiseless layers: every cell's probe should read the labels back
     paths = write_grid_inputs(

@@ -151,14 +151,8 @@ def test_canonical_payloads_skip_the_strict_decoder(tmp_path, monkeypatch):
     assert [type(c) for c in calls] == [memoryview] and str(calls[0], "ascii") == recs[1]["data"]
 
 
-def test_canonical_lines_reach_the_kernel_as_views_and_scans_decode_nothing(tmp_path, monkeypatch):
-    rng = np.random.default_rng(8)
-    seqs = [
-        EmbeddingSequence(id=f"s{i}", layer=0, values=rng.standard_normal(shape).astype(np.float32))
-        for i, shape in enumerate([(2, 3), (1, 1), (4, 2048)])
-    ]
-    path = tmp_path / "e.jsonl"
-    write_embeddings(seqs, path)
+def record_decoders(monkeypatch) -> tuple[list, list]:
+    """Lists that record each payload the kernel and ``base64.b64decode`` are given."""
     kernel_args, b64_args = [], []
     kernel, b64decode = embed_io._decode_canonical, embed_io.base64.b64decode
     monkeypatch.setattr(
@@ -167,10 +161,45 @@ def test_canonical_lines_reach_the_kernel_as_views_and_scans_decode_nothing(tmp_
     monkeypatch.setattr(
         embed_io.base64, "b64decode", lambda *a, **k: b64_args.append(a) or b64decode(*a, **k)
     )
+    return kernel_args, b64_args
+
+
+def test_canonical_lines_reach_the_kernel_as_views_and_scans_decode_nothing(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    seqs = [
+        EmbeddingSequence(id=f"s{i}", layer=0, values=rng.standard_normal(shape).astype(np.float32))
+        for i, shape in enumerate([(2, 3), (1, 1), (4, 2048)])
+    ]
+    path = tmp_path / "e.jsonl"
+    write_embeddings(seqs, path)
+    kernel_args, b64_args = record_decoders(monkeypatch)
     assert scan_embedding_headers(path) == [(s.id, 0, s.n, s.m) for s in seqs]
     assert kernel_args == [] and b64_args == []
     back = list(read_embeddings(path))
     assert [b.values.tobytes() for b in back] == [s.values.tobytes() for s in seqs]
+    assert [type(a) for a in kernel_args] == [memoryview] * 3 and b64_args == []
+    assert all(a.readonly for a in kernel_args)
+
+
+def test_lines_with_non_ascii_ids_reach_the_kernel_as_views(tmp_path, monkeypatch):
+    rng = np.random.default_rng(10)
+    seqs = [
+        EmbeddingSequence(id=id_, layer=0, values=rng.standard_normal(shape).astype(np.float32))
+        for id_, shape in [("é…", (2, 3)), ("ein M\u00e4dchen", (1, 1)), ("\U0001f600", (4, 2048))]
+    ]
+    path = tmp_path / "e.jsonl"
+    write_embeddings(seqs, path)
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text(
+        "".join(json.dumps(rec, separators=(",", ":"), ensure_ascii=False) + "\n" for rec in recs),
+        encoding="utf-8",
+    )
+    assert not path.read_bytes().isascii()
+    kernel_args, b64_args = record_decoders(monkeypatch)
+    assert scan_embedding_headers(path) == [(s.id, 0, s.n, s.m) for s in seqs]
+    assert kernel_args == [] and b64_args == []
+    back = list(read_embeddings(path))
+    assert [(b.id, b.values.tobytes()) for b in back] == [(s.id, s.values.tobytes()) for s in seqs]
     assert [type(a) for a in kernel_args] == [memoryview] * 3 and b64_args == []
     assert all(a.readonly for a in kernel_args)
 
@@ -188,14 +217,7 @@ def test_spaced_canonical_lines_reach_the_kernel_as_views(tmp_path, monkeypatch,
     write_embeddings(seqs, path)
     recs = [json.loads(line) for line in path.read_text().splitlines()]
     path.write_text("".join(json.dumps(rec, separators=separators) + "\n" for rec in recs))
-    kernel_args, b64_args = [], []
-    kernel, b64decode = embed_io._decode_canonical, embed_io.base64.b64decode
-    monkeypatch.setattr(
-        embed_io, "_decode_canonical", lambda data, *a: kernel_args.append(data) or kernel(data, *a)
-    )
-    monkeypatch.setattr(
-        embed_io.base64, "b64decode", lambda *a, **k: b64_args.append(a) or b64decode(*a, **k)
-    )
+    kernel_args, b64_args = record_decoders(monkeypatch)
     back = list(read_embeddings(path))
     assert [b.values.tobytes() for b in back] == [s.values.tobytes() for s in seqs]
     assert [type(a) for a in kernel_args] == [memoryview] * 3 and b64_args == []

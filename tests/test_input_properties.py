@@ -1,5 +1,7 @@
 """Property: a damaged CoNLL file, manifest, probe file or report TSV is read or
-rejected with a StructProbeError, never with another exception."""
+rejected with a StructProbeError, never with another exception. A report row
+whose rank, task, value or n_sequences is not in the form the writer gives is
+a DataError at its line, also where ``int`` or ``float`` would read the field."""
 
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from structprobe.errors import StructProbeError
+from structprobe.errors import DataError, StructProbeError
 from structprobe.grid import load_manifest
 from structprobe.metrics import read_report_tsv, write_report_tsv
 from structprobe.probe import Probe, load_probe, save_probe
@@ -104,3 +106,50 @@ def test_mutated_inputs_raise_only_structprobe_errors(case):
             READERS[kind](path)
         except StructProbeError:
             pass
+
+
+# whitespace that int() and float() strip, underscores, non-ASCII digits of the
+# same value, signs and leading zeros; tasks a report does not name
+SPACES = [" ", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\u2003", "\u3000"]
+DIGIT_BASES = [0x660, 0x966, 0xFF10]  # Arabic-Indic, Devanagari, fullwidth
+TASKS = ["Depth", "dist", "", "depths", "distance\x0b", "nspr"]
+
+
+@st.composite
+def report_field_mutations(draw):
+    """(report bytes, line) with one field of that row made non-canonical."""
+    lines = VALID["report"].decode("utf-8").split("\n")
+    lineno = draw(st.integers(2, len(lines) - 1))
+    parts = lines[lineno - 1].split("\t")
+    column = draw(st.sampled_from([1, 2, 4, 5]))  # rank, task, value, n_sequences
+    text = parts[column]
+    ops = ["space", "underscore"] + (["task"] if column == 2 else ["digit"])
+    op = draw(st.sampled_from(ops + (["sign", "zero"] if column in (1, 5) else [])))
+    if op == "space":
+        space = draw(st.sampled_from(SPACES))
+        text = draw(st.sampled_from([space + text, text + space, space + text + space]))
+    elif op == "underscore":
+        text += "_0"
+    elif op == "digit":
+        at = draw(st.sampled_from([i for i, c in enumerate(text) if c.isdigit()]))
+        text = text[:at] + chr(draw(st.sampled_from(DIGIT_BASES)) + int(text[at])) + text[at + 1 :]
+    elif op == "task":
+        text = draw(st.sampled_from(TASKS))
+    elif op == "sign":
+        text = "+" + text
+    else:
+        text = "0" + text
+    parts[column] = text
+    lines[lineno - 1] = "\t".join(parts)
+    return "\n".join(lines).encode("utf-8"), lineno
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(report_field_mutations())
+def test_report_rows_with_non_canonical_fields_are_data_errors(case):
+    data, lineno = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=re.escape(f"{path}:{lineno}: ")):
+            read_report_tsv(path)

@@ -108,6 +108,23 @@ def test_atomic_writes_keep_the_default_file_mode(tmp_path):
     assert stat.S_IMODE(atomic.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
+@pytest.mark.parametrize(
+    "reader, what, text",
+    [
+        (read_labels, "labels", LABELS),
+        (read_embeddings, "embedding", json.dumps(EMB, separators=(",", ":"))),
+    ],
+    ids=["labels", "emb"],
+)
+def test_a_line_starting_with_a_utf8_bom_is_a_data_error(tmp_path, reader, what, text):
+    path = tmp_path / "f.jsonl"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("ascii") + b"\n")
+    msg = f"{path}:1: bad {what} record: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+    with pytest.raises(DataError) as info:
+        read_all(reader, path)
+    assert str(info.value) == msg
+
+
 def test_emb_payloads_are_not_json_scanned(tmp_path, monkeypatch):
     rng = np.random.default_rng(2)
     seqs = [

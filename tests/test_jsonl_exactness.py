@@ -1,14 +1,14 @@
 """Property: the JSON Lines record parser agrees with ``json.loads(line.strip())``.
 
-``io_utils._loads`` parses a line whose last member is a plain string without
-scanning that string, with JSON whitespace allowed around that member's key and
-colon. Lines here are EMB-JSONL records with long payloads and compact, spaced
-or other whitespace separators, so the slice path is reached, damaged in the
-ways that must send it back to a full parse: quotes, backslashes, control and
-non-ASCII characters, structure characters, duplicate keys, a member after the
-payload, and odd whitespace.
-``io_utils._loads_ascii`` applies the same rule to the bytes of an ASCII line
-and must give the same records, or None where ``_loads`` parses in full.
+``io_utils._loads`` reads the bytes of a line and parses a UTF-8 line whose
+last member is a plain string without scanning that string, with JSON
+whitespace allowed around that member's key and colon. Lines here are
+EMB-JSONL records with long payloads and compact, spaced or other whitespace
+separators, so the slice path is reached, damaged in the ways that must send
+it back to a full parse: quotes, backslashes, control and non-ASCII
+characters, bytes that are not UTF-8, structure characters, duplicate keys, a
+member after the payload, and odd whitespace. The reference decodes the line
+itself: a lone surrogate in a test line stands for a byte that is not UTF-8.
 
 At the file level, ``read_jsonl`` reads bytes and splits lines at ``\\n``
 only. The reference is the text-mode reader it replaced, opened with
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import base64
 import json
+import re
 import string
 import tempfile
 from pathlib import Path
@@ -41,10 +42,12 @@ from structprobe.embed_io import (
 )
 from structprobe import io_utils
 from structprobe.errors import DataError
-from structprobe.io_utils import _NOT_UTF8, _loads, _loads_ascii
+from structprobe.io_utils import _loads
 from structprobe.scenetree import _decode_caption, read_grounding
 from structprobe.trees import _decode_labels, read_labels
 
+# a byte that is not UTF-8 is read as a lone surrogate, so its line is known
+NOT_UTF8 = re.compile("[\udc80-\udcff]")
 B64 = string.ascii_letters + string.digits + "+/="
 PAYLOAD = "AbCd+/09" * 40
 # characters a mutation inserts or writes over another, each group as likely
@@ -71,23 +74,33 @@ def outcome(parse, line: str):
 
 
 def reference(line: str):
-    return json.loads(line.strip())
+    """ValueError for a line that is not UTF-8, None for a blank one, else
+    ``json.loads(line.strip())``, which must be an object."""
+    if NOT_UTF8.search(line):
+        raise ValueError("not valid UTF-8")
+    if line.isspace():
+        return None
+    rec = json.loads(line.strip())
+    if not isinstance(rec, dict):
+        raise TypeError("not a JSON object")
+    return rec
+
+
+def loads(line: str, payload: str | None = None):
+    """``_loads`` on the line's bytes, the value under ``payload`` read back as a str.
+
+    A memoryview ``_loads`` sets must be a read-only view of the line.
+    """
+    raw = line.encode("utf-8", "surrogateescape")
+    rec = _loads(raw, payload)
+    if rec is not None and isinstance(rec.get(payload), memoryview):
+        assert rec[payload].obj is raw and rec[payload].readonly
+        rec[payload] = str(rec[payload], "ascii")
+    return rec
 
 
 def loads_bytes(line: str):
-    """``_loads_ascii`` on the line's bytes, the payload read back as a str; else ``_loads``.
-
-    This is what ``read_jsonl`` does with a line. A memoryview the byte path
-    sets must be a read-only view of the line.
-    """
-    raw = line.encode("utf-8", "surrogateescape")
-    rec = _loads_ascii(raw, "data") if raw.isascii() else None
-    if rec is None:
-        return _loads(line)
-    if isinstance(rec.get("data"), memoryview):
-        assert rec["data"].obj is raw and rec["data"].readonly
-        rec["data"] = str(rec["data"], "ascii")
-    return rec
+    return loads(line, "data")
 
 
 @st.composite
@@ -127,7 +140,7 @@ def emb_lines(draw):
 @settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(emb_lines())
 def test_loads_matches_json_loads_of_stripped_line(line):
-    assert outcome(_loads, line) == outcome(reference, line)
+    assert outcome(loads, line) == outcome(reference, line)
 
 
 @st.composite
@@ -160,15 +173,16 @@ def test_byte_slice_rule_matches_json_loads_of_stripped_line(line):
         '{"data":"\\u0041' + PAYLOAD + '"}',
         '{"data":"' + PAYLOAD + '\x1f"}',
         '\x0c{"data":"' + PAYLOAD + '"}\r\n',
+        '{"id":"a\udc80","data":"' + PAYLOAD + '"}',
     ],
     ids=[
         "escaped-quote-in-key", "escaped-key-after-real-one", "colon-key-after-comma-in-value",
         "nested-unclosed", "escape-in-key", "spaces-around-colon", "duplicate-key",
-        "escape-in-value", "control-char-in-value", "form-feed",
+        "escape-in-value", "control-char-in-value", "form-feed", "not-utf8-before-value",
     ],
 )
 def test_loads_matches_json_loads_on_hand_picked_lines(line):
-    assert outcome(_loads, line) == outcome(reference, line)
+    assert outcome(loads, line) == outcome(reference, line)
     assert outcome(loads_bytes, line) == outcome(reference, line)
 
 
@@ -178,10 +192,10 @@ def test_loads_matches_json_loads_on_hand_picked_lines(line):
 )
 def test_byte_path_takes_a_canonical_line(trail):
     raw = ('{"id":"a","n":1,"data":"' + PAYLOAD + '"}' + trail).encode("ascii")
-    rec = _loads_ascii(raw, "data")
+    rec = _loads(raw, "data")
     assert isinstance(rec["data"], memoryview) and rec["data"].tobytes() == PAYLOAD.encode("ascii")
     assert rec == dict(reference(raw.decode("ascii")), data=rec["data"])
-    assert _loads_ascii(raw, None)["data"] == PAYLOAD
+    assert _loads(raw)["data"] == PAYLOAD
 
 
 @pytest.mark.parametrize("comma, colon", SEPARATORS[1:])
@@ -193,25 +207,25 @@ def test_both_paths_take_a_line_with_json_whitespace(monkeypatch, comma, colon, 
     parsed = []
     real_loads = io_utils.json.loads
     monkeypatch.setattr(io_utils.json, "loads", lambda text: parsed.append(text) or real_loads(text))
-    rec = _loads_ascii(raw, "data")
+    rec = _loads(raw, "data")
     assert isinstance(rec["data"], memoryview) and rec["data"].tobytes() == PAYLOAD.encode("ascii")
     assert rec == dict(want, data=rec["data"])
-    assert _loads(line) == want
+    assert _loads(raw) == want
     assert len(parsed) == 2 and all(len(text) < len(PAYLOAD) for text in parsed)
 
 
 def reference_read(path, what: str, decode):
     """The text-mode reader ``read_jsonl`` replaced, with lines split at ``\\n`` only.
 
-    ``_loads``, which that reader called, is ``json.loads(line.strip())``
-    (the properties above), so the reference calls ``json.loads`` itself.
+    Its line parser was ``json.loads(line.strip())`` (the properties above),
+    so the reference calls ``json.loads`` itself.
     """
     with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.isspace():
                 continue
             try:
-                if not line.isascii() and _NOT_UTF8.search(line):
+                if NOT_UTF8.search(line):
                     raise ValueError("not valid UTF-8")
                 rec = json.loads(line.strip())
                 if not isinstance(rec, dict):
