@@ -17,7 +17,7 @@ import sys
 from . import chart as chart_mod
 from . import grid as grid_mod
 from .embed_io import read_embeddings, write_embeddings
-from .errors import DataError, StructProbeError, TrainingDiverged, ValidationError
+from .errors import DataError, StructProbeError, ValidationError
 from .io_utils import atomic_write_text
 from .metrics import (
     evaluate_probe,
@@ -25,7 +25,7 @@ from .metrics import (
     write_report_json,
     write_report_tsv,
 )
-from .probe import TrainConfig, _rank_runs, load_probe, pair_records, save_probe, train_probe
+from .probe import TASKS, TrainConfig, _rank_runs, load_probe, pair_records, save_probe, train_probe
 from .scenetree import (
     construct_scene_tree,
     overlapping_phrase_pairs,
@@ -145,7 +145,12 @@ def _train_config(args) -> TrainConfig:
 
 def _load_pairs(labels_path, emb_path):
     labels = read_labels(labels_path)
-    return pair_records(labels, read_embeddings(emb_path))
+    # decoded first: a bad line's file:line message is not prefixed again
+    embeddings = list(read_embeddings(emb_path))
+    try:
+        return pair_records(labels, embeddings)
+    except DataError as exc:
+        raise DataError(f"{emb_path}: {exc}") from exc
 
 
 def _emb_layer_tag(pairs):
@@ -187,20 +192,8 @@ def cmd_sweep(args) -> int:
     train_pairs = _load_pairs(args.labels, args.emb)
     val_pairs = _load_pairs(args.val_labels, args.val_emb)
     layer = _emb_layer_tag(train_pairs)
-    rows = []
-    for probe, report in _rank_runs(ranks, train_pairs, val_pairs, cfg, args.task, layer):
-        rows += report.tsv_rows()
-        rows.append(
-            {
-                "layer": layer if layer is not None else "",
-                "rank": report.rank,
-                "task": args.task,
-                "metric": "val_loss",
-                "value": float(probe.meta["val_loss"]),
-                "n_sequences": len(val_pairs),
-            }
-        )
-    write_report_tsv(rows, args.out)
+    reports = _rank_runs(ranks, train_pairs, val_pairs, cfg, args.task, layer)
+    write_report_tsv([row for report in reports for row in report.tsv_rows()], args.out)
     log.info("swept ranks %s -> %s", ranks, args.out)
     return 0
 
@@ -267,7 +260,7 @@ def cmd_chart(args) -> int:
 
 
 def _add_train_flags(p: CliParser) -> None:
-    p.add_argument("--task", required=True, choices=["distance", "depth"])
+    p.add_argument("--task", required=True, choices=TASKS)
     p.add_argument("--labels", required=True)
     p.add_argument("--emb", required=True)
     p.add_argument("--val-labels", required=True)
@@ -367,18 +360,9 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"structprobe: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"structprobe: {exc}", file=sys.stderr)
-        return 2
-    except TrainingDiverged as exc:
-        print(f"structprobe: {exc}", file=sys.stderr)
-        return 3
     except StructProbeError as exc:
         print(f"structprobe: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except (ValueError, OSError) as exc:
         print(f"structprobe: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,7 @@ import base64
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -92,8 +92,17 @@ def align_wordpieces(seq: EmbeddingSequence, amap: AlignmentMap) -> EmbeddingSeq
     return EmbeddingSequence(id=seq.id, layer=seq.layer, values=rows.astype(np.float32))
 
 
-def _header(rec: dict) -> tuple[str, int, int, int]:
-    """(id, layer, n, m) of a record; the rule both scan and decode apply."""
+class EmbeddingHeader(NamedTuple):
+    """One record's header; equal to the plain tuple ``(id, layer, n, m)``."""
+
+    id: str
+    layer: int
+    n: int
+    m: int
+
+
+def _header(rec: dict) -> EmbeddingHeader:
+    """The header of a record; the rule both scan and decode apply."""
     seq_id = str(rec["id"])
     layer, n, m = rec.get("layer", 0), rec["n"], rec["m"]
     for key, value in (("layer", layer), ("n", n), ("m", m)):
@@ -103,7 +112,7 @@ def _header(rec: dict) -> tuple[str, int, int, int]:
         raise ValueError(f"sequence {seq_id}: unsupported dtype {rec['dtype']!r}")
     if n < 1 or m < 1:
         raise ValueError(f"sequence {seq_id}: n={n} and m={m} must both be at least 1")
-    return seq_id, layer, n, m
+    return EmbeddingHeader(seq_id, layer, n, m)
 
 
 _ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
@@ -211,6 +220,6 @@ def write_embeddings(seqs: Iterable[EmbeddingSequence], path: str | Path) -> Non
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
-def scan_embedding_headers(path: str | Path) -> list[tuple[str, int, int, int]]:
-    """(id, layer, n, m) per record, without decoding the payloads."""
+def scan_embedding_headers(path: str | Path) -> list[EmbeddingHeader]:
+    """The header of each record, without decoding the payloads."""
     return list(read_jsonl(path, "embedding", _header, payload="data"))

@@ -1,10 +1,11 @@
 """Experiment grids: train and evaluate probes across layers and ranks.
 
 A manifest (single JSON file) names the label files, one embedding file
-triple per layer or baseline tag, the ranks, and the training config. All
-referenced files are checked for existence and id/length agreement before
-any cell trains; a layer whose train, val and eval records differ in width
-fails its cells without being decoded. Layers run in a bounded worker
+triple per layer or baseline tag, the ranks, and the training config. Every
+referenced path must be a file, and each (labels, embeddings) pair must
+agree on unique ids and lengths, before any cell trains; a layer whose
+train, val and eval records differ in width fails its cells without being
+decoded. Layers run in a bounded worker
 pool: each job decodes its layer's three embedding files once, then trains
 and evaluates one (layer, rank) cell per rank in turn. The aggregate TSV and charts are written
 once, atomically, in a deterministic order.
@@ -17,7 +18,6 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
 
 from .chart import emit_chart
 from .embed_io import read_embeddings, scan_embedding_headers
@@ -29,7 +29,7 @@ from .metrics import (
     write_report_json,
     write_report_tsv,
 )
-from .probe import TrainConfig, pair_records, save_probe, train_probe
+from .probe import TASKS, TrainConfig, pair_records, save_probe, train_probe
 from .trees import TreeLabels, read_labels
 
 log = logging.getLogger(__name__)
@@ -82,7 +82,7 @@ def load_manifest(path: str | Path, out_dir_override: str | None = None) -> Expe
         raise ValidationError(f"{path}: cannot read manifest: {exc}") from exc
     try:
         task = doc["task"]
-        if task not in ("distance", "depth"):
+        if task not in TASKS:
             raise ValidationError(f"{path}: unknown task {task!r}")
         cells = []
         entries = list(doc["layers"]) + list(doc.get("baselines", []))
@@ -135,23 +135,6 @@ def load_manifest(path: str | Path, out_dir_override: str | None = None) -> Expe
     return manifest
 
 
-def _check_pairing(labels: Sequence[TreeLabels], emb_path: Path) -> set[int]:
-    """Check ids and lengths; return the widths m of the paired records."""
-    headers = {rec[0]: rec for rec in scan_embedding_headers(emb_path)}
-    widths = set()
-    for lab in labels:
-        rec = headers.get(lab.id)
-        if rec is None:
-            raise ValidationError(f"{emb_path}: no embeddings for sequence {lab.id!r}")
-        if rec[2] != lab.n:
-            raise ValidationError(
-                f"{emb_path}: sequence {lab.id!r} has {rec[2]} rows but {lab.n} "
-                "labelled nodes"
-            )
-        widths.add(rec[3])
-    return widths
-
-
 def validate_manifest_data(
     manifest: ExperimentManifest,
 ) -> tuple[dict[str, list[TreeLabels]], dict[int | str, str]]:
@@ -167,8 +150,8 @@ def validate_manifest_data(
         ("val", manifest.val_labels),
         ("eval", manifest.eval_labels),
     ):
-        if not lpath.exists():
-            raise ValidationError(f"missing labels file {lpath}")
+        if not lpath.is_file():
+            raise ValidationError(f"labels file {lpath} is missing or not a file")
         split_labels[name] = read_labels(lpath)
         if not split_labels[name]:
             raise ValidationError(f"{lpath}: no label records")
@@ -179,9 +162,17 @@ def validate_manifest_data(
             ("val", cell.val_emb),
             ("eval", cell.eval_emb),
         ):
-            if not epath.exists():
-                raise ValidationError(f"layer {cell.tag}: missing embeddings file {epath}")
-            widths[split] = _check_pairing(split_labels[split], epath)
+            if not epath.is_file():
+                raise ValidationError(
+                    f"layer {cell.tag}: embeddings file {epath} is missing or not a file"
+                )
+            # a malformed line stays a DataError; only the pairing is a manifest problem
+            headers = scan_embedding_headers(epath)
+            try:
+                pairs = pair_records(split_labels[split], headers)
+            except DataError as exc:
+                raise ValidationError(f"{epath}: {exc}") from exc
+            widths[split] = {header.m for _, header in pairs}
         if len(set().union(*widths.values())) > 1:
             width_errors[cell.tag] = f"layer {cell.tag}: embedding widths differ: " + ", ".join(
                 f"{split} m={sorted(ms)}" for split, ms in widths.items()

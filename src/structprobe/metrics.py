@@ -18,7 +18,7 @@ import numpy as np
 from .chart import NOT_XML
 from .errors import DataError
 from .io_utils import atomic_write_text
-from .probe import Pair, Probe, predict_depths, predict_distances
+from .probe import TASKS, Pair, Probe, predict_depths, predict_distances
 from .trees import TreeLabels
 
 SPEARMAN_MIN_LEN = 5
@@ -365,7 +365,7 @@ def read_report_tsv(path: str | Path) -> list[dict]:
         try:
             if NOT_XML.search(parts[0]) or NOT_XML.search(parts[3]):
                 raise ValueError("its layer or metric holds a character XML cannot hold")
-            if parts[2] not in ("distance", "depth"):
+            if parts[2] not in TASKS:
                 raise ValueError(f"unknown task {parts[2]!r}")
             rank, n_sequences = _canonical_int(parts[1]), _canonical_int(parts[5])
             if rank is None or n_sequences is None:

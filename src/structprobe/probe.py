@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .embed_io import EmbeddingSequence
+from .embed_io import EmbeddingHeader, EmbeddingSequence
 from .errors import DataError, TrainingDiverged
 from .io_utils import atomic_write_text
 from .trees import TreeLabels
@@ -209,10 +209,10 @@ def dataset_loss(transform: np.ndarray, pairs: Sequence[Pair], task: str) -> flo
 
 
 def pair_records(
-    labels: Sequence[TreeLabels], embeddings: Iterable[EmbeddingSequence]
+    labels: Sequence[TreeLabels], embeddings: Iterable[EmbeddingSequence | EmbeddingHeader]
 ) -> list[Pair]:
-    """Join labels with embeddings by id; every label needs its sequence."""
-    by_id: dict[str, EmbeddingSequence] = {}
+    """Join labels with embeddings (or their headers) by unique id; lengths must agree."""
+    by_id: dict[str, EmbeddingSequence | EmbeddingHeader] = {}
     for seq in embeddings:
         if seq.id in by_id:
             raise DataError(f"duplicate embedding id {seq.id!r}")
@@ -357,13 +357,18 @@ def _rank_runs(
     cfg: TrainConfig,
     task: str,
     layer: int | str | None,
-) -> Iterator[tuple[Probe, EvalReport]]:
-    """Train one probe per rank (shared seed) and evaluate it on the validation split."""
+) -> Iterator[EvalReport]:
+    """Train one probe per rank (shared seed) and evaluate it on the validation split.
+
+    Each report's aggregates also hold the probe's best ``val_loss``.
+    """
     from .metrics import evaluate_probe
 
     for rank in ranks:
         probe = train_probe(task, train, val, replace(cfg, rank=rank), layer=layer)
-        yield probe, evaluate_probe(probe, val, tag=layer, rank=rank)
+        report = evaluate_probe(probe, val, tag=layer, rank=rank)
+        report.aggregates["val_loss"] = probe.meta["val_loss"]
+        yield report
 
 
 def sweep_ranks(
@@ -375,12 +380,8 @@ def sweep_ranks(
     layer: int | str | None = None,
 ) -> list[dict]:
     """Train one probe per rank (shared seed) and tabulate validation metrics."""
-    table = []
-    for probe, report in _rank_runs(ranks, train, val, cfg, task, layer):
-        row = {"rank": int(report.rank), "val_loss": probe.meta["val_loss"]}
-        row.update(report.aggregates)
-        table.append(row)
-    return table
+    reports = _rank_runs(ranks, train, val, cfg, task, layer)
+    return [{"rank": int(r.rank), **r.aggregates} for r in reports]
 
 
 def save_probe(probe: Probe, path: str | Path) -> None:

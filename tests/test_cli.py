@@ -553,7 +553,7 @@ def test_grid_baseline_cells_tagged_in_report_and_chart(tmp_path):
     assert "rcnn-baseline" in svg and 'stroke-dasharray="5,3"' in svg
 
 
-def test_grid_all_cells_failing_exits_nonzero(tmp_path):
+def test_grid_all_cells_failing_exits_nonzero(tmp_path, capsys):
     paths = write_grid_inputs(tmp_path, n_trees=12)
     out_dir = tmp_path / "run"
     mpath = write_manifest(
@@ -564,6 +564,10 @@ def test_grid_all_cells_failing_exits_nonzero(tmp_path):
                "optimizer": "sgd", "lr": 1e30, "seed": 2},
     )
     assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 2
+    err = capsys.readouterr().err
+    assert "structprobe: all grid cells failed" in err and "Traceback" not in err
+    # every cell diverged: TrainingDiverged (exit 3) in a cell is a failed cell
+    assert "layer0_rank6: non-finite" in err and "layer1_rank6: non-finite" in err
     assert not (out_dir / "report.tsv").exists()
 
 
@@ -842,3 +846,77 @@ def test_grid_chart_metrics_may_name_some_of_the_task_metrics(tmp_path):
         doc["chart_metrics"] = chosen
         mpath.write_text(json.dumps(doc))
         assert grid_mod.load_manifest(mpath).chart_metrics == tuple(chosen)
+
+
+def write_synth(tmp_path: Path, n_trees=10) -> tuple[Path, Path]:
+    labels, emb = tmp_path / "labels.jsonl", tmp_path / "emb.jsonl"
+    assert main(["--quiet", "synth", "--n-trees", str(n_trees), "--min-n", "4", "--max-n", "8",
+                 "--seed", "3", "--out-labels", str(labels), "--out-emb", str(emb)]) == 0
+    return labels, emb
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_diverging_training_exits_three_without_traceback(tmp_path, capsys, command):
+    labels, emb = write_synth(tmp_path)
+    out = tmp_path / "out"
+    extra = ["--rank", "3"] if command == "train" else ["--ranks", "3,4"]
+    code = main(["--quiet", command, "--task", "distance", "--labels", str(labels),
+                 "--emb", str(emb), "--val-labels", str(labels), "--val-emb", str(emb),
+                 "--optimizer", "sgd", "--lr", "1e200", "--batch", "2", "--epochs", "2",
+                 "--patience", "2", "--seed", "0", "--out", str(out)] + extra)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "non-finite gradient in epoch 1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_grid_duplicate_embedding_id_is_validation_error_before_any_decode(
+    tmp_path, monkeypatch, capsys
+):
+    paths = write_grid_inputs(tmp_path, n_trees=10)
+    target = paths["val_emb_l1"]
+    first = target.read_text().splitlines()[0]
+    with target.open("a") as fh:
+        fh.write(first + "\n")
+    decoded: list = []
+    monkeypatch.setattr(grid_mod, "read_embeddings", lambda path: decoded.append(path) or [])
+    out_dir = tmp_path / "run"
+    mpath = write_manifest(tmp_path, paths, out_dir)
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 1
+    err = capsys.readouterr().err
+    assert f"{target}: duplicate embedding id" in err and "Traceback" not in err
+    assert decoded == []
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key", ["train_labels", "eval_emb"])
+def test_grid_path_naming_a_directory_is_validation_error(tmp_path, monkeypatch, capsys, key):
+    paths = write_grid_inputs(tmp_path, n_trees=10)
+    out_dir = tmp_path / "run"
+    mpath = write_manifest(tmp_path, paths, out_dir)
+    doc = json.loads(mpath.read_text())
+    # "" names the manifest's own directory
+    (doc if key == "train_labels" else doc["layers"][1])[key] = ""
+    mpath.write_text(json.dumps(doc))
+    decoded: list = []
+    monkeypatch.setattr(grid_mod, "read_embeddings", lambda path: decoded.append(path) or [])
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path} is missing or not a file" in err and "Traceback" not in err
+    assert decoded == []
+    assert not out_dir.exists()
+
+
+def test_eval_pairing_error_names_the_embeddings_file(tmp_path, capsys):
+    labels, emb = write_synth(tmp_path)
+    probe = tmp_path / "probe.json"
+    save_probe(identity_probe("depth", next(read_embeddings(emb)).m), probe)
+    short = tmp_path / "short.jsonl"
+    short.write_text("".join(emb.read_text().splitlines(keepends=True)[1:]))
+    first_id = read_labels(labels)[0].id
+    code = main(["--quiet", "eval", "--probe", str(probe), "--labels", str(labels),
+                 "--emb", str(short), "--out", str(tmp_path / "r.tsv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{short}: no embeddings for sequence {first_id!r}" in err
+    assert "Traceback" not in err
