@@ -3,6 +3,7 @@ probes, and their metric suite, over externally supplied embeddings."""
 
 from .embed_io import AlignmentMap, EmbeddingSequence, align_wordpieces, read_embeddings, write_embeddings
 from .errors import DataError, StructProbeError, TrainingDiverged, ValidationError
+from .grid import sweep_ranks
 from .metrics import (
     EvalReport,
     evaluate_probe,
@@ -22,7 +23,6 @@ from .probe import (
     predict_depths,
     predict_distances,
     save_probe,
-    sweep_ranks,
     train_probe,
 )
 from .scenetree import (

@@ -25,7 +25,7 @@ from .metrics import (
     write_report_json,
     write_report_tsv,
 )
-from .probe import TASKS, TrainConfig, _rank_runs, load_probe, pair_records, save_probe, train_probe
+from .probe import TASKS, TrainConfig, load_probe, pair_records, save_probe, train_probe
 from .scenetree import (
     construct_scene_tree,
     overlapping_phrase_pairs,
@@ -137,7 +137,7 @@ def _train_config(args) -> TrainConfig:
             rank=args.rank,
             lr=args.lr,
             optimizer=args.optimizer,
-            seed=_effective_seed(args, 0),
+            seed=_effective_seed(args, TrainConfig.seed),
         )
     except ValueError as exc:
         raise ValidationError(f"bad training options: {exc}") from exc
@@ -192,29 +192,28 @@ def cmd_sweep(args) -> int:
     train_pairs = _load_pairs(args.labels, args.emb)
     val_pairs = _load_pairs(args.val_labels, args.val_emb)
     layer = _emb_layer_tag(train_pairs)
-    reports = _rank_runs(ranks, train_pairs, val_pairs, cfg, args.task, layer)
+    reports = grid_mod.sweep_reports(ranks, train_pairs, val_pairs, cfg, args.task, layer)
     write_report_tsv([row for report in reports for row in report.tsv_rows()], args.out)
     log.info("swept ranks %s -> %s", ranks, args.out)
     return 0
 
 
 def cmd_eval(args) -> int:
-    pairs = _load_pairs(args.labels, args.emb)
     probe = load_probe(args.probe)
     excluded = None
     if args.exclude_deprels:
+        if probe.task != "distance":
+            raise ValidationError(f"--exclude-deprels needs a distance probe, not {probe.task}")
         if not args.conll:
             raise ValidationError("--exclude-deprels needs --conll to supply relation labels")
         wanted = {r.strip() for r in args.exclude_deprels.split(",") if r.strip()}
         trees = read_conllu(args.conll)
         ids = _sentence_ids(trees)
-        excluded = {}
-        for tree, sid in zip(trees, ids):
-            if tree.deprels is None:
-                continue
-            drop = [i for i, rel in enumerate(tree.deprels) if rel in wanted]
-            if drop:
-                excluded[sid] = drop
+        excluded = {
+            sid: [i for i, rel in enumerate(tree.deprels or ()) if rel in wanted]
+            for tree, sid in zip(trees, ids)
+        }
+    pairs = _load_pairs(args.labels, args.emb)
     report = evaluate_probe(
         probe,
         pairs,
@@ -265,12 +264,12 @@ def _add_train_flags(p: CliParser) -> None:
     p.add_argument("--emb", required=True)
     p.add_argument("--val-labels", required=True)
     p.add_argument("--val-emb", required=True)
-    p.add_argument("--rank", type=int, default=128)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--optimizer", choices=["adam", "sgd"], default="adam")
+    p.add_argument("--rank", type=int, default=TrainConfig.rank)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--optimizer", choices=["adam", "sgd"], default=TrainConfig.optimizer)
     p.add_argument("--seed", type=int, default=None, help="wins over the global --seed")
 
 

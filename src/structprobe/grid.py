@@ -1,14 +1,15 @@
-"""Experiment grids: train and evaluate probes across layers and ranks.
+"""Rank sweeps and layer grids: compose ``probe`` training with ``metrics`` scoring.
 
-A manifest (single JSON file) names the label files, one embedding file
+A sweep trains and scores one probe per rank and stops at its first error.
+A grid's manifest (one JSON file) names the label files, one embedding file
 triple per layer or baseline tag, the ranks, and the training config. Every
-referenced path must be a file, and each (labels, embeddings) pair must
-agree on unique ids and lengths, before any cell trains; a layer whose
-train, val and eval records differ in width fails its cells without being
-decoded. Layers run in a bounded worker
-pool: each job decodes its layer's three embedding files once, then trains
-and evaluates one (layer, rank) cell per rank in turn. The aggregate TSV and charts are written
-once, atomically, in a deterministic order.
+path must be a file, and each (labels, embeddings) pair must agree on ids
+and lengths, before any cell trains; a layer whose splits differ in width
+fails its cells without being decoded. Layers run in a bounded worker pool:
+each job decodes its layer's three embedding files once, then trains and
+evaluates one (layer, rank) cell per rank, and a failed cell does not stop
+the others. The aggregate TSV and charts are written once, atomically, in a
+deterministic order.
 """
 
 from __future__ import annotations
@@ -18,27 +19,23 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterator, Sequence
 
 from .chart import emit_chart
 from .embed_io import read_embeddings, scan_embedding_headers
 from .errors import DataError, StructProbeError, ValidationError
 from .metrics import (
+    TASK_METRICS,
     EvalReport,
     check_layer_tag,
     evaluate_probe,
     write_report_json,
     write_report_tsv,
 )
-from .probe import TASKS, TrainConfig, pair_records, save_probe, train_probe
+from .probe import TASKS, Pair, TrainConfig, embedding_width, pair_records, save_probe, train_probe
 from .trees import TreeLabels, read_labels
 
 log = logging.getLogger(__name__)
-
-# every metric each task reports; the grid charts all of them by default
-DEFAULT_CHART_METRICS = {
-    "distance": ("dspr", "uuas"),
-    "depth": ("nspr", "root_acc"),
-}
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,7 @@ def load_manifest(path: str | Path, out_dir_override: str | None = None) -> Expe
                     eval_emb=base / entry["eval_emb"],
                 )
             )
-        ranks = doc.get("ranks", [128])
+        ranks = doc.get("ranks", [TrainConfig.rank])
         if not isinstance(ranks, list):
             raise ValueError(f"ranks must be a list of integers, got {ranks!r}")
         ranks = tuple(ranks)
@@ -104,13 +101,13 @@ def load_manifest(path: str | Path, out_dir_override: str | None = None) -> Expe
         for rank in ranks:
             replace(cfg, rank=rank)  # TrainConfig's own rule checks each rank
         out_dir = Path(out_dir_override) if out_dir_override else base / doc["out_dir"]
-        chart_metrics = doc.get("chart_metrics", list(DEFAULT_CHART_METRICS[task]))
+        chart_metrics = doc.get("chart_metrics", list(TASK_METRICS[task]))
         if not isinstance(chart_metrics, list) or any(
-            metric not in DEFAULT_CHART_METRICS[task] for metric in chart_metrics
+            metric not in TASK_METRICS[task] for metric in chart_metrics
         ):
             raise ValueError(
                 f"chart_metrics must be a list of {task} metrics "
-                f"{list(DEFAULT_CHART_METRICS[task])}, got {chart_metrics!r}"
+                f"{list(TASK_METRICS[task])}, got {chart_metrics!r}"
             )
         manifest = ExperimentManifest(
             task=task,
@@ -156,7 +153,7 @@ def validate_manifest_data(
         if not split_labels[name]:
             raise ValidationError(f"{lpath}: no label records")
     for cell in manifest.cells:
-        widths = {}
+        split_pairs = {}
         for split, epath in (
             ("train", cell.train_emb),
             ("val", cell.val_emb),
@@ -169,14 +166,13 @@ def validate_manifest_data(
             # a malformed line stays a DataError; only the pairing is a manifest problem
             headers = scan_embedding_headers(epath)
             try:
-                pairs = pair_records(split_labels[split], headers)
+                split_pairs[split] = pair_records(split_labels[split], headers)
             except DataError as exc:
                 raise ValidationError(f"{epath}: {exc}") from exc
-            widths[split] = {header.m for _, header in pairs}
-        if len(set().union(*widths.values())) > 1:
-            width_errors[cell.tag] = f"layer {cell.tag}: embedding widths differ: " + ", ".join(
-                f"{split} m={sorted(ms)}" for split, ms in widths.items()
-            )
+        try:
+            embedding_width(split_pairs)
+        except DataError as exc:
+            width_errors[cell.tag] = f"layer {cell.tag}: {exc}"
     return split_labels, width_errors
 
 
@@ -186,6 +182,38 @@ def _tag_sort_key(tag: int | str):
 
 def _cell_name(tag: int | str, rank: int) -> str:
     return f"layer{tag}_rank{rank}"
+
+
+def sweep_reports(
+    ranks: Sequence[int],
+    train: Sequence[Pair],
+    val: Sequence[Pair],
+    cfg: TrainConfig,
+    task: str,
+    layer: int | str | None,
+) -> Iterator[EvalReport]:
+    """Train one probe per rank (shared seed) and evaluate it on the validation split.
+
+    Each report's aggregates also hold the probe's best ``val_loss``.
+    """
+    for rank in ranks:
+        probe = train_probe(task, train, val, replace(cfg, rank=rank), layer=layer)
+        report = evaluate_probe(probe, val, tag=layer, rank=rank)
+        report.aggregates["val_loss"] = probe.meta["val_loss"]
+        yield report
+
+
+def sweep_ranks(
+    ranks: Sequence[int],
+    train: Sequence[Pair],
+    val: Sequence[Pair],
+    cfg: TrainConfig,
+    task: str,
+    layer: int | str | None = None,
+) -> list[dict]:
+    """Train one probe per rank (shared seed) and tabulate validation metrics."""
+    reports = sweep_reports(ranks, train, val, cfg, task, layer)
+    return [{"rank": int(r.rank), **r.aggregates} for r in reports]
 
 
 def run_layer_grid(

@@ -26,6 +26,12 @@ SPEARMAN_MAX_LEN = 50
 
 REPORT_COLUMNS = ("layer", "rank", "task", "metric", "value", "n_sequences")
 
+# every metric each task reports, as evaluate_probe names its aggregates
+TASK_METRICS = {
+    "distance": ("dspr", "uuas"),
+    "depth": ("nspr", "root_acc"),
+}
+
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:
     """1-based ranks; tied values share the mean of their rank positions."""

@@ -7,7 +7,8 @@ vector. Both are trained by minimizing an L1 loss against integer gold
 labels with mini-batch first-order updates and early stopping on the
 validation loss. One forward z = H Bᵀ per sequence serves prediction, loss
 and gradient: the subgradient is Zᵀ(L H), with L built from the signs of the
-errors, so no m-by-m matrix is built.
+errors, so no m-by-m matrix is built. ``metrics`` scores probes, and ``grid``
+runs the rank sweeps and layer grids that train and score them.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import binascii
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,9 +28,6 @@ from .embed_io import EmbeddingHeader, EmbeddingSequence
 from .errors import DataError, TrainingDiverged
 from .io_utils import atomic_write_text
 from .trees import TreeLabels
-
-if TYPE_CHECKING:
-    from .metrics import EvalReport
 
 TASKS = ("distance", "depth")
 
@@ -261,13 +259,23 @@ class _Sgd:
         params -= self.lr * grad
 
 
-def _check_dataset(pairs: Sequence[Pair], name: str) -> int:
-    if not pairs:
-        raise ValueError(f"{name} dataset is empty")
-    widths = {seq.m for _, seq in pairs}
-    if len(widths) != 1:
-        raise DataError(f"{name} dataset mixes embedding widths {sorted(widths)}")
-    return widths.pop()
+def embedding_width(splits: Mapping[str, Sequence[Pair]]) -> int:
+    """The one width m of the named splits of (labels, embeddings or header) pairs.
+
+    An empty split is a ValueError; widths that differ are a DataError that
+    names each split's widths.
+    """
+    widths = {}
+    for name, pairs in splits.items():
+        if not pairs:
+            raise ValueError(f"{name} dataset is empty")
+        widths[name] = sorted({seq.m for _, seq in pairs})
+    (m, *more) = set().union(*widths.values())
+    if more:
+        raise DataError(
+            "embedding widths differ: " + ", ".join(f"{n} m={ms}" for n, ms in widths.items())
+        )
+    return m
 
 
 def train_probe(
@@ -290,10 +298,7 @@ def train_probe(
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
-    m = _check_dataset(train, "train")
-    m_val = _check_dataset(val, "validation")
-    if m_val != m:
-        raise DataError(f"train width {m} differs from validation width {m_val}")
+    m = embedding_width({"train": train, "val": val})
 
     rng = np.random.default_rng(cfg.seed)
     k = cfg.rank
@@ -348,40 +353,6 @@ def train_probe(
         "val_history": [float(v) for v in history],
     }
     return Probe(task=task, transform=best_transform, meta=meta)
-
-
-def _rank_runs(
-    ranks: Sequence[int],
-    train: Sequence[Pair],
-    val: Sequence[Pair],
-    cfg: TrainConfig,
-    task: str,
-    layer: int | str | None,
-) -> Iterator[EvalReport]:
-    """Train one probe per rank (shared seed) and evaluate it on the validation split.
-
-    Each report's aggregates also hold the probe's best ``val_loss``.
-    """
-    from .metrics import evaluate_probe
-
-    for rank in ranks:
-        probe = train_probe(task, train, val, replace(cfg, rank=rank), layer=layer)
-        report = evaluate_probe(probe, val, tag=layer, rank=rank)
-        report.aggregates["val_loss"] = probe.meta["val_loss"]
-        yield report
-
-
-def sweep_ranks(
-    ranks: Sequence[int],
-    train: Sequence[Pair],
-    val: Sequence[Pair],
-    cfg: TrainConfig,
-    task: str,
-    layer: int | str | None = None,
-) -> list[dict]:
-    """Train one probe per rank (shared seed) and tabulate validation metrics."""
-    reports = _rank_runs(ranks, train, val, cfg, task, layer)
-    return [{"rank": int(r.rank), **r.aggregates} for r in reports]
 
 
 def save_probe(probe: Probe, path: str | Path) -> None:

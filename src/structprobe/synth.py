@@ -13,14 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embed_io import EmbeddingSequence
-from .probe import Pair
-from .trees import ROOT, DepTree, TreeLabels, _ancestors, tree_labels
-
-
-def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+from .trees import ROOT, DepTree, TreeLabels, ancestors, tree_labels
 
 
 def random_tree(n: int, seed: int | np.random.Generator = 0) -> DepTree:
@@ -32,7 +25,7 @@ def random_tree(n: int, seed: int | np.random.Generator = 0) -> DepTree:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator passes through
     parents = [ROOT] + [int(rng.integers(0, i)) for i in range(1, n)]
     perm = rng.permutation(n)
     heads = [0] * n
@@ -67,9 +60,9 @@ def oracle_embed_tree(
         raise ValueError(f"noise_sigma must be a finite number >= 0, got {noise_sigma!r}")
     n = tree.n
     vectors = np.zeros((n, max(n - 1 + extra_dims, 1)))
-    vectors[:, : n - 1] = np.delete(_ancestors(tree.heads, tree.order), tree.root, axis=1)
+    vectors[:, : n - 1] = np.delete(ancestors(tree.heads, tree.order), tree.root, axis=1)
     if noise_sigma > 0:
-        rng = _as_rng(seed)
+        rng = np.random.default_rng(seed)  # a Generator passes through
         vectors = vectors + rng.normal(0.0, noise_sigma, size=vectors.shape)
     return EmbeddingSequence(id=seq_id, layer=layer, values=vectors)
 
@@ -84,7 +77,7 @@ class OracleDataset:
     construction: str
     noise_sigma: float
 
-    def pairs(self) -> list[Pair]:
+    def pairs(self) -> list[tuple[TreeLabels, EmbeddingSequence]]:
         return list(zip(self.labels, self.embeddings))
 
 
@@ -100,7 +93,8 @@ def oracle_dataset(
     """Generate a dataset of random trees with shared embedding width.
 
     All sequences are padded to width (max_n - 1) + extra_dims so they can
-    train a single probe.
+    train a single probe. Noise has its own generator spawned from the
+    seed, so the trees and labels depend on the seed alone.
     """
     if n_trees < 1:
         raise ValueError("n_trees must be at least 1")
@@ -111,6 +105,7 @@ def oracle_dataset(
     if seed < 0:
         raise ValueError("seed cannot be negative")
     rng = np.random.default_rng(seed)
+    noise_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     width = max(max_n - 1 + extra_dims, 1)
     trees = []
     labels = []
@@ -126,7 +121,7 @@ def oracle_dataset(
                 tree,
                 extra_dims=width - (n - 1),
                 noise_sigma=noise_sigma,
-                seed=rng,
+                seed=noise_rng,
                 seq_id=seq_id,
                 layer=layer,
             )

@@ -140,7 +140,7 @@ def _parent_order(heads: Sequence[int]) -> list[int]:
     return order
 
 
-def _ancestors(heads: Sequence[int], order: Sequence[int]) -> np.ndarray:
+def ancestors(heads: Sequence[int], order: Sequence[int]) -> np.ndarray:
     """0/1 float64 matrix whose row v marks v and its ancestors; ``order`` is a parent order."""
     anc = np.zeros((len(heads), len(heads)))
     for v in order:
@@ -163,12 +163,12 @@ def _path_lengths(anc: np.ndarray) -> np.ndarray:
 
 def all_pairs_path_lengths(heads: Sequence[int]) -> np.ndarray:
     """Edge counts between every node pair of the tree a head array encodes."""
-    return _path_lengths(_ancestors(heads, _parent_order(heads)))
+    return _path_lengths(ancestors(heads, _parent_order(heads)))
 
 
 def tree_distances(tree: DepTree) -> np.ndarray:
     """n-by-n matrix of undirected path lengths between tokens."""
-    return _path_lengths(_ancestors(tree.heads, tree.order))
+    return _path_lengths(ancestors(tree.heads, tree.order))
 
 
 def tree_depths(tree: DepTree) -> np.ndarray:

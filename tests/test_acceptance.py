@@ -14,6 +14,7 @@ import numpy as np
 
 from structprobe.cli import main
 from structprobe.embed_io import EmbeddingSequence, read_embeddings, write_embeddings
+from structprobe.grid import sweep_ranks
 from structprobe.metrics import (
     decode_mst_edges,
     evaluate_probe,
@@ -28,7 +29,6 @@ from structprobe.probe import (
     load_probe,
     loss_gradient,
     save_probe,
-    sweep_ranks,
     train_probe,
 )
 from structprobe.scenetree import construct_scene_tree

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,13 +12,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from structprobe import cli as cli_mod
 from structprobe import grid as grid_mod
-from structprobe.cli import main
-from structprobe.embed_io import EmbeddingSequence, read_embeddings, write_embeddings
+from structprobe.cli import build_parser, main
+from structprobe.embed_io import (
+    EmbeddingSequence,
+    read_embeddings,
+    scan_embedding_headers,
+    write_embeddings,
+)
 from structprobe.metrics import read_report_tsv, write_report_tsv
-from structprobe.probe import identity_probe, load_probe, save_probe
-from structprobe.synth import oracle_dataset
-from structprobe.trees import read_labels, write_labels
+from structprobe.probe import TrainConfig, identity_probe, load_probe, save_probe
+from structprobe.synth import oracle_dataset, oracle_embed_tree
+from structprobe.trees import read_conllu, read_labels, write_labels
 
 CONLL = """\
 # sent_id = c1
@@ -920,3 +927,112 @@ def test_eval_pairing_error_names_the_embeddings_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{short}: no embeddings for sequence {first_id!r}" in err
     assert "Traceback" not in err
+
+
+def write_widths(tmp_path: Path, name: str, max_ns: tuple[int, ...]) -> tuple[Path, Path]:
+    """Labels and embeddings of 4 oracle trees per entry; each entry's width is max_n - 1 + 16."""
+    labels, embeddings = [], []
+    for part, max_n in enumerate(max_ns):
+        data = oracle_dataset(4, 4, max_n, extra_dims=16, seed=part)
+        for lab, seq in data.pairs():
+            seq_id = f"{name}{part}_{seq.id}"
+            labels.append(dataclasses.replace(lab, id=seq_id))
+            embeddings.append(EmbeddingSequence(id=seq_id, layer=0, values=seq.values))
+    lpath, epath = tmp_path / f"{name}_labels.jsonl", tmp_path / f"{name}_emb.jsonl"
+    write_labels(labels, lpath)
+    write_embeddings(embeddings, epath)
+    return lpath, epath
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize(
+    "train_max_ns, val_max_ns, widths",
+    [((8,), (9,), "train m=[23], val m=[24]"), ((8, 9), (8,), "train m=[23, 24], val m=[23]")],
+    ids=["val-of-another-width", "train-mixing-widths"],
+)
+def test_train_and_sweep_exit_two_naming_each_splits_widths(
+    tmp_path, capsys, command, train_max_ns, val_max_ns, widths
+):
+    labels, emb = write_widths(tmp_path, "train", train_max_ns)
+    val_labels, val_emb = write_widths(tmp_path, "val", val_max_ns)
+    out = tmp_path / "out"
+    extra = ["--rank", "3"] if command == "train" else ["--ranks", "3,4"]
+    code = main(["--quiet", command, "--task", "depth", "--labels", str(labels),
+                 "--emb", str(emb), "--val-labels", str(val_labels), "--val-emb", str(val_emb),
+                 "--epochs", "1", "--patience", "1", "--out", str(out)] + extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"structprobe: embedding widths differ: {widths}\n" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_train_flag_defaults_are_the_train_config_defaults(command):
+    extra = ["--ranks", "2"] if command == "sweep" else []
+    args = build_parser().parse_args(
+        [command, "--task", "depth", "--labels", "l", "--emb", "e", "--val-labels", "l",
+         "--val-emb", "e", "--out", "o"] + extra
+    )
+    assert cli_mod._train_config(args) == TrainConfig()
+
+
+def test_grid_manifest_without_ranks_trains_at_the_default_rank(tmp_path):
+    paths = write_grid_inputs(tmp_path, n_trees=10)
+    out_dir = tmp_path / "run"
+    mpath = write_manifest(tmp_path, paths, out_dir)
+    doc = json.loads(mpath.read_text())
+    del doc["ranks"], doc["layers"][1]
+    doc["train"] = {"max_epochs": 1, "patience": 1}
+    mpath.write_text(json.dumps(doc))
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 0
+    rank = TrainConfig().rank
+    assert load_probe(out_dir / f"probe_layer0_rank{rank}.json").rank == rank
+    assert {r["rank"] for r in read_report_tsv(out_dir / "report.tsv")} == {rank}
+
+
+def test_eval_exclude_deprels_with_a_depth_probe_is_validation_error(tmp_path, capsys):
+    conll = tmp_path / "x.conll"
+    conll.write_text(CONLL)
+    labels = tmp_path / "labels.jsonl"
+    assert main(["--quiet", "build-labels", "--conll", str(conll), "--out", str(labels)]) == 0
+    (tree,) = read_conllu(conll)
+    emb = tmp_path / "emb.jsonl"
+    write_embeddings([oracle_embed_tree(tree, seq_id="c1")], emb)
+    probe_path = tmp_path / "probe.json"
+    save_probe(identity_probe("depth", 4), probe_path)
+    out, detail = tmp_path / "report.tsv", tmp_path / "detail.json"
+    code = main(["--quiet", "eval", "--probe", str(probe_path), "--labels", str(labels),
+                 "--emb", str(emb), "--out", str(out), "--json", str(detail),
+                 "--exclude-deprels", "det", "--conll", str(conll)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--exclude-deprels needs a distance probe, not depth" in err
+    assert "Traceback" not in err
+    assert not out.exists() and not detail.exists()
+
+
+def test_synth_labels_do_not_depend_on_noise_or_layer(tmp_path):
+    outputs = []
+    for noise, layer in (("0", "0"), ("0.1", "1")):
+        labels, emb = tmp_path / f"labels_{layer}.jsonl", tmp_path / f"emb_{layer}.jsonl"
+        assert main(["--quiet", "synth", "--n-trees", "12", "--seed", "1", "--noise", noise,
+                     "--layer", layer, "--out-labels", str(labels), "--out-emb", str(emb)]) == 0
+        outputs.append((labels.read_bytes(), emb.read_bytes()))
+    (labels_0, emb_0), (labels_1, emb_1) = outputs
+    assert labels_0 == labels_1
+    assert emb_0 != emb_1
+    headers_0 = [(h.id, h.n, h.m) for h in scan_embedding_headers(tmp_path / "emb_0.jsonl")]
+    headers_1 = [(h.id, h.n, h.m) for h in scan_embedding_headers(tmp_path / "emb_1.jsonl")]
+    assert headers_0 == headers_1
+
+
+def test_eval_option_error_comes_before_the_embeddings_are_read(tmp_path, capsys):
+    labels, emb = write_synth(tmp_path)
+    probe = tmp_path / "probe.json"
+    save_probe(identity_probe("distance", next(read_embeddings(emb)).m), probe)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id": "t0000", "n": 1}\n')
+    code = main(["--quiet", "eval", "--probe", str(probe), "--labels", str(labels),
+                 "--emb", str(bad), "--out", str(tmp_path / "r.tsv"), "--exclude-deprels", "det"])
+    assert code == 1
+    assert "--exclude-deprels needs --conll" in capsys.readouterr().err

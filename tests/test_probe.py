@@ -292,7 +292,7 @@ def test_full_rank_probe_recovers_oracle_structure():
 
 
 def test_sweep_empty_rank_list():
-    from structprobe.probe import sweep_ranks
+    from structprobe.grid import sweep_ranks
 
     data = oracle_dataset(6, 4, 6, seed=14)
     pairs = data.pairs()
@@ -300,7 +300,7 @@ def test_sweep_empty_rank_list():
 
 
 def test_sweep_duplicate_ranks_give_identical_rows():
-    from structprobe.probe import sweep_ranks
+    from structprobe.grid import sweep_ranks
 
     data = oracle_dataset(10, 4, 7, seed=15)
     pairs = data.pairs()
