@@ -15,8 +15,9 @@ decoded by a vectorised kernel (``_decode_canonical``); any other payload
 goes through ``base64.b64decode(validate=True)`` and the length check, so
 errors are those of the strict decoder. Decoded values are read-only. The
 readers name ``data`` as ``read_jsonl``'s payload member, so a payload that
-ends its line, as ``write_embeddings`` writes it, arrives as a memoryview of
-the line and is never copied into a str.
+ends its line, as ``write_embeddings`` writes it, arrives as a read-only
+memoryview of the mapped file (of the line, for a pipe) and is never copied
+into a str.
 """
 
 from __future__ import annotations

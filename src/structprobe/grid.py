@@ -97,6 +97,8 @@ def load_manifest(path: str | Path, out_dir_override: str | None = None) -> Expe
             raise ValueError(f"ranks must be a list of integers, got {ranks!r}")
         ranks = tuple(ranks)
         train_doc = dict(doc.get("train", {}))
+        if "rank" in train_doc:  # every cell trains at a rank from ranks
+            raise ValueError('"train" has no "rank"; list the ranks in the top-level "ranks"')
         cfg = TrainConfig(**train_doc)
         for rank in ranks:
             replace(cfg, rank=rank)  # TrainConfig's own rule checks each rank

@@ -990,6 +990,27 @@ def test_grid_manifest_without_ranks_trains_at_the_default_rank(tmp_path):
     assert {r["rank"] for r in read_report_tsv(out_dir / "report.tsv")} == {rank}
 
 
+@pytest.mark.parametrize("with_ranks", [False, True], ids=["no-ranks", "ranks"])
+def test_grid_rank_inside_train_is_validation_error_before_any_decode(
+    tmp_path, monkeypatch, capsys, with_ranks
+):
+    paths = write_grid_inputs(tmp_path, n_trees=10)
+    mpath = write_manifest(tmp_path, paths, tmp_path / "run")
+    doc = json.loads(mpath.read_text())
+    doc["train"]["rank"] = 64
+    if not with_ranks:
+        del doc["ranks"]
+    mpath.write_text(json.dumps(doc))
+    decoded: list = []
+    monkeypatch.setattr(grid_mod, "read_embeddings", lambda path: decoded.append(path) or [])
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 1
+    err = capsys.readouterr().err
+    assert f'{mpath}: bad manifest: "train" has no "rank"; list the ranks in the top-level "ranks"' in err
+    assert "Traceback" not in err
+    assert decoded == []
+    assert not (tmp_path / "run").exists()
+
+
 def test_eval_exclude_deprels_with_a_depth_probe_is_validation_error(tmp_path, capsys):
     conll = tmp_path / "x.conll"
     conll.write_text(CONLL)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import mmap
 import re
 import stat
 
 import numpy as np
 import pytest
 
-from structprobe import io_utils
+from structprobe import embed_io, io_utils
 from structprobe.embed_io import EmbeddingSequence, read_embeddings, scan_embedding_headers, write_embeddings
 from structprobe.errors import DataError
 from structprobe.io_utils import atomic_write_text
@@ -146,3 +147,19 @@ def test_emb_payloads_are_not_json_scanned(tmp_path, monkeypatch):
     assert scan_embedding_headers(path) == [(s.id, 1, 4, 48) for s in seqs]
     assert [b.values.tobytes() for b in back] == [s.values.tobytes() for s in seqs]
     assert len(parsed) == 6 and max(parsed) < payload_chars
+
+
+@pytest.mark.skipif(not io_utils._MAP, reason="files are mapped from Python 3.11 on")
+def test_emb_payloads_reach_decode_as_views_of_one_mapping(tmp_path, monkeypatch):
+    seqs = [EmbeddingSequence(id=f"s{i}", layer=1, values=np.full((2, 8), i, np.float32)) for i in range(3)]
+    path = tmp_path / "e.jsonl"
+    write_embeddings(seqs, path)
+    payloads = []
+    decode = embed_io._decode
+    monkeypatch.setattr(embed_io, "_decode", lambda rec: payloads.append(rec["data"]) or decode(rec))
+    back = list(read_embeddings(path))
+    assert [b.values.tobytes() for b in back] == [s.values.tobytes() for s in seqs]
+    assert len(payloads) == 3
+    assert all(type(data) is memoryview and data.readonly for data in payloads)
+    assert type(payloads[0].obj) is mmap.mmap
+    assert all(data.obj is payloads[0].obj for data in payloads)

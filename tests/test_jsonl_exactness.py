@@ -11,18 +11,23 @@ member after the payload, and odd whitespace. The reference decodes the line
 itself: a lone surrogate in a test line stands for a byte that is not UTF-8.
 
 At the file level, ``read_jsonl`` reads bytes and splits lines at ``\\n``
-only. The reference is the text-mode reader it replaced, opened with
-``newline="\\n"`` so that a lone ``\\r`` does not end a line either; every
-reader of the package must give its items, or its DataError text.
+only, in place in a mapping of a regular file, or line by line from a FIFO
+or an empty file. The reference is the text-mode reader it replaced, opened
+with ``newline="\\n"`` so that a lone ``\\r`` does not end a line either;
+every reader of the package must give its items, or its DataError text, from
+either source.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
+import os
 import re
 import string
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -269,7 +274,7 @@ def _emb_text(n: int, m: int, seed: int, id_: str = "s") -> str:
     return json.dumps(rec, separators=(",", ":"), ensure_ascii=False)
 
 
-# one canonical record longer than read_jsonl's 1 MiB buffer
+# one canonical record longer than the 1 MiB buffer a pipe is read through
 BIG_EMB = _emb_text(3, 100_000, 0, "big").encode("ascii")
 LABELS = '{"id":"%s","n":2,"depths":[0,1],"distances":[[0,1],[1,0]],"root":0}'
 CAPTION = {
@@ -353,3 +358,110 @@ def test_a_lone_carriage_return_does_not_end_a_record(tmp_path):
         read_labels(path)
     path.write_bytes((LABELS % "a").encode() + b"\r\n\r\n" + (LABELS % "b").encode())
     assert [lab.id for lab in read_labels(path)] == ["a", "b"]
+
+
+# three good records of each reader's kind; the embedding ones hold BIG_EMB
+GOOD = {
+    "emb": [_emb_text(2, 3, 1, "a").encode(), BIG_EMB, _emb_text(1, 5, 2, "é").encode()],
+    "labels": [(LABELS % i).encode() for i in "abc"],
+    "grounding": [json.dumps(dict(CAPTION, sentence_id=i)).encode() for i in "abc"],
+}
+GOOD["scan"] = GOOD["emb"]
+# a bad record per kind; an embedding one fails after its payload became a view
+BAD = {
+    "emb": _emb_text(1, 2, 3, "bad").replace("f32le", "f64").encode(),
+    "labels": (LABELS % "bad").replace("[0,1]", "[0,-1]").encode(),
+    "grounding": json.dumps(dict(CAPTION, tokens=["a"])).encode(),
+}
+BAD["scan"] = BAD["emb"]
+PAYLOADS = {"emb": "data", "scan": "data", "labels": None, "grounding": None}
+SOURCES = ["file", "fifo"]
+
+
+@contextlib.contextmanager
+def served(tmp_path, data: bytes, source: str):
+    """A path that reads as ``data``: a regular file, or a FIFO a thread writes."""
+    if source == "file":
+        path = tmp_path / "f.jsonl"
+        path.write_bytes(data)
+        yield path
+        return
+    path = tmp_path / "f.fifo"
+    os.mkfifo(path)
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(path, "wb") as fh:
+            fh.write(data)
+
+    thread = threading.Thread(target=write, daemon=True)
+    thread.start()
+    try:
+        yield path
+    finally:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+
+
+def expected(tmp_path, data: bytes, kind: str, path: Path):
+    """What the text-mode reference reads from ``data`` in a regular file, errors naming ``path``."""
+    _, what, decode = READERS[kind]
+    ref = tmp_path / "ref.jsonl"
+    ref.write_bytes(data)
+    want = read_outcome(lambda: reference_read(ref, what, decode))
+    return want if want[0] == "items" else (*want[:2], want[2].replace(str(ref), str(path)))
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("kind", sorted(READERS))
+@pytest.mark.parametrize(
+    "case", ["records", "no-final-newline", "empty", "whitespace", "bad-after-good"]
+)
+def test_every_source_gives_the_reference_items(tmp_path, kind, source, case):
+    good = GOOD[kind]
+    data = {
+        "records": b"\n".join(good) + b"\n",
+        "no-final-newline": b"\r\n".join(good),
+        "empty": b"",
+        "whitespace": b" \n\t\r\n\x0c",
+        "bad-after-good": b"\n".join([*good, BAD[kind], good[0]]) + b"\n",
+    }[case]
+    read = READERS[kind][0]
+    with served(tmp_path, data, source) as path:
+        got = read_outcome(lambda: read(path))
+    assert got == expected(tmp_path, data, kind, path)
+    if case in ("empty", "whitespace"):
+        assert got == ("items", [])
+    elif case == "bad-after-good":
+        assert got[1] is DataError and got[2].startswith(f"{path}:4: bad ")
+    else:
+        assert len(got[1]) == 3
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_a_read_closed_after_one_item_stops_cleanly(tmp_path, kind, source):
+    _, what, decode = READERS[kind]
+    data = b"\n".join(GOOD[kind]) + b"\n"
+    with served(tmp_path, data, source) as path:
+        items = io_utils.read_jsonl(path, what, decode, PAYLOADS[kind])
+        first = next(items)
+        items.close()
+        with pytest.raises(StopIteration):
+            next(items)
+    assert summary(first) == expected(tmp_path, data, kind, path)[1][0]
+
+
+@pytest.mark.parametrize(
+    "error", [OSError(19, "No such device"), ValueError("cannot mmap")], ids=["oserror", "valueerror"]
+)
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_a_file_mmap_refuses_is_read_through_the_buffer(tmp_path, monkeypatch, kind, error):
+    def refuse(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(io_utils.mmap, "mmap", refuse)
+    data = b"\n".join(GOOD[kind]) + b"\n"
+    path = tmp_path / "f.jsonl"
+    path.write_bytes(data)
+    got = read_outcome(lambda: READERS[kind][0](path))
+    assert got == expected(tmp_path, data, kind, path) and len(got[1]) == 3
