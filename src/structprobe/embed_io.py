@@ -18,6 +18,16 @@ readers name ``data`` as ``read_jsonl``'s payload member, so a payload that
 ends its line, as ``write_embeddings`` writes it, arrives as a read-only
 memoryview of the mapped file (of the line, for a pipe or a file under
 64 KiB) and is never copied into a str.
+
+``read_embeddings`` reads a line that ends in a canonical payload, with its
+``"data":`` key in the first ``_HEAD_MAX`` bytes, through
+``_read_canonical``: the payload is found by a short forward search and
+scanned only by the kernel, whose acceptance proves the slice. Any other
+line (trailing whitespace, CRLF, a longer header, a payload that is not
+canonical or not last) goes through ``read_jsonl``'s line parser and
+``_decode`` and gives the same sequence or the same error.
+``scan_embedding_headers`` always takes the line parser, which never scans
+a payload that ends its line as JSON.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .io_utils import atomic_open, read_jsonl
+from .io_utils import atomic_open, read_jsonl, stub_record
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,9 +210,55 @@ def _decode(rec: dict) -> EmbeddingSequence:
     return EmbeddingSequence(id=seq_id, layer=layer, values=values)
 
 
+# how far into a line _read_canonical looks for the payload: past the header
+# that write_embeddings writes before it, for an id of up to about 950 bytes
+_HEAD_MAX = 1024
+
+
+def _read_canonical(buf, start: int, stop: int) -> EmbeddingSequence | None:
+    """The sequence of the line ``buf[start:stop]`` if its payload ends it and is canonical, else None.
+
+    The line, less one ``\\n``, must end in ``"}``. The payload's opening
+    quote ``p`` is the first quote after the first ``"data":`` in the line's
+    first ``_HEAD_MAX`` bytes. The stub up to ``p`` is parsed by ``_loads``'
+    rule (``stub_record``), whose plain-key pattern holds only if nothing but
+    JSON whitespace stands between that colon and ``p``, so the payload's
+    key is ``data``. The slice between ``p`` and the closing ``"}`` goes to
+    ``_decode_canonical``. A slice the kernel accepts is all base64 alphabet
+    and ``=``: it holds no quote, backslash, control or non-ASCII byte. So
+    ``p`` is the last quote before the closing one, the quote ``_loads``
+    finds by its backward search, its scans of the payload would pass, and
+    it would parse the same stub: ``_loads`` and ``_decode`` give this same
+    sequence, read-only values included. Never raises: a line that fails any
+    step, or whose header or values ``_decode`` would reject, is left to
+    them.
+    """
+    end = stop - (buf[stop - 1] == 0x0A) if stop > start else stop
+    if end - start < 2 or buf[end - 2 : end] != b'"}':
+        return None
+    bound = min(end - 2, start + _HEAD_MAX)
+    key = buf.find(b'"data":', start, bound)  # a key: a string value cannot hold an unescaped quote
+    p = buf.find(b'"', key + 7, bound) if key >= 0 else -1
+    stub = None if p < 0 else stub_record(buf, start, p)
+    if stub is None:
+        return None
+    try:
+        seq_id, layer, n, m = _header(stub[0])
+        values = _decode_canonical(memoryview(buf)[p + 1 : end - 2], n, m)
+        return None if values is None else EmbeddingSequence(id=seq_id, layer=layer, values=values)
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
+        return None
+
+
 def read_embeddings(path: str | Path) -> Iterator[EmbeddingSequence]:
-    """Lazily yield embedding sequences from an EMB-JSONL file."""
-    return read_jsonl(path, "embedding", _decode, payload="data")
+    """Lazily yield embedding sequences from an EMB-JSONL file.
+
+    A line whose canonical payload ends it, as ``write_embeddings`` writes
+    it, is read by ``_read_canonical``, which scans the payload only in the
+    base64 kernel; any other line goes through ``_loads`` and ``_decode`` and
+    gives the same sequence or the same error.
+    """
+    return read_jsonl(path, "embedding", _decode, payload="data", fast=_read_canonical)
 
 
 def write_embeddings(seqs: Iterable[EmbeddingSequence], path: str | Path) -> None:

@@ -36,6 +36,23 @@ _MAP = sys.version_info >= (3, 11)
 _MAP_MIN = 1 << 16
 
 
+def stub_record(buf: bytes | mmap.mmap, start: int, p: int) -> tuple[dict, str] | None:
+    """The record of the stub ``buf[start:p+1] + '"}'`` and the key of its last member, else None.
+
+    None unless the stub is UTF-8, its part up to the quote at ``p`` ends in
+    a plain ``{"key":"`` or ``,"key":"`` (``_LAST_KEY``) and ``json.loads``
+    parses it; the record's last member is then ``key`` with the value
+    ``""``. This is the stub step of ``_loads``' slice rule, which says when
+    the stub's record, with that value replaced, is the record of the line.
+    """
+    try:  # a UnicodeDecodeError is a ValueError too
+        head = buf[start : p + 1].decode("utf-8")
+        plain = _LAST_KEY.search(head)
+        return None if plain is None else (json.loads(head + '"}'), plain[1])
+    except (ValueError, RecursionError):
+        return None
+
+
 def _loads(
     buf: bytes | mmap.mmap, payload: str | None = None, start: int = 0, stop: int | None = None
 ) -> dict | None:
@@ -86,14 +103,10 @@ def _loads(
             # one min: a byte of 0x80 or more reads as a negative int8
             end - p == 3 or np.frombuffer(buf, np.int8, end - p - 3, p + 1).min() >= 0x20
         ):
-            try:  # a UnicodeDecodeError is a ValueError too
-                head = buf[start : p + 1].decode("utf-8")
-                plain = _LAST_KEY.search(head)
-                rec = None if plain is None else json.loads(head + '"}')
-            except (ValueError, RecursionError):
-                rec = None
-            if rec is not None:
-                key, value = plain[1], memoryview(buf)[p + 1 : end - 2]
+            stub = stub_record(buf, start, p)
+            if stub is not None:
+                rec, key = stub
+                value = memoryview(buf)[p + 1 : end - 2]
                 rec[key] = value if key == payload else str(value, "ascii")
                 return rec
     try:

@@ -156,8 +156,8 @@ def test_emb_payloads_reach_decode_as_views_of_one_mapping(tmp_path, monkeypatch
     write_embeddings(seqs, path)
     assert path.stat().st_size >= io_utils._MAP_MIN
     payloads = []
-    decode = embed_io._decode
-    monkeypatch.setattr(embed_io, "_decode", lambda rec: payloads.append(rec["data"]) or decode(rec))
+    kernel = embed_io._decode_canonical
+    monkeypatch.setattr(embed_io, "_decode_canonical", lambda data, *a: payloads.append(data) or kernel(data, *a))
     back = list(read_embeddings(path))
     assert [b.values.tobytes() for b in back] == [s.values.tobytes() for s in seqs]
     assert len(payloads) == 3

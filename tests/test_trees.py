@@ -249,6 +249,8 @@ def test_unit_distance_pairs_recover_the_tree():
 def test_labels_roundtrip(tmp_path):
     rng = np.random.default_rng(47)
     labels = [tree_labels(random_tree(int(rng.integers(1, 20)), rng), f"s{i}") for i in range(30)]
+    # an empty sequence is written as "distances":[] and read back as a 0-by-0 matrix
+    labels.append(TreeLabels(id="empty", distances=np.zeros((0, 0)), depths=[], root=None))
     path = tmp_path / "labels.jsonl"
     write_labels(labels, path)
     back = read_labels(path)
@@ -256,6 +258,7 @@ def test_labels_roundtrip(tmp_path):
     for a, b in zip(labels, back):
         assert a.id == b.id
         assert a.root == b.root
+        assert a.distances.shape == b.distances.shape
         assert np.array_equal(a.distances, b.distances)
         assert np.array_equal(a.depths, b.depths)
 
