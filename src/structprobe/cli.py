@@ -214,13 +214,7 @@ def cmd_eval(args) -> int:
             for tree, sid in zip(trees, ids)
         }
     pairs = _load_pairs(args.labels, args.emb)
-    report = evaluate_probe(
-        probe,
-        pairs,
-        tag=probe.meta.get("layer"),
-        excluded_tokens=excluded,
-        dspr_mode=args.dspr_mode,
-    )
+    report = evaluate_probe(probe, pairs, tag=probe.meta.get("layer"), excluded_tokens=excluded)
     write_report_tsv(report.tsv_rows(), args.out)
     if args.json:
         write_report_json(report, args.json)
@@ -333,7 +327,6 @@ def build_parser() -> CliParser:
         help="comma-separated relation labels to drop from attachment scoring",
     )
     p.add_argument("--conll", default=None, help="source of relation labels for exclusion")
-    p.add_argument("--dspr-mode", choices=["rows", "matrix"], default="rows")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("grid", help="run a manifest of cells")

@@ -7,40 +7,40 @@ base64 payload of little-endian float32 values in row-major order:
      "dtype": "f32le", "data": "<base64 of n*m*4 bytes>"}
 
 ``layer``, ``n`` and ``m`` are JSON integers; ``layer`` defaults to 0 and
-``n`` and ``m`` are at least 1. Header scans and decodes apply one rule.
-Values are stored in 32-bit floats; arithmetic on them is done in 64-bit.
+``n`` and ``m`` are at least 1. Header scans and decodes apply one rule
+(``_header``). Values are stored in 32-bit floats; arithmetic on them is
+done in 64-bit.
 
 A canonical payload, the strict base64 text of exactly ``n*m*4`` bytes, is
 decoded by a vectorised kernel (``_decode_canonical``); any other payload
 goes through ``base64.b64decode(validate=True)`` and the length check, so
-errors are those of the strict decoder. Decoded values are read-only. The
-readers name ``data`` as ``read_jsonl``'s payload member, so a payload that
-ends its line, as ``write_embeddings`` writes it, arrives as a read-only
-memoryview of the mapped file (of the line, for a pipe or a file under
-64 KiB) and is never copied into a str.
+errors are those of the strict decoder. Decoded values are read-only.
 
-``read_embeddings`` reads a line that ends in a canonical payload, with its
-``"data":`` key in the first ``_HEAD_MAX`` bytes, through
-``_read_canonical``: the payload is found by a short forward search and
-scanned only by the kernel, whose acceptance proves the slice. Any other
-line (trailing whitespace, CRLF, a longer header, a payload that is not
-canonical or not last) goes through ``read_jsonl``'s line parser and
-``_decode`` and gives the same sequence or the same error.
-``scan_embedding_headers`` always takes the line parser, which never scans
-a payload that ends its line as JSON.
+One rule slices a payload out of its line, so that neither reader parses it
+as JSON. ``_payload`` finds a payload that ends its line, as
+``write_embeddings`` writes it, and parses only the header before it; the
+line's record is then that header's with the payload as ``data``, once the
+payload is shown to hold no quote, backslash, control or non-ASCII byte.
+``read_embeddings`` shows that by the base64 kernel accepting the payload,
+read in place from the mapped file (``_read_canonical``), and
+``scan_embedding_headers`` by a byte range check and a backslash search
+(``_scan_header``). Any line a hook declines goes through
+``io_utils._loads`` and ``_decode`` or ``_header`` and gives the same
+sequence, header or error.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .io_utils import atomic_open, read_jsonl, stub_record
+from .io_utils import atomic_open, read_jsonl
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,44 +210,92 @@ def _decode(rec: dict) -> EmbeddingSequence:
     return EmbeddingSequence(id=seq_id, layer=layer, values=values)
 
 
-# how far into a line _read_canonical looks for the payload: past the header
-# that write_embeddings writes before it, for an id of up to about 950 bytes
+# the ASCII bytes that str.strip takes off the end of a line
+_SPACE = frozenset(b" \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f")
+# the payload's key and the quote that opens its value: {"data":" or
+# ,"data":" with JSON whitespace after the { or , and around the :
+_DATA_KEY = re.compile(rb'[{,][ \t\r]*"data"[ \t\r]*:[ \t\r]*"')
+# how far into a line _payload looks for the payload: past the header that
+# write_embeddings writes before it, for an id of up to about 950 bytes
 _HEAD_MAX = 1024
 
 
-def _read_canonical(buf, start: int, stop: int) -> EmbeddingSequence | None:
-    """The sequence of the line ``buf[start:stop]`` if its payload ends it and is canonical, else None.
+def _payload(buf, start: int, stop: int) -> tuple[EmbeddingHeader, int, int] | None:
+    """The header of the line ``buf[start:stop]`` and the span ``(a, b)`` of its payload, else None.
 
-    The line, less one ``\\n``, must end in ``"}``. The payload's opening
-    quote ``p`` is the first quote after the first ``"data":`` in the line's
-    first ``_HEAD_MAX`` bytes. The stub up to ``p`` is parsed by ``_loads``'
-    rule (``stub_record``), whose plain-key pattern holds only if nothing but
-    JSON whitespace stands between that colon and ``p``, so the payload's
-    key is ``data``. The slice between ``p`` and the closing ``"}`` goes to
-    ``_decode_canonical``. A slice the kernel accepts is all base64 alphabet
-    and ``=``: it holds no quote, backslash, control or non-ASCII byte. So
-    ``p`` is the last quote before the closing one, the quote ``_loads``
-    finds by its backward search, its scans of the payload would pass, and
-    it would parse the same stub: ``_loads`` and ``_decode`` give this same
-    sequence, read-only values included. Never raises: a line that fails any
-    step, or whose header or values ``_decode`` would reject, is left to
-    them.
+    The line, less the trailing ASCII whitespace that ``str.strip`` takes
+    off (so a CRLF line too), must end in ``"}``, whose quote is at ``b``.
+    The payload's opening quote ``p = a - 1`` ends the first ``_DATA_KEY``,
+    ``{"data":"`` or ``,"data":"`` with JSON whitespace allowed, in the
+    line's first ``_HEAD_MAX`` bytes. The stub ``buf[start:p+1] + '"}'``
+    must be UTF-8 and parse, and ``_header`` must accept its record (whose
+    ``data`` is ``""``). Never raises.
+
+    Why the slice is exact once a hook has shown that ``buf[a:b]`` holds no
+    quote, backslash, control or non-ASCII byte: a quote byte is never part
+    of a multi-byte UTF-8 character, so with the ASCII payload and tail the
+    line is UTF-8 exactly when the stub is, and ``p`` is the last quote
+    before ``b``. The stub and the line agree up to and including ``p``. Had
+    ``p`` closed a string, the stub would end in an unterminated string and
+    fail; so it opens one, and both give the same tokens but that string,
+    which the final ``}`` makes the value of the outermost object's last
+    member. Whitespace is no token, so the ``:`` before ``p`` is that
+    member's colon and ``"data"`` its key: the quote before ``data`` follows
+    ``{`` or ``,`` and whitespace, so no backslash escapes it. The payload,
+    free of escapes, decodes to its own bytes. So the line's record is the
+    stub's with ``data`` set to the payload, duplicate keys included (the
+    last member wins in both), and gives the same header; ``str.strip`` and
+    ``json.loads`` drop the same leading whitespace or reject the stub. Any
+    line that fails a step is left to ``_loads``, so errors are the same
+    too.
     """
-    end = stop - (buf[stop - 1] == 0x0A) if stop > start else stop
+    end = stop
+    while end > start and buf[end - 1] in _SPACE:
+        end -= 1
     if end - start < 2 or buf[end - 2 : end] != b'"}':
         return None
-    bound = min(end - 2, start + _HEAD_MAX)
-    key = buf.find(b'"data":', start, bound)  # a key: a string value cannot hold an unescaped quote
-    p = buf.find(b'"', key + 7, bound) if key >= 0 else -1
-    stub = None if p < 0 else stub_record(buf, start, p)
-    if stub is None:
+    key = _DATA_KEY.search(buf, start, min(end - 2, start + _HEAD_MAX))
+    if key is None:
         return None
-    try:
-        seq_id, layer, n, m = _header(stub[0])
-        values = _decode_canonical(memoryview(buf)[p + 1 : end - 2], n, m)
-        return None if values is None else EmbeddingSequence(id=seq_id, layer=layer, values=values)
+    a = key.end()
+    try:  # a UnicodeDecodeError is a ValueError too
+        return _header(json.loads(buf[start:a].decode("utf-8") + '"}')), a, end - 2
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
         return None
+
+
+def _read_canonical(buf, start: int, stop: int) -> EmbeddingSequence | None:
+    """The sequence of the line ``buf[start:stop]`` if ``_payload`` finds a canonical payload, else None.
+
+    The kernel accepting the payload proves the slice (``_payload``): all
+    it accepts is base64 alphabet and ``=``. The payload is read in place,
+    as a read-only view of the mapped file or of the line. So ``_decode``
+    would give this sequence, read-only values included, and the same
+    error for non-finite values.
+    """
+    found = _payload(buf, start, stop)
+    if found is None:
+        return None
+    (seq_id, layer, n, m), a, b = found
+    values = _decode_canonical(memoryview(buf)[a:b], n, m)
+    return None if values is None else EmbeddingSequence(id=seq_id, layer=layer, values=values)
+
+
+def _scan_header(buf, start: int, stop: int) -> EmbeddingHeader | None:
+    """The header of the line ``buf[start:stop]`` if ``_payload`` finds its payload and the slice holds, else None.
+
+    Two scans prove the slice (``_payload``): every payload byte is in
+    0x2B–0x7F, which leaves out quote, control and non-ASCII bytes, and
+    none is a backslash.
+    """
+    found = _payload(buf, start, stop)
+    if found is None:
+        return None
+    header, a, b = found
+    # one min: a byte of 0x80 or more reads as a negative int8
+    if a < b and (np.frombuffer(buf, np.int8, b - a, a).min() < 0x2B or buf.find(b"\\", a, b) >= 0):
+        return None
+    return header
 
 
 def read_embeddings(path: str | Path) -> Iterator[EmbeddingSequence]:
@@ -258,7 +306,7 @@ def read_embeddings(path: str | Path) -> Iterator[EmbeddingSequence]:
     base64 kernel; any other line goes through ``_loads`` and ``_decode`` and
     gives the same sequence or the same error.
     """
-    return read_jsonl(path, "embedding", _decode, payload="data", fast=_read_canonical)
+    return read_jsonl(path, "embedding", _decode, fast=_read_canonical)
 
 
 def write_embeddings(seqs: Iterable[EmbeddingSequence], path: str | Path) -> None:
@@ -278,5 +326,10 @@ def write_embeddings(seqs: Iterable[EmbeddingSequence], path: str | Path) -> Non
 
 
 def scan_embedding_headers(path: str | Path) -> list[EmbeddingHeader]:
-    """The header of each record, without decoding the payloads."""
-    return list(read_jsonl(path, "embedding", _header, payload="data"))
+    """The header of each record, without decoding the payloads.
+
+    A line whose payload ends it is read by ``_scan_header``, which parses
+    only the header; any other line goes through ``_loads`` and ``_header``
+    and gives the same header or the same error.
+    """
+    return list(read_jsonl(path, "embedding", _header, fast=_scan_header))

@@ -179,24 +179,15 @@ def root_accuracy(
     return sum(map(_root_hit, pred_depths, gold)) / len(gold)
 
 
-def distance_sequence_score(
-    pred: np.ndarray, gold: np.ndarray, mode: str = "rows"
-) -> tuple[float | None, int]:
+def distance_sequence_score(pred: np.ndarray, gold: np.ndarray) -> tuple[float | None, int]:
     """Per-sequence distance correlation and the count of undefined rows.
 
-    "rows" averages one correlation per node row; "matrix" correlates the
-    flattened upper triangles instead.
+    The score is the mean Spearman correlation of the node rows whose
+    correlation is defined, and None if none is.
     """
-    n = pred.shape[0]
-    if mode == "matrix":
-        iu = np.triu_indices(n, k=1)
-        score = spearman(pred[iu], gold[iu]) if n >= 2 else None
-        return score, (1 if score is None else 0)
-    if mode != "rows":
-        raise ValueError(f"unknown distance score mode {mode!r}")
     vals = []
     undefined = 0
-    for i in range(n):
+    for i in range(pred.shape[0]):
         rho = spearman(pred[i], gold[i])
         if rho is None:
             undefined += 1
@@ -243,7 +234,6 @@ def evaluate_probe(
     tag: int | str | None = None,
     rank: int | None = None,
     excluded_tokens: Mapping[str, Sequence[int]] | None = None,
-    dspr_mode: str = "rows",
 ) -> EvalReport:
     """Run a probe over a dataset and compute its task's metric suite."""
     if not dataset:
@@ -258,9 +248,7 @@ def evaluate_probe(
     for labels, seq in dataset:
         if distance:
             pred = predict_distances(probe, seq)
-            score, undefined = distance_sequence_score(
-                pred, labels.distances.astype(np.float64), mode=dspr_mode
-            )
+            score, undefined = distance_sequence_score(pred, labels.distances.astype(np.float64))
             correct, total = uuas_counts(pred, labels, excluded_tokens.get(labels.id, ()))
             record = {
                 "dspr": score,

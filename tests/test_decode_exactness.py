@@ -8,8 +8,8 @@ ways that must leave the kernel: characters outside the alphabet or ASCII,
 ``\\n``, ``=`` in the middle, a pad too few or too many, lengths off by 1 to
 4, and data that is not a string. Non-zero bits before the pads are drawn
 too; both decoders drop them. The kernel must give the same on a memoryview of
-a payload's bytes, the form in which ``read_jsonl`` hands over an ASCII line's
-payload, as on the str.
+a payload's bytes, the form in which ``_read_canonical`` hands over the
+payload that ends a line, as on the str.
 """
 
 from __future__ import annotations

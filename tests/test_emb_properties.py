@@ -1,16 +1,18 @@
-"""Properties: ``read_embeddings`` against a reference EMB-JSONL reader, line by line.
+"""Properties: both EMB-JSONL readers against a reference reader, line by line.
 
-A line whose canonical payload ends it is read by ``embed_io._read_canonical``,
-which finds the payload by a bounded forward search and lets the base64
-kernel prove the slice; every other line goes through ``io_utils._loads``.
-The reference parses each stripped line with ``json.loads``, applies the
-header rule and decodes the payload with strict ``base64.b64decode``. Lines
-are damaged in the ways that must send them off the fast path: a quote,
-backslash, control or non-ASCII character in the payload, duplicate
-``data`` keys, spaced separators, trailing whitespace and CRLF, ids that
-hold ``"data"`` or run past the search bound, a payload that is not last,
-bad padding or length, a line that does not end in ``"}``, and non-finite
-values. Files are read mapped and through the buffer.
+Both readers find a payload that ends its line by one locator
+(``embed_io._payload``). ``read_embeddings`` lets the base64 kernel prove the
+slice (``_read_canonical``) and ``scan_embedding_headers`` a byte range
+check and a backslash search (``_scan_header``); every other line goes
+through ``io_utils._loads``. The reference parses each stripped line with
+``json.loads`` and applies the header rule, and to read a sequence decodes
+the payload with strict ``base64.b64decode``. Lines are damaged in the ways
+that must send them off the hooks: a quote, backslash, control or non-ASCII
+character in the payload, duplicate ``data`` keys, spaced separators,
+trailing whitespace and CRLF, ids that hold ``"data"`` or run past the
+search bound, a payload that is not last, bad padding or length, a line
+that does not end in ``"}``, and non-finite values. Files are read mapped
+and through the buffer.
 """
 
 from __future__ import annotations
@@ -28,12 +30,28 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from structprobe import embed_io, io_utils
-from structprobe.embed_io import EmbeddingSequence, _header, read_embeddings, write_embeddings
+from structprobe.embed_io import (
+    EmbeddingSequence,
+    _header,
+    read_embeddings,
+    scan_embedding_headers,
+    write_embeddings,
+)
 from structprobe.errors import DataError
 
 
-def reference_read(path) -> list[EmbeddingSequence]:
-    """``json.loads`` of each stripped line, the header rule and strict base64."""
+def reference_decode(rec: dict) -> EmbeddingSequence:
+    """The header rule and strict base64."""
+    seq_id, layer, n, m = _header(rec)
+    blob = base64.b64decode(rec["data"], validate=True)
+    if len(blob) != n * m * 4:
+        raise ValueError(f"sequence {seq_id}: payload is {len(blob)} bytes, expected {n * m * 4}")
+    values = np.frombuffer(blob, dtype="<f4").reshape(n, m)
+    return EmbeddingSequence(id=seq_id, layer=layer, values=values)
+
+
+def reference_read(path, decode=reference_decode) -> list:
+    """``decode`` of ``json.loads`` of each stripped line."""
     out = []
     with open(path, encoding="utf-8", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -43,21 +61,21 @@ def reference_read(path) -> list[EmbeddingSequence]:
                 rec = json.loads(line.strip())
                 if not isinstance(rec, dict):
                     raise TypeError("not a JSON object")
-                seq_id, layer, n, m = _header(rec)
-                blob = base64.b64decode(rec["data"], validate=True)
-                if len(blob) != n * m * 4:
-                    raise ValueError(f"sequence {seq_id}: payload is {len(blob)} bytes, expected {n * m * 4}")
-                values = np.frombuffer(blob, dtype="<f4").reshape(n, m)
-                out.append(EmbeddingSequence(id=seq_id, layer=layer, values=values))
+                out.append(decode(rec))
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise DataError(f"{path}:{lineno}: bad embedding record: {exc}") from exc
     return out
 
 
+def reference_scan(path) -> list:
+    return reference_read(path, _header)
+
+
 def outcome(read, path):
-    """Each sequence's id, layer, value bytes, dtype, shape and writeable flag, or the error."""
+    """Each header, or each sequence's id, layer, value bytes, dtype, shape and writeable flag, or the error."""
     try:
         return [
+            tuple(s) if isinstance(s, tuple) else
             (s.id, s.layer, s.values.tobytes(), s.values.dtype.str, s.values.shape, s.values.flags.writeable)
             for s in read(path)
         ]
@@ -115,6 +133,7 @@ def test_read_embeddings_matches_the_reference_reader(tmp_path_factory, lines, e
     path.write_bytes(("\n".join(lines) + end).encode("utf-8"))
     with mock.patch.object(io_utils, "_MAP_MIN", 1 if mapped else 1 << 40):
         assert outcome(read_embeddings, path) == outcome(reference_read, path)
+        assert outcome(scan_embedding_headers, path) == outcome(reference_scan, path)
 
 
 @pytest.mark.parametrize("mapped", [True, False], ids=["mapped", "buffered"])
@@ -132,6 +151,7 @@ def test_lines_write_embeddings_writes_never_reach_loads(tmp_path, monkeypatch, 
     back = list(read_embeddings(path))
     assert [(b.id, b.layer, b.values.tobytes()) for b in back] == [(s.id, s.layer, s.values.tobytes()) for s in seqs]
     assert all(not b.values.flags.writeable for b in back)
+    assert scan_embedding_headers(path) == [(s.id, s.layer, s.n, s.m) for s in seqs]
 
 
 def test_an_id_past_the_search_bound_takes_the_full_parse(tmp_path, monkeypatch):
@@ -143,3 +163,4 @@ def test_an_id_past_the_search_bound_takes_the_full_parse(tmp_path, monkeypatch)
     monkeypatch.setattr(io_utils, "_loads", lambda *args: loads.append(args) or real(*args))
     (back,) = read_embeddings(path)
     assert back.id == seq.id and back.values.tobytes() == seq.values.tobytes() and len(loads) == 1
+    assert scan_embedding_headers(path) == [(seq.id, 0, 2, 3)] and len(loads) == 2

@@ -1,14 +1,18 @@
-"""Property: the JSON Lines record parser agrees with ``json.loads(line.strip())``.
+"""Properties: JSON Lines records and EMB-JSONL payload slices agree with ``json.loads(line.strip())``.
 
-``io_utils._loads`` reads the bytes of a line and parses a UTF-8 line whose
-last member is a plain string without scanning that string, with JSON
-whitespace allowed around that member's key and colon. Lines here are
-EMB-JSONL records with long payloads and compact, spaced or other whitespace
-separators, so the slice path is reached, damaged in the ways that must send
-it back to a full parse: quotes, backslashes, control and non-ASCII
-characters, bytes that are not UTF-8, structure characters, duplicate keys, a
-member after the payload, and odd whitespace. The reference decodes the line
-itself: a lone surrogate in a test line stands for a byte that is not UTF-8.
+``io_utils._loads`` parses the UTF-8 text of a line's bytes. The EMB-JSONL
+readers slice a payload that ends its line out of it instead
+(``embed_io._payload``) and parse only the header before it; the header
+scan's hook (``embed_io._scan_header``) proves the slice by scanning the
+payload's bytes. Lines here are EMB-JSONL records with long payloads and
+compact, spaced or other whitespace separators, so the slice is reached,
+damaged in the ways that must send a line back to a full parse: quotes,
+backslashes, control and non-ASCII characters, bytes that are not UTF-8,
+structure characters, duplicate keys, a member after the payload, and odd
+whitespace. The reference decodes the line itself: a lone surrogate in a
+test line stands for a byte that is not UTF-8. Lines exactly as
+``write_embeddings`` writes them, or with JSON whitespace, a non-ASCII id or
+CRLF, must reach ``json.loads`` only as their header in both readers.
 
 At the file level, ``read_jsonl`` reads bytes and splits lines at ``\\n``
 only, in place in a mapping of a regular file, or line by line from a FIFO
@@ -52,6 +56,8 @@ from structprobe.embed_io import (
     EmbeddingSequence,
     _decode,
     _header,
+    _payload,
+    _scan_header,
     read_embeddings,
     scan_embedding_headers,
 )
@@ -112,21 +118,27 @@ def reference(line: str):
     return rec
 
 
-def loads(line: str, payload: str | None = None):
-    """``_loads`` on the line's bytes, the value under ``payload`` read back as a str.
+def loads(line: str):
+    """``_loads`` on the line's bytes."""
+    return _loads(line.encode("utf-8", "surrogateescape"))
 
-    A memoryview ``_loads`` sets must be a read-only view of the line.
+
+def scan_slice(line: str):
+    """The header ``_scan_header`` reads from the line's bytes and the payload ``_payload`` slices.
+
+    A line the hook declines is parsed in full, as the header scan does.
     """
     raw = line.encode("utf-8", "surrogateescape")
-    rec = _loads(raw, payload)
-    if rec is not None and isinstance(rec.get(payload), memoryview):
-        assert rec[payload].obj is raw and rec[payload].readonly
-        rec[payload] = str(rec[payload], "ascii")
-    return rec
+    if _scan_header(raw, 0, len(raw)) is None:
+        rec = _loads(raw)
+        return _header(rec), rec["data"]
+    header, a, b = _payload(raw, 0, len(raw))
+    return header, raw[a:b].decode("ascii")
 
 
-def loads_bytes(line: str):
-    return loads(line, "data")
+def reference_slice(line: str):
+    rec = reference(line)
+    return _header(rec), rec["data"]
 
 
 @st.composite
@@ -183,7 +195,7 @@ def payload_damaged_lines(draw):
 @settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(emb_lines() | payload_damaged_lines())
 def test_byte_slice_rule_matches_json_loads_of_stripped_line(line):
-    assert outcome(loads_bytes, line) == outcome(reference, line)
+    assert outcome(scan_slice, line) == outcome(reference_slice, line)
 
 
 @pytest.mark.parametrize(
@@ -200,44 +212,60 @@ def test_byte_slice_rule_matches_json_loads_of_stripped_line(line):
         '{"data":"' + PAYLOAD + '\x1f"}',
         '\x0c{"data":"' + PAYLOAD + '"}\r\n',
         '{"id":"a\udc80","data":"' + PAYLOAD + '"}',
+        '{"data":""}\r\n',
     ],
     ids=[
         "escaped-quote-in-key", "escaped-key-after-real-one", "colon-key-after-comma-in-value",
         "nested-unclosed", "escape-in-key", "spaces-around-colon", "duplicate-key",
         "escape-in-value", "control-char-in-value", "form-feed", "not-utf8-before-value",
+        "empty-payload",
     ],
 )
 def test_loads_matches_json_loads_on_hand_picked_lines(line):
     assert outcome(loads, line) == outcome(reference, line)
-    assert outcome(loads_bytes, line) == outcome(reference, line)
+    # with a header the hook accepts, so that only the slice can send a line back
+    line = line.replace("{", '{"id":"h","n":1,"m":768,"dtype":"f32le",', 1)
+    assert outcome(scan_slice, line) == outcome(reference_slice, line)
+
+
+def assert_only_headers_parsed(tmp_path, text: str, lines: int, payload_chars: int):
+    """Both EMB readers read ``text``, mapped and buffered, as the reference does, parsing only headers as JSON."""
+    path = tmp_path / "e.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    want = {
+        read: read_outcome(lambda: reference_read(path, "embedding", decode))
+        for read, decode in ((read_embeddings, _decode), (scan_embedding_headers, _header))
+    }
+    real_loads = json.loads
+    for map_min in (1, 1 << 40):
+        parsed = []
+        with mock.patch.object(io_utils, "_MAP_MIN", map_min), \
+                mock.patch.object(json, "loads", lambda text: parsed.append(len(text)) or real_loads(text)):
+            for read in want:
+                assert read_outcome(lambda: read(path)) == want[read]
+        assert len(parsed) == 2 * lines and max(parsed) < payload_chars
+
+
+def spaced(text: str, comma: str, colon: str) -> str:
+    return text.replace('","', '"' + comma + '"').replace('":', '"' + colon)
 
 
 @pytest.mark.parametrize(
     "trail", ["\n", "\r\n", " \x1c\x1f\n", "\x0b\x0c\t", ""],
     ids=["lf", "crlf", "x1c", "vt-ff-tab", "none"],
 )
-def test_byte_path_takes_a_canonical_line(trail):
-    raw = ('{"id":"a","n":1,"data":"' + PAYLOAD + '"}' + trail).encode("ascii")
-    rec = _loads(raw, "data")
-    assert isinstance(rec["data"], memoryview) and rec["data"].tobytes() == PAYLOAD.encode("ascii")
-    assert rec == dict(reference(raw.decode("ascii")), data=rec["data"])
-    assert _loads(raw)["data"] == PAYLOAD
+def test_byte_path_takes_a_canonical_line(tmp_path, trail):
+    sep = "" if trail.endswith("\n") else "\n"
+    text = sep.join(_emb_text(4, 48, i, id_) + trail for i, id_ in enumerate(["a", "é…"]))
+    assert_only_headers_parsed(tmp_path, text, 2, 4 * 48 * 4 * 4 // 3)
 
 
 @pytest.mark.parametrize("comma, colon", SEPARATORS[1:])
 @pytest.mark.parametrize("lead", ["", " ", "\t\r"])
-def test_both_paths_take_a_line_with_json_whitespace(monkeypatch, comma, colon, lead):
-    line = "{" + lead + '"id"' + colon + '"a"' + comma + '"data"' + colon + '"' + PAYLOAD + '"}\n'
-    want = reference(line)
-    raw = line.encode("ascii")
-    parsed = []
-    real_loads = io_utils.json.loads
-    monkeypatch.setattr(io_utils.json, "loads", lambda text: parsed.append(text) or real_loads(text))
-    rec = _loads(raw, "data")
-    assert isinstance(rec["data"], memoryview) and rec["data"].tobytes() == PAYLOAD.encode("ascii")
-    assert rec == dict(want, data=rec["data"])
-    assert _loads(raw) == want
-    assert len(parsed) == 2 and all(len(text) < len(PAYLOAD) for text in parsed)
+def test_both_paths_take_a_line_with_json_whitespace(tmp_path, comma, colon, lead):
+    lines = [spaced(_emb_text(4, 48, i, id_), comma, colon) for i, id_ in enumerate(["a", "é…"])]
+    text = "".join("{" + lead + line[1:] + "\n" for line in lines)
+    assert_only_headers_parsed(tmp_path, text, 2, 4 * 48 * 4 * 4 // 3)
 
 
 def reference_read(path, what: str, decode):
@@ -317,8 +345,7 @@ def record_line(draw, kind: str) -> bytes:
     if kind in ("emb", "scan"):
         n, m, seed = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(0, 9))
         text = _emb_text(n, m, seed, draw(IDS))
-        comma, colon = draw(st.sampled_from(SEPARATORS))  # compact, spaced or other whitespace
-        text = text.replace('","', '"' + comma + '"').replace('":', '"' + colon)
+        text = spaced(text, *draw(st.sampled_from(SEPARATORS)))  # compact, spaced or other whitespace
     elif kind == "labels":
         text = LABELS % draw(IDS)
     else:
@@ -395,7 +422,6 @@ BAD = {
     "grounding": json.dumps(dict(CAPTION, tokens=["a"])).encode(),
 }
 BAD["scan"] = BAD["emb"]
-PAYLOADS = {"emb": "data", "scan": "data", "labels": None, "grounding": None}
 SOURCES = ["file", "fifo"]
 
 
@@ -464,7 +490,7 @@ def test_a_read_closed_after_one_item_stops_cleanly(tmp_path, kind, source):
     _, what, decode = READERS[kind]
     data = b"\n".join(GOOD[kind]) + b"\n"
     with served(tmp_path, data, source) as path:
-        items = io_utils.read_jsonl(path, what, decode, PAYLOADS[kind])
+        items = io_utils.read_jsonl(path, what, decode)
         first = next(items)
         items.close()
         with pytest.raises(StopIteration):

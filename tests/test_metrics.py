@@ -257,12 +257,10 @@ def test_root_accuracy_rejects_visual_labels():
 def test_distance_sequence_score_modes():
     labels = tree_labels(random_tree(7, 11), "s")
     gold = labels.distances.astype(float)
-    rows_score, undef = distance_sequence_score(gold, gold, mode="rows")
+    rows_score, undef = distance_sequence_score(gold, gold)
     assert rows_score == pytest.approx(1.0) and undef == 0
-    mat_score, _ = distance_sequence_score(gold, gold, mode="matrix")
-    assert mat_score == pytest.approx(1.0)
     constant = np.zeros_like(gold)
-    none_score, undef = distance_sequence_score(constant, gold, mode="rows")
+    none_score, undef = distance_sequence_score(constant, gold)
     assert none_score is None and undef == 7
 
 
