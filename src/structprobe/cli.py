@@ -20,6 +20,7 @@ from .embed_io import read_embeddings, write_embeddings
 from .errors import DataError, StructProbeError, ValidationError
 from .io_utils import atomic_write_text
 from .metrics import (
+    check_layer_tag,
     evaluate_probe,
     read_report_tsv,
     write_report_json,
@@ -134,7 +135,7 @@ def _train_config(args) -> TrainConfig:
             batch_size=args.batch,
             max_epochs=args.epochs,
             patience=args.patience,
-            rank=args.rank,
+            rank=getattr(args, "rank", TrainConfig.rank),  # sweep has --ranks instead
             lr=args.lr,
             optimizer=args.optimizer,
             seed=_effective_seed(args, TrainConfig.seed),
@@ -177,18 +178,11 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _train_config(args)
-    # each entry is a JSON integer, as in a grid manifest; TrainConfig's own
-    # rule checks each rank, before any input is read
+    # the items of a JSON list, under a grid manifest's rule for its ranks
     try:
-        ranks = [json.loads(r) for r in args.ranks.split(",") if r.strip()]
-        for rank in ranks:
-            dataclasses.replace(cfg, rank=rank)
+        ranks = grid_mod.rank_list(json.loads(f"[{args.ranks}]"))
     except ValueError as exc:
-        raise ValidationError(
-            f"bad --ranks {args.ranks!r}: not JSON integers of at least 1: {exc}"
-        ) from exc
-    if not ranks:
-        raise ValidationError(f"--ranks {args.ranks!r} names no rank")
+        raise ValidationError(f"bad --ranks {args.ranks!r}: {exc}") from exc
     train_pairs = _load_pairs(args.labels, args.emb)
     val_pairs = _load_pairs(args.val_labels, args.val_emb)
     layer = _emb_layer_tag(train_pairs)
@@ -200,6 +194,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_eval(args) -> int:
     probe = load_probe(args.probe)
+    layer = probe.meta.get("layer")
+    if layer is not None:
+        try:
+            check_layer_tag(layer)
+        except ValueError as exc:
+            raise DataError(f"{args.probe}: bad probe file: {exc}") from exc
     excluded = None
     if args.exclude_deprels:
         if probe.task != "distance":
@@ -214,7 +214,7 @@ def cmd_eval(args) -> int:
             for tree, sid in zip(trees, ids)
         }
     pairs = _load_pairs(args.labels, args.emb)
-    report = evaluate_probe(probe, pairs, tag=probe.meta.get("layer"), excluded_tokens=excluded)
+    report = evaluate_probe(probe, pairs, excluded_tokens=excluded)
     write_report_tsv(report.tsv_rows(), args.out)
     if args.json:
         write_report_json(report, args.json)
@@ -225,8 +225,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    if args.jobs < 1:
-        raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
     out_dir = os.environ.get("STRUCTPROBE_OUT_DIR")
     manifest = grid_mod.load_manifest(args.manifest, out_dir_override=out_dir)
     if args.global_seed is not None:
@@ -258,7 +256,6 @@ def _add_train_flags(p: CliParser) -> None:
     p.add_argument("--emb", required=True)
     p.add_argument("--val-labels", required=True)
     p.add_argument("--val-emb", required=True)
-    p.add_argument("--rank", type=int, default=TrainConfig.rank)
     p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
     p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
     p.add_argument("--patience", type=int, default=TrainConfig.patience)
@@ -306,12 +303,14 @@ def build_parser() -> CliParser:
 
     p = sub.add_parser("train", help="train one probe")
     _add_train_flags(p)
+    p.add_argument("--rank", type=int, default=TrainConfig.rank)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("sweep", help="train probes across ranks")
+    # no prefix matching, so a --rank is an unknown option and not --ranks
+    p = sub.add_parser("sweep", help="train probes across ranks", allow_abbrev=False)
     _add_train_flags(p)
-    p.add_argument("--ranks", required=True, help="comma-separated JSON integer ranks")
+    p.add_argument("--ranks", required=True, help="comma-separated distinct JSON integer ranks")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
@@ -351,6 +350,8 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     try:
+        if args.jobs < 1:
+            raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except StructProbeError as exc:
         print(f"structprobe: {exc}", file=sys.stderr)

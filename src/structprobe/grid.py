@@ -62,11 +62,22 @@ class ExperimentManifest:
 
 
 def _as_tag(value) -> int | str:
-    """A manifest's layer tag; ValueError unless the report TSV keeps it as it is."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)) or value == "":
-        raise ValueError(f"bad layer tag {value!r}")
+    """A manifest's layer tag: a report TSV's tag that can also name the cell's files."""
     check_layer_tag(value)
+    if value == "" or "/" in str(value):
+        raise ValueError(f"layer tag {value!r} cannot name a cell's files")
     return value
+
+
+def rank_list(ranks) -> tuple[int, ...]:
+    """The ranks of a sweep or grid: a non-empty list of distinct ranks TrainConfig takes."""
+    if not isinstance(ranks, list) or not ranks:
+        raise ValueError(f"ranks must be a non-empty list of integers, got {ranks!r}")
+    for rank in ranks:
+        TrainConfig(rank=rank)
+    if len(set(ranks)) != len(ranks):
+        raise ValueError(f"ranks must be distinct, got {ranks!r}")
+    return tuple(ranks)
 
 
 def load_manifest(path: str | Path, out_dir_override: str | None = None) -> ExperimentManifest:
@@ -92,16 +103,11 @@ def load_manifest(path: str | Path, out_dir_override: str | None = None) -> Expe
                     eval_emb=base / entry["eval_emb"],
                 )
             )
-        ranks = doc.get("ranks", [TrainConfig.rank])
-        if not isinstance(ranks, list):
-            raise ValueError(f"ranks must be a list of integers, got {ranks!r}")
-        ranks = tuple(ranks)
+        ranks = rank_list(doc.get("ranks", [TrainConfig.rank]))
         train_doc = dict(doc.get("train", {}))
         if "rank" in train_doc:  # every cell trains at a rank from ranks
             raise ValueError('"train" has no "rank"; list the ranks in the top-level "ranks"')
         cfg = TrainConfig(**train_doc)
-        for rank in ranks:
-            replace(cfg, rank=rank)  # TrainConfig's own rule checks each rank
         out_dir = Path(out_dir_override) if out_dir_override else base / doc["out_dir"]
         chart_metrics = doc.get("chart_metrics", list(TASK_METRICS[task]))
         if not isinstance(chart_metrics, list) or any(
@@ -126,8 +132,6 @@ def load_manifest(path: str | Path, out_dir_override: str | None = None) -> Expe
         raise ValidationError(f"{path}: bad manifest: {exc}") from exc
     if not manifest.cells:
         raise ValidationError(f"{path}: empty layer list")
-    if not manifest.ranks:
-        raise ValidationError(f"{path}: empty rank list")
     tags = [c.tag for c in manifest.cells]
     if len(set(tags)) != len(tags):
         raise ValidationError(f"{path}: duplicate layer tags {tags}")
@@ -200,7 +204,7 @@ def sweep_reports(
     """
     for rank in ranks:
         probe = train_probe(task, train, val, replace(cfg, rank=rank), layer=layer)
-        report = evaluate_probe(probe, val, tag=layer, rank=rank)
+        report = evaluate_probe(probe, val)
         report.aggregates["val_loss"] = probe.meta["val_loss"]
         yield report
 
@@ -245,7 +249,7 @@ def run_layer_grid(
                 cfg = replace(manifest.train, rank=rank)
                 probe = train_probe(manifest.task, train_pairs, val_pairs, cfg, layer=cell.tag)
                 save_probe(probe, manifest.out_dir / f"probe_{name}.json")
-                report = evaluate_probe(probe, eval_pairs, tag=cell.tag, rank=rank)
+                report = evaluate_probe(probe, eval_pairs)
                 write_report_json(report, manifest.out_dir / f"report_{name}.json")
                 outcomes.append(report)
             except Exception as exc:

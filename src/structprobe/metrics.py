@@ -231,15 +231,16 @@ class EvalReport:
 def evaluate_probe(
     probe: Probe,
     dataset: Sequence[Pair],
-    tag: int | str | None = None,
-    rank: int | None = None,
     excluded_tokens: Mapping[str, Sequence[int]] | None = None,
 ) -> EvalReport:
-    """Run a probe over a dataset and compute its task's metric suite."""
+    """Run a probe over a dataset and compute its task's metric suite.
+
+    The report's layer is the probe's ``meta["layer"]`` and its rank the probe's.
+    """
     if not dataset:
         raise ValueError("empty dataset")
     excluded_tokens = excluded_tokens or {}
-    report = EvalReport(task=probe.task, tag=tag, rank=rank if rank is not None else probe.rank)
+    report = EvalReport(task=probe.task, tag=probe.meta.get("layer"), rank=probe.rank)
     distance = probe.task == "distance"
     have_roots = all(labels.root is not None for labels, _ in dataset)
     scores: list[float | None] = []
@@ -288,12 +289,6 @@ def evaluate_probe(
     return report
 
 
-def _format_tsv_value(value: float | int | str) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _canonical_int(text: str) -> int | None:
     """The int whose canonical decimal text is ``text``, else None."""
     try:
@@ -303,16 +298,18 @@ def _canonical_int(text: str) -> int | None:
     return value if str(value) == text else None
 
 
-def check_layer_tag(tag: int | str) -> None:
-    """Raise ValueError unless a report TSV reads ``tag`` back as written.
+def check_layer_tag(tag) -> None:
+    """Raise ValueError unless ``tag``, an int or a string, reads back from a report TSV.
 
     A string tag may hold no tab, ``\\n`` or ``\\r``, which would end its field
     or line, and may not be an int's canonical text, which reads back as
     that int. ``""`` is the tag of a report with no layer. Nor may it hold a
-    character a chart's XML cannot hold (``chart.NOT_XML``).
+    character a chart's XML cannot hold (``chart.NOT_XML``). A bool is no int.
     """
-    if not isinstance(tag, str):
+    if isinstance(tag, int) and not isinstance(tag, bool):
         return
+    if not isinstance(tag, str):
+        raise ValueError(f"layer tag {tag!r} is neither an integer nor a string")
     if any(c in tag for c in "\t\n\r") or _canonical_int(tag) is not None:
         raise ValueError(f"layer tag {tag!r} does not read back from a report TSV")
     if NOT_XML.search(tag):
@@ -320,14 +317,14 @@ def check_layer_tag(tag: int | str) -> None:
 
 
 def write_report_tsv(rows: Iterable[dict], path: str | Path) -> None:
-    """Atomically write report rows as TSV; floats keep full round-trip precision.
+    """Atomically write report rows as TSV; ``str`` of a float round-trips it exactly.
 
     Each row's layer tag must pass ``check_layer_tag``.
     """
     lines = ["\t".join(REPORT_COLUMNS)]
     for row in rows:
         check_layer_tag(row["layer"])
-        lines.append("\t".join(_format_tsv_value(row[c]) for c in REPORT_COLUMNS))
+        lines.append("\t".join(str(row[c]) for c in REPORT_COLUMNS))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -341,12 +338,14 @@ def read_report_tsv(path: str | Path) -> list[dict]:
     with no whitespace or ``_`` that ``float`` reads, and the layer and metric
     hold no character a chart's XML cannot hold (``chart.NOT_XML``).
     """
+    # "\r\n" and a lone "\r" end a line as "\n" does; a layer tag may hold
+    # U+2028 and the other separators at which splitlines() would also break
+    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8: {exc.reason}") from exc
-    # read_text turns "\r\n" into "\n"; a layer tag may hold U+2028 and the
-    # other separators at which splitlines() would also break
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: not valid UTF-8: {exc.reason}") from exc
     lines = [(i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln]
     if not lines or lines[0][1].split("\t") != list(REPORT_COLUMNS):
         raise DataError(f"{path}: not a report TSV (bad header)")

@@ -312,15 +312,12 @@ def train_probe(
     best_loss = np.inf
     best_transform = transform.copy()
     best_epoch = 0
-    epochs_without_gain = 0
     history: list[float] = []
-    epochs_run = 0
 
     # overflow to inf is how divergence shows up; it is caught and raised
     # below rather than warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.max_epochs + 1):
-            epochs_run = epoch
             order = rng.permutation(len(train))
             for lo in range(0, len(order), cfg.batch_size):
                 chunk = order[lo : lo + cfg.batch_size]
@@ -336,10 +333,7 @@ def train_probe(
                 best_loss = val_loss
                 best_transform = transform.copy()
                 best_epoch = epoch
-                epochs_without_gain = 0
-            else:
-                epochs_without_gain += 1
-            if epochs_without_gain >= cfg.patience:
+            elif epoch - best_epoch >= cfg.patience:
                 break
 
     meta = {
@@ -347,7 +341,7 @@ def train_probe(
         "seed": cfg.seed,
         "optimizer": cfg.optimizer,
         "lr": cfg.lr,
-        "epochs_run": epochs_run,
+        "epochs_run": len(history),
         "best_epoch": best_epoch,
         "val_loss": float(best_loss),
         "val_history": [float(v) for v in history],

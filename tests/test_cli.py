@@ -22,7 +22,7 @@ from structprobe.embed_io import (
     write_embeddings,
 )
 from structprobe.metrics import read_report_tsv, write_report_tsv
-from structprobe.probe import TrainConfig, identity_probe, load_probe, save_probe
+from structprobe.probe import Probe, TrainConfig, identity_probe, load_probe, save_probe
 from structprobe.synth import oracle_dataset, oracle_embed_tree
 from structprobe.trees import read_conllu, read_labels, write_labels
 
@@ -255,10 +255,11 @@ def test_sweep_command(tmp_path):
     assert {r["metric"] for r in rows} >= {"nspr", "root_acc", "val_loss"}
 
 
-# the last five are not JSON integers, as a manifest's ranks must be; int()
-# read the first two of them as ranks 10 and 3
+# "1_0" to "4,1.0" are not JSON integers, as a manifest's ranks must be; int()
+# read the first two of them as ranks 10 and 3; "2,2" names a rank twice
 @pytest.mark.parametrize(
-    "ranks", ["0,2", "2.5", ",", " ", "2,-3", "4,x", "1_0", "\u0663", "1e2", "true", "4,1.0"]
+    "ranks",
+    ["0,2", "2.5", ",", " ", "2,-3", "4,x", "1_0", "\u0663", "1e2", "true", "4,1.0", "2,2"],
 )
 def test_sweep_bad_ranks_rejected_before_any_read(tmp_path, monkeypatch, capsys, ranks):
     from structprobe import cli
@@ -364,9 +365,17 @@ def test_overflowing_and_non_utf8_records_exit_two_without_traceback(tmp_path, c
     assert "Traceback" not in err
 
 
-def test_usage_error_exits_one():
+# sweep has no --rank, and takes no prefix of --ranks for it
+@pytest.mark.parametrize(
+    "argv",
+    [["train", "--task", "nonsense"],
+     ["sweep", "--task", "depth", "--labels", "l", "--emb", "e", "--val-labels", "l",
+      "--val-emb", "e", "--ranks", "2,4", "--rank", "4", "--out", "o"]],
+    ids=["bad-choice", "sweep-rank"],
+)
+def test_usage_error_exits_one(argv):
     with pytest.raises(SystemExit) as err:
-        main(["train", "--task", "nonsense"])
+        main(argv)
     assert err.value.code == 1
 
 
@@ -762,7 +771,8 @@ def test_grid_layer_with_mismatched_widths_fails_before_decode(tmp_path, monkeyp
      pytest.param("lr", "1" + "0" * 400, id="lr-int-beyond-float"), ("chart_metrics", '"dspr"'),
      ("chart_metrics", '["nspr"]'), ("chart_metrics", '["dspr", 1]'),
      ("chart_metrics", '[["dspr"]]'), ("chart_metrics", "null"), ("tag", '"a\\u000bb"'),
-     ("tag", '"a\\u0001b"'), ("tag", '"a\\ud800b"'), ("tag", '"a\\uffffb"')],
+     ("tag", '"a\\u0001b"'), ("tag", '"a\\ud800b"'), ("tag", '"a\\uffffb"'),
+     ("tag", '"rand/init"'), ("ranks", "[2, 2]")],
 )
 def test_grid_bad_manifest_value_is_validation_error_before_any_decode(
     tmp_path, monkeypatch, capsys, key, raw
@@ -1057,3 +1067,40 @@ def test_eval_option_error_comes_before_the_embeddings_are_read(tmp_path, capsys
                  "--emb", str(bad), "--out", str(tmp_path / "r.tsv"), "--exclude-deprels", "det"])
     assert code == 1
     assert "--exclude-deprels needs --conll" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layer", ["true", "1.5", "[1]", '"a\\tb"'])
+def test_eval_probe_whose_stored_layer_is_not_a_tag_exits_two_naming_it(
+    tmp_path, capsys, layer
+):
+    labels, emb = write_synth(tmp_path)
+    probe = tmp_path / "probe.json"
+    m = next(read_embeddings(emb)).m
+    save_probe(Probe(task="depth", transform=np.eye(m), meta={"layer": 0}), probe)
+    probe.write_text(probe.read_text().replace('"layer":0', f'"layer":{layer}'))
+    out, detail = tmp_path / "r.tsv", tmp_path / "r.json"
+    code = main(["--quiet", "eval", "--probe", str(probe), "--labels", str(labels),
+                 "--emb", str(emb), "--out", str(out), "--json", str(detail)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{probe}: bad probe file: layer tag" in err and "Traceback" not in err
+    assert not out.exists() and not detail.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["train", "--task", "depth", "--labels", "l", "--emb", "e", "--val-labels", "l",
+      "--val-emb", "e", "--out", "o"],
+     ["sweep", "--task", "depth", "--labels", "l", "--emb", "e", "--val-labels", "l",
+      "--val-emb", "e", "--ranks", "2", "--out", "o"],
+     ["eval", "--probe", "p", "--labels", "l", "--emb", "e", "--out", "o"],
+     ["synth", "--n-trees", "2", "--out-labels", "l", "--out-emb", "e"],
+     ["build-labels", "--conll", "c", "--out", "o"],
+     ["chart", "--report", "r", "--metric", "dspr", "--out", "o"]],
+    ids=lambda argv: argv[0],
+)
+def test_jobs_below_one_exits_one_for_every_subcommand(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--quiet", "--jobs", "0"] + argv) == 1
+    assert "--jobs must be at least 1, got 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -268,10 +268,10 @@ def test_evaluate_probe_on_exact_oracle():
     data = oracle_dataset(12, 5, 9, extra_dims=0, seed=6)
     pairs = data.pairs()
     m = pairs[0][1].m
-    dist = evaluate_probe(identity_probe("distance", m), pairs, tag=0, rank=m)
+    dist = evaluate_probe(identity_probe("distance", m), pairs)
     assert dist.aggregates["dspr"] == pytest.approx(1.0)
     assert dist.aggregates["uuas"] == pytest.approx(1.0)
-    depth = evaluate_probe(identity_probe("depth", m), pairs, tag=0, rank=m)
+    depth = evaluate_probe(identity_probe("depth", m), pairs)
     assert depth.aggregates["nspr"] == pytest.approx(1.0)
     assert depth.aggregates["root_acc"] == pytest.approx(1.0)
     assert depth.counters["zero_variance"] == 0
@@ -364,7 +364,7 @@ def test_report_tsv_layer_tags_read_back_as_written(tmp_path, tag):
     assert read_report_tsv(path) == rows
 
 
-@pytest.mark.parametrize("tag", ["a\tb", "a\nb", "a\rb", "7", "-3", "0"])
+@pytest.mark.parametrize("tag", ["a\tb", "a\nb", "a\rb", "7", "-3", "0", True, 1.5, None, [1]])
 def test_write_report_tsv_rejects_tags_that_do_not_read_back(tmp_path, tag):
     path = tmp_path / "r.tsv"
     row = {"layer": tag, "rank": 4, "task": "depth", "metric": "nspr", "value": 0.5, "n_sequences": 3}
@@ -373,10 +373,24 @@ def test_write_report_tsv_rejects_tags_that_do_not_read_back(tmp_path, tag):
     assert not path.exists()
 
 
-def test_read_report_tsv_non_utf8_is_data_error_naming_file(tmp_path):
+def test_write_report_tsv_writes_a_numpy_float_as_its_number(tmp_path):
     path = tmp_path / "r.tsv"
-    row = {"layer": "ab", "rank": 4, "task": "depth", "metric": "nspr", "value": 0.5, "n_sequences": 3}
-    write_report_tsv([row], path)
+    row = {"layer": 0, "rank": 4, "task": "depth", "metric": "nspr", "value": 0.1, "n_sequences": 3}
+    write_report_tsv([dict(row, value=np.float64(0.1))], path)
+    assert read_report_tsv(path) == [row]
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_read_report_tsv_non_utf8_is_data_error_naming_file(tmp_path, end):
+    path = tmp_path / "r.tsv"
+    rows = [
+        {"layer": 0, "rank": 4, "task": "depth", "metric": "nspr", "value": 0.5, "n_sequences": 3},
+        {"layer": "ab", "rank": 4, "task": "depth", "metric": "nspr", "value": 0.5, "n_sequences": 3},
+    ]
+    write_report_tsv(rows, path)
+    # CRLF and a lone CR end a line as LF does, in the rows and in the line count
+    path.write_bytes(path.read_bytes().replace(b"\n", end))
+    assert read_report_tsv(path) == rows
     path.write_bytes(path.read_bytes().replace(b"ab", b"a\xffb"))
-    with pytest.raises(DataError, match=re.escape(f"{path}: not valid UTF-8")):
+    with pytest.raises(DataError, match=re.escape(f"{path}:3: not valid UTF-8")):
         read_report_tsv(path)
