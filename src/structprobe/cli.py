@@ -228,10 +228,7 @@ def cmd_grid(args) -> int:
     out_dir = os.environ.get("STRUCTPROBE_OUT_DIR")
     manifest = grid_mod.load_manifest(args.manifest, out_dir_override=out_dir)
     if args.global_seed is not None:
-        try:
-            train = dataclasses.replace(manifest.train, seed=args.global_seed)
-        except ValueError as exc:
-            raise ValidationError(f"bad --seed: {exc}") from exc
+        train = dataclasses.replace(manifest.train, seed=args.global_seed)
         manifest = dataclasses.replace(manifest, train=train)
     reports, failures = grid_mod.run_layer_grid(manifest, jobs=args.jobs)
     log.info(
@@ -352,6 +349,8 @@ def main(argv=None) -> int:
     try:
         if args.jobs < 1:
             raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
+        if args.global_seed is not None and args.global_seed < 0:
+            raise ValidationError(f"--seed cannot be negative, got {args.global_seed}")
         return args.func(args)
     except StructProbeError as exc:
         print(f"structprobe: {exc}", file=sys.stderr)

@@ -1,15 +1,15 @@
 """Rank sweeps and layer grids: compose ``probe`` training with ``metrics`` scoring.
 
 A sweep trains and scores one probe per rank and stops at its first error.
-A grid's manifest (one JSON file) names the label files, one embedding file
-triple per layer or baseline tag, the ranks, and the training config. Every
-path must be a file, and each (labels, embeddings) pair must agree on ids
-and lengths, before any cell trains; a layer whose splits differ in width
-fails its cells without being decoded. Layers run in a bounded worker pool:
-each job decodes its layer's three embedding files once, then trains and
-evaluates one (layer, rank) cell per rank, and a failed cell does not stop
-the others. The aggregate TSV and charts are written once, atomically, in a
-deterministic order.
+A grid's manifest names a labels file per split, an embedding file per split
+for each layer or baseline tag, the ranks, and the training config; the
+types check their own rules, however they are built. Every path must be a
+file, and each (labels, embeddings) pair must agree on ids and lengths,
+before any cell trains; a layer whose splits differ in width fails its cells
+without being decoded. Layers run in a bounded worker pool: each job decodes
+its layer's embedding files once, then trains and evaluates one (layer, rank)
+cell per rank, and a failed cell does not stop the others. The aggregate TSV
+and charts are written once, atomically, in a deterministic order.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .chart import emit_chart
 from .embed_io import read_embeddings, scan_embedding_headers
@@ -37,51 +38,75 @@ from .trees import TreeLabels, read_labels
 
 log = logging.getLogger(__name__)
 
+SPLITS = ("train", "val", "eval")
+
+
+def _by_split(paths: Mapping[str, Path]) -> Mapping[str, Path]:
+    """The path of each of ``SPLITS``, in that order, as a read-only mapping."""
+    return MappingProxyType({split: paths[split] for split in SPLITS})
+
 
 @dataclass(frozen=True)
 class GridCell:
-    """One embedding source: a layer index or a baseline tag."""
+    """One embedding source: a layer index or a baseline tag, and its file per split."""
 
     tag: int | str
-    train_emb: Path
-    val_emb: Path
-    eval_emb: Path
+    emb: Mapping[str, Path]
+
+    def __post_init__(self):
+        check_layer_tag(self.tag)
+        if self.tag == "" or "/" in str(self.tag):
+            raise ValueError(f"layer tag {self.tag!r} cannot name a cell's files")
+        object.__setattr__(self, "emb", _by_split(self.emb))
 
 
 @dataclass(frozen=True)
 class ExperimentManifest:
+    """A grid: cells with distinct tags, distinct ranks and charts of the task's metrics."""
+
     task: str
-    train_labels: Path
-    val_labels: Path
-    eval_labels: Path
+    labels: Mapping[str, Path]
     cells: tuple[GridCell, ...]
     ranks: tuple[int, ...]
     train: TrainConfig
     out_dir: Path
-    chart_metrics: tuple[str, ...] = field(default_factory=tuple)
+    chart_metrics: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.task not in TASKS:
+            raise ValueError(f"unknown task {self.task!r}")
+        object.__setattr__(self, "labels", _by_split(self.labels))
+        object.__setattr__(self, "ranks", rank_list(self.ranks))
+        if not self.cells:
+            raise ValueError("empty layer list")
+        tags = [cell.tag for cell in self.cells]
+        if len(set(tags)) != len(tags):
+            raise ValueError(f"duplicate layer tags {tags}")
+        metrics = TASK_METRICS[self.task]
+        if any(metric not in metrics for metric in self.chart_metrics):
+            raise ValueError(
+                f"chart_metrics must be a list of {self.task} metrics "
+                f"{list(metrics)}, got {list(self.chart_metrics)!r}"
+            )
 
 
-def _as_tag(value) -> int | str:
-    """A manifest's layer tag: a report TSV's tag that can also name the cell's files."""
-    check_layer_tag(value)
-    if value == "" or "/" in str(value):
-        raise ValueError(f"layer tag {value!r} cannot name a cell's files")
-    return value
-
-
-def rank_list(ranks) -> tuple[int, ...]:
+def rank_list(ranks: Iterable[int]) -> tuple[int, ...]:
     """The ranks of a sweep or grid: a non-empty list of distinct ranks TrainConfig takes."""
-    if not isinstance(ranks, list) or not ranks:
-        raise ValueError(f"ranks must be a non-empty list of integers, got {ranks!r}")
+    ranks = tuple(ranks)
+    if not ranks:
+        raise ValueError("ranks must be a non-empty list of integers, got []")
     for rank in ranks:
         TrainConfig(rank=rank)
     if len(set(ranks)) != len(ranks):
-        raise ValueError(f"ranks must be distinct, got {ranks!r}")
-    return tuple(ranks)
+        raise ValueError(f"ranks must be distinct, got {list(ranks)!r}")
+    return ranks
 
 
 def load_manifest(path: str | Path, out_dir_override: str | None = None) -> ExperimentManifest:
-    """Parse and schema-check a manifest file; its relative paths are taken from its directory."""
+    """Map a manifest file onto ``ExperimentManifest`` and ``GridCell``, which check its rules.
+
+    Its relative paths are from its directory; a rejection is a ``ValidationError`` naming it.
+    """
     path = Path(path)
     base = path.parent
     try:
@@ -90,52 +115,31 @@ def load_manifest(path: str | Path, out_dir_override: str | None = None) -> Expe
         raise ValidationError(f"{path}: cannot read manifest: {exc}") from exc
     try:
         task = doc["task"]
-        if task not in TASKS:
-            raise ValidationError(f"{path}: unknown task {task!r}")
-        cells = []
-        entries = list(doc["layers"]) + list(doc.get("baselines", []))
-        for entry in entries:
-            cells.append(
-                GridCell(
-                    tag=_as_tag(entry["tag"]),
-                    train_emb=base / entry["train_emb"],
-                    val_emb=base / entry["val_emb"],
-                    eval_emb=base / entry["eval_emb"],
-                )
-            )
-        ranks = rank_list(doc.get("ranks", [TrainConfig.rank]))
+        cells = [
+            GridCell(tag=entry["tag"], emb={s: base / entry[f"{s}_emb"] for s in SPLITS})
+            for entry in list(doc["layers"]) + list(doc.get("baselines", []))
+        ]
+        ranks = doc.get("ranks", [TrainConfig.rank])
+        if not isinstance(ranks, list):
+            raise ValueError(f"ranks must be a list, got {ranks!r}")
         train_doc = dict(doc.get("train", {}))
         if "rank" in train_doc:  # every cell trains at a rank from ranks
             raise ValueError('"train" has no "rank"; list the ranks in the top-level "ranks"')
-        cfg = TrainConfig(**train_doc)
-        out_dir = Path(out_dir_override) if out_dir_override else base / doc["out_dir"]
-        chart_metrics = doc.get("chart_metrics", list(TASK_METRICS[task]))
-        if not isinstance(chart_metrics, list) or any(
-            metric not in TASK_METRICS[task] for metric in chart_metrics
-        ):
-            raise ValueError(
-                f"chart_metrics must be a list of {task} metrics "
-                f"{list(TASK_METRICS[task])}, got {chart_metrics!r}"
-            )
-        manifest = ExperimentManifest(
+        # an unknown task is the manifest's to reject; it has no default metrics
+        chart_metrics = doc.get("chart_metrics", list(TASK_METRICS[task]) if task in TASKS else [])
+        if not isinstance(chart_metrics, list):
+            raise ValueError(f"chart_metrics must be a list, got {chart_metrics!r}")
+        return ExperimentManifest(
             task=task,
-            train_labels=base / doc["train_labels"],
-            val_labels=base / doc["val_labels"],
-            eval_labels=base / doc["eval_labels"],
+            labels={s: base / doc[f"{s}_labels"] for s in SPLITS},
             cells=tuple(cells),
             ranks=ranks,
-            train=cfg,
-            out_dir=out_dir,
+            train=TrainConfig(**train_doc),
+            out_dir=Path(out_dir_override) if out_dir_override else base / doc["out_dir"],
             chart_metrics=tuple(chart_metrics),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: bad manifest: {exc}") from exc
-    if not manifest.cells:
-        raise ValidationError(f"{path}: empty layer list")
-    tags = [c.tag for c in manifest.cells]
-    if len(set(tags)) != len(tags):
-        raise ValidationError(f"{path}: duplicate layer tags {tags}")
-    return manifest
 
 
 def validate_manifest_data(
@@ -143,28 +147,20 @@ def validate_manifest_data(
 ) -> tuple[dict[str, list[TreeLabels]], dict[int | str, str]]:
     """Check every file and every (labels, embeddings) pairing up front.
 
-    Returns the labels of each split and, for each layer whose train, val
-    and eval records do not share one width m, why its cells will fail.
+    Returns the labels of each split and, for each layer whose splits do
+    not share one width m, why its cells will fail.
     """
     split_labels = {}
     width_errors = {}
-    for name, lpath in (
-        ("train", manifest.train_labels),
-        ("val", manifest.val_labels),
-        ("eval", manifest.eval_labels),
-    ):
+    for split, lpath in manifest.labels.items():
         if not lpath.is_file():
             raise ValidationError(f"labels file {lpath} is missing or not a file")
-        split_labels[name] = read_labels(lpath)
-        if not split_labels[name]:
+        split_labels[split] = read_labels(lpath)
+        if not split_labels[split]:
             raise ValidationError(f"{lpath}: no label records")
     for cell in manifest.cells:
         split_pairs = {}
-        for split, epath in (
-            ("train", cell.train_emb),
-            ("val", cell.val_emb),
-            ("eval", cell.eval_emb),
-        ):
+        for split, epath in cell.emb.items():
             if not epath.is_file():
                 raise ValidationError(
                     f"layer {cell.tag}: embeddings file {epath} is missing or not a file"
@@ -217,8 +213,8 @@ def sweep_ranks(
     task: str,
     layer: int | str | None = None,
 ) -> list[dict]:
-    """Train one probe per rank (shared seed) and tabulate validation metrics."""
-    reports = sweep_reports(ranks, train, val, cfg, task, layer)
+    """Train one probe per ``rank_list`` rank (shared seed) and tabulate validation metrics."""
+    reports = sweep_reports(rank_list(ranks), train, val, cfg, task, layer)
     return [{"rank": int(r.rank), **r.aggregates} for r in reports]
 
 
@@ -239,17 +235,20 @@ def run_layer_grid(
     def run_layer(cell: GridCell) -> list[EvalReport | Exception]:
         if cell.tag in width_errors:
             raise DataError(width_errors[cell.tag])
-        train_pairs = pair_records(split_labels["train"], read_embeddings(cell.train_emb))
-        val_pairs = pair_records(split_labels["val"], read_embeddings(cell.val_emb))
-        eval_pairs = pair_records(split_labels["eval"], read_embeddings(cell.eval_emb))
+        pairs = {
+            split: pair_records(split_labels[split], read_embeddings(epath))
+            for split, epath in cell.emb.items()
+        }
         outcomes: list[EvalReport | Exception] = []
         for rank in manifest.ranks:
             name = _cell_name(cell.tag, rank)
             try:
                 cfg = replace(manifest.train, rank=rank)
-                probe = train_probe(manifest.task, train_pairs, val_pairs, cfg, layer=cell.tag)
+                probe = train_probe(
+                    manifest.task, pairs["train"], pairs["val"], cfg, layer=cell.tag
+                )
                 save_probe(probe, manifest.out_dir / f"probe_{name}.json")
-                report = evaluate_probe(probe, eval_pairs)
+                report = evaluate_probe(probe, pairs["eval"])
                 write_report_json(report, manifest.out_dir / f"report_{name}.json")
                 outcomes.append(report)
             except Exception as exc:

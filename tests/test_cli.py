@@ -1104,3 +1104,52 @@ def test_jobs_below_one_exits_one_for_every_subcommand(tmp_path, monkeypatch, ca
     assert main(["--quiet", "--jobs", "0"] + argv) == 1
     assert "--jobs must be at least 1, got 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["eval", "chart", "build-labels", "scene-tree"])
+def test_negative_global_seed_exits_one_for_every_subcommand(tmp_path, capsys, command):
+    labels, emb = write_synth(tmp_path)
+    probe, report = tmp_path / "probe.json", tmp_path / "r.tsv"
+    conll, grounding = tmp_path / "x.conll", tmp_path / "g.jsonl"
+    save_probe(identity_probe("depth", next(read_embeddings(emb)).m), probe)
+    write_report_tsv(CHART_ROWS, report)
+    conll.write_text(CONLL)
+    grounding.write_text(json.dumps(GROUNDING) + "\n")
+    out = tmp_path / "out"
+    argv = {
+        "eval": ["--probe", str(probe), "--labels", str(labels), "--emb", str(emb)],
+        "chart": ["--report", str(report), "--metric", "nspr"],
+        "build-labels": ["--conll", str(conll)],
+        "scene-tree": ["--conll", str(conll), "--grounding", str(grounding)],
+    }[command] + ["--out", str(out)]
+    assert main(["--quiet", "--seed", "-1", command] + argv) == 1
+    err = capsys.readouterr().err
+    assert "--seed cannot be negative, got -1" in err and "Traceback" not in err
+    assert not out.exists()
+    # the same run at seed 0 writes its output: only the seed stopped it
+    assert main(["--quiet", "--seed", "0", command] + argv) == 0
+    assert out.exists()
+
+
+REPLACEMENTS = {
+    "ranks-twice": lambda m: dataclasses.replace(m, ranks=(2, 2)),
+    "no-ranks": lambda m: dataclasses.replace(m, ranks=()),
+    "tags-twice": lambda m: dataclasses.replace(m, cells=(m.cells[0], m.cells[0])),
+    "metric-of-another-task": lambda m: dataclasses.replace(m, chart_metrics=("nspr",)),
+    "tag-with-slash": lambda m: dataclasses.replace(m, cells=(
+        dataclasses.replace(m.cells[0], tag="a/b"), m.cells[1])),
+}
+
+
+@pytest.mark.parametrize("case", list(REPLACEMENTS))
+def test_a_replaced_manifest_follows_the_manifest_rules_before_any_training(
+    tmp_path, monkeypatch, case
+):
+    paths = write_grid_inputs(tmp_path, n_trees=10)
+    out_dir = tmp_path / "run"
+    manifest = grid_mod.load_manifest(write_manifest(tmp_path, paths, out_dir))
+    monkeypatch.setattr(grid_mod, "validate_manifest_data", lambda m: pytest.fail("grid entered"))
+    monkeypatch.setattr(grid_mod, "train_probe", lambda *a, **k: pytest.fail("a cell trained"))
+    with pytest.raises(ValueError):
+        grid_mod.run_layer_grid(REPLACEMENTS[case](manifest))
+    assert not out_dir.exists()

@@ -175,12 +175,6 @@ def emb_lines(draw):
     return lead + line + trail
 
 
-@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(emb_lines())
-def test_loads_matches_json_loads_of_stripped_line(line):
-    assert outcome(loads, line) == outcome(reference, line)
-
-
 @st.composite
 def payload_damaged_lines(draw):
     """An EMB line with one character written over or into its payload."""
@@ -213,12 +207,16 @@ def test_byte_slice_rule_matches_json_loads_of_stripped_line(line):
         '\x0c{"data":"' + PAYLOAD + '"}\r\n',
         '{"id":"a\udc80","data":"' + PAYLOAD + '"}',
         '{"data":""}\r\n',
+        '\ufeff{"data":"' + PAYLOAD + '"}\n',
+        '{"data":"' + PAYLOAD + '\udcff"}',
+        '[{"data":"' + PAYLOAD + '"}]',
+        " \x0c\r\n",
     ],
     ids=[
         "escaped-quote-in-key", "escaped-key-after-real-one", "colon-key-after-comma-in-value",
         "nested-unclosed", "escape-in-key", "spaces-around-colon", "duplicate-key",
         "escape-in-value", "control-char-in-value", "form-feed", "not-utf8-before-value",
-        "empty-payload",
+        "empty-payload", "bom", "not-utf8-in-value", "not-an-object", "blank",
     ],
 )
 def test_loads_matches_json_loads_on_hand_picked_lines(line):

@@ -296,7 +296,8 @@ def test_sweep_empty_rank_list():
 
     data = oracle_dataset(6, 4, 6, seed=14)
     pairs = data.pairs()
-    assert sweep_ranks([], pairs, pairs, TrainConfig(), "depth") == []
+    with pytest.raises(ValueError, match="non-empty"):
+        sweep_ranks([], pairs, pairs, TrainConfig(), "depth")
 
 
 def test_sweep_duplicate_ranks_give_identical_rows():
@@ -305,10 +306,12 @@ def test_sweep_duplicate_ranks_give_identical_rows():
     data = oracle_dataset(10, 4, 7, seed=15)
     pairs = data.pairs()
     cfg = TrainConfig(batch_size=4, max_epochs=2, patience=2, seed=5)
-    table = sweep_ranks([3, 3], pairs[:7], pairs[7:], cfg, "distance")
-    assert len(table) == 2
-    assert table[0] == table[1]
-    assert table[0]["rank"] == 3
+    tables = [sweep_ranks([3], pairs[:7], pairs[7:], cfg, "distance") for _ in range(2)]
+    assert tables[0] == tables[1]
+    assert [row["rank"] for row in tables[0]] == [3]
+    # a rank named twice follows the rule of sweep --ranks and a manifest's ranks
+    with pytest.raises(ValueError, match="distinct"):
+        sweep_ranks([3, 3], pairs[:7], pairs[7:], cfg, "distance")
 
 
 def test_probe_roundtrip(tmp_path):
