@@ -4,14 +4,7 @@ probes, and their metric suite, over externally supplied embeddings."""
 from .embed_io import AlignmentMap, EmbeddingSequence, align_wordpieces, read_embeddings, write_embeddings
 from .errors import DataError, StructProbeError, TrainingDiverged, ValidationError
 from .grid import sweep_ranks
-from .metrics import (
-    EvalReport,
-    evaluate_probe,
-    length_binned_spearman,
-    root_accuracy,
-    spearman,
-    uuas,
-)
+from .metrics import EvalReport, evaluate_probe, length_binned_spearman, spearman
 from .probe import (
     Probe,
     TrainConfig,
@@ -30,7 +23,6 @@ from .scenetree import (
     PhraseAnnotation,
     SceneTree,
     construct_scene_tree,
-    find_highest_node,
     visual_labels,
 )
 from .synth import OracleDataset, oracle_dataset, oracle_embed_tree, random_tree

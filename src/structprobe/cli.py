@@ -208,12 +208,21 @@ def cmd_eval(args) -> int:
             raise ValidationError("--exclude-deprels needs --conll to supply relation labels")
         wanted = {r.strip() for r in args.exclude_deprels.split(",") if r.strip()}
         trees = read_conllu(args.conll)
-        ids = _sentence_ids(trees)
+        tree_of = dict(zip(_sentence_ids(trees), trees))
         excluded = {
             sid: [i for i, rel in enumerate(tree.deprels or ()) if rel in wanted]
-            for tree, sid in zip(trees, ids)
+            for sid, tree in tree_of.items()
         }
     pairs = _load_pairs(args.labels, args.emb)
+    if excluded is not None:
+        # exclusions are token positions, so each labels id needs its own sentence
+        for labels, _ in pairs:
+            tree = tree_of.get(labels.id)
+            if tree is None or tree.n != labels.n:
+                found = "no sentence" if tree is None else f"a sentence of {tree.n} tokens"
+                raise DataError(
+                    f"{args.conll}: {found} for labels id {labels.id!r} of {labels.n} tokens"
+                )
     report = evaluate_probe(probe, pairs, excluded_tokens=excluded)
     write_report_tsv(report.tsv_rows(), args.out)
     if args.json:

@@ -73,13 +73,10 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float | None:
     return min(1.0, max(-1.0, rho))
 
 
-def length_binned_spearman(
+def _length_binned(
     scores: Sequence[float | None], lengths: Sequence[int]
-) -> float | None:
-    """Mean over per-length mean scores for lengths 5 to 50 inclusive.
-
-    Absent per-sequence scores are skipped; an empty range yields None.
-    """
+) -> tuple[float | None, int]:
+    """``length_binned_spearman``'s mean, and the number of scores it averages."""
     if len(scores) != len(lengths):
         raise ValueError("scores and lengths differ in length")
     bins: dict[int, list[float]] = {}
@@ -88,9 +85,19 @@ def length_binned_spearman(
             continue
         bins.setdefault(int(n), []).append(float(score))
     if not bins:
-        return None
+        return None, 0
     per_length = [sum(v) / len(v) for _, v in sorted(bins.items())]
-    return sum(per_length) / len(per_length)
+    return sum(per_length) / len(per_length), sum(map(len, bins.values()))
+
+
+def length_binned_spearman(
+    scores: Sequence[float | None], lengths: Sequence[int]
+) -> float | None:
+    """Mean over per-length mean scores for lengths 5 to 50 inclusive.
+
+    Absent per-sequence scores are skipped; an empty range yields None.
+    """
+    return _length_binned(scores, lengths)[0]
 
 
 def decode_mst_edges(
@@ -146,37 +153,6 @@ def uuas_counts(
         return (0, 0)
     pred_set = decode_mst_edges(np.asarray(pred_dist), kept)
     return (len(pred_set & gold_set), len(gold_set))
-
-
-def uuas(
-    pred_dist: np.ndarray, gold: TreeLabels, exclude: Sequence[int] = ()
-) -> float | None:
-    """Fraction of gold tree edges recovered by MST decoding."""
-    correct, total = uuas_counts(pred_dist, gold, exclude)
-    if total == 0:
-        return None
-    return correct / total
-
-
-def _root_hit(pred_depths: np.ndarray, gold: TreeLabels) -> bool:
-    return int(np.argmin(np.asarray(pred_depths))) == gold.root
-
-
-def root_accuracy(
-    pred_depths: Sequence[np.ndarray], gold: Sequence[TreeLabels]
-) -> float:
-    """Fraction of sequences whose predicted-depth argmin is the gold root."""
-    if len(pred_depths) != len(gold):
-        raise ValueError("prediction and label counts differ")
-    if not gold:
-        raise ValueError("no sequences")
-    for lab in gold:
-        if lab.root is None:
-            raise ValueError(
-                f"sequence {lab.id!r} has no root index; root accuracy only applies "
-                "to textual labels"
-            )
-    return sum(map(_root_hit, pred_depths, gold)) / len(gold)
 
 
 def distance_sequence_score(pred: np.ndarray, gold: np.ndarray) -> tuple[float | None, int]:
@@ -261,7 +237,7 @@ def evaluate_probe(
             pred = predict_depths(probe, seq)
             score = spearman(pred, labels.depths.astype(np.float64))
             undefined = int(score is None)
-            hit = _root_hit(pred, labels) if have_roots else None
+            hit = int(np.argmin(pred)) == labels.root if have_roots else None
             record = {"nspr": score, "root_correct": hit}
         zero_variance += undefined
         scores.append(score)
@@ -269,12 +245,7 @@ def evaluate_probe(
         report.records.append({"id": labels.id, "n": labels.n, **record})
 
     corr = "dspr" if distance else "nspr"
-    report.aggregates[corr] = length_binned_spearman(scores, lengths)
-    report.counters[f"n_{corr}"] = sum(
-        1
-        for s, n in zip(scores, lengths)
-        if s is not None and SPEARMAN_MIN_LEN <= n <= SPEARMAN_MAX_LEN
-    )
+    report.aggregates[corr], report.counters[f"n_{corr}"] = _length_binned(scores, lengths)
     if distance:
         total_edges = sum(r["uuas_total"] for r in report.records)
         report.aggregates["uuas"] = (

@@ -75,11 +75,6 @@ def _anchor(phrase: PhraseAnnotation, tree: DepTree, token_depths: Sequence[int]
     return min(span, key=lambda i: (token_depths[i], i))
 
 
-def find_highest_node(phrase: PhraseAnnotation, tree: DepTree) -> int:
-    """Token in the phrase span closest to the root; leftmost wins ties."""
-    return _anchor(phrase, tree, tree_depths(tree))
-
-
 def construct_scene_tree(
     tree: DepTree, phrases: Sequence[PhraseAnnotation], image_id: str
 ) -> SceneTree:
@@ -198,10 +193,17 @@ def _decode_caption(rec: dict) -> GroundedCaption:
             raise ValueError(f"phrase {p!r} is not a JSON object")
         if not p.get("region_ids"):
             continue
+        start, end = p["start"], p["end"]
+        # type(), not isinstance(): a bool is an int
+        if type(start) is not int or type(end) is not int:
+            raise ValueError(
+                f"phrase {p.get('phrase_id')!r}: start and end must be JSON integers, "
+                f"got {start!r} and {end!r}"
+            )
         ann = PhraseAnnotation(
             phrase_id=str(p["phrase_id"]),
-            start=int(p["start"]),
-            end=int(p["end"]),
+            start=start,
+            end=end,
             region_ids=tuple(str(r) for r in p["region_ids"]),
         )
         if ann.end > len(tokens):

@@ -1042,6 +1042,38 @@ def test_eval_exclude_deprels_with_a_depth_probe_is_validation_error(tmp_path, c
     assert not out.exists() and not detail.exists()
 
 
+@pytest.mark.parametrize(
+    "conll_text, found",
+    [
+        (CONLL.replace("# sent_id = c1", "# sent_id = zz"), "no sentence"),
+        (CONLL + "6\t.\t_\tPUNCT\t_\t_\t2\tpunct\t_\t_\n", "a sentence of 6 tokens"),
+    ],
+    ids=["other-id", "other-length"],
+)
+def test_eval_exclude_deprels_with_a_conll_that_does_not_match_the_labels_exits_two(
+    tmp_path, capsys, conll_text, found
+):
+    conll = tmp_path / "x.conll"
+    conll.write_text(CONLL)
+    labels = tmp_path / "labels.jsonl"
+    assert main(["--quiet", "build-labels", "--conll", str(conll), "--out", str(labels)]) == 0
+    (tree,) = read_conllu(conll)
+    emb = tmp_path / "emb.jsonl"
+    write_embeddings([oracle_embed_tree(tree, seq_id="c1")], emb)
+    probe_path = tmp_path / "probe.json"
+    save_probe(identity_probe("distance", 4), probe_path)
+    other = tmp_path / "other.conll"
+    other.write_text(conll_text)
+    out, detail = tmp_path / "report.tsv", tmp_path / "detail.json"
+    code = main(["--quiet", "eval", "--probe", str(probe_path), "--labels", str(labels),
+                 "--emb", str(emb), "--out", str(out), "--json", str(detail),
+                 "--exclude-deprels", "det", "--conll", str(other)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{other}: {found} for labels id 'c1' of 5 tokens" in err
+    assert not out.exists() and not detail.exists()
+
+
 def test_synth_labels_do_not_depend_on_noise_or_layer(tmp_path):
     outputs = []
     for noise, layer in (("0", "0"), ("0.1", "1")):

@@ -1,14 +1,18 @@
-"""Imports: the CLI loads no XML, mail or network stack, and the package's
-modules import one another without a cycle and without private names."""
+"""Imports: the CLI loads no XML, mail or network stack, the package's
+modules import one another without a cycle and without private names, and
+the package exports the README's "Library API" list."""
 
 from __future__ import annotations
 
 import ast
 import graphlib
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -82,3 +86,26 @@ def test_no_module_imports_another_modules_private_name():
         if name is not None and name.startswith("_")
     ]
     assert private == []
+
+
+def readme_library_api() -> list[str]:
+    """The names in backticks in the README's "Library API" section."""
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"`([A-Za-z_]\w*)`", section)
+
+
+def test_the_package_exports_exactly_the_readme_library_api():
+    import structprobe
+
+    exported = {
+        name for name, value in vars(structprobe).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    listed = readme_library_api()
+    assert len(listed) == len(set(listed))
+    assert set(listed) == exported
+    # removed copies of what evaluate_probe and construct_scene_tree compute
+    for module, name in (("metrics", "uuas"), ("metrics", "root_accuracy"),
+                         ("scenetree", "find_highest_node")):
+        assert not hasattr(importlib.import_module(f"structprobe.{module}"), name)

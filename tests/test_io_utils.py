@@ -27,6 +27,15 @@ CAPTION = {
 }
 
 
+# grounding span bounds that are no JSON integer: a float, a bool or a string
+SPAN_BOUNDS = [("start", 0.9), ("start", 0.0), ("start", True), ("start", "0"),
+               ("end", 2.0), ("end", True), ("end", "2")]
+
+
+def caption_line(**phrase_changes) -> str:
+    return json.dumps(dict(CAPTION, phrases=[dict(CAPTION["phrases"][0], **phrase_changes)]))
+
+
 def read_all(reader, path):
     return list(reader(path))
 
@@ -52,6 +61,7 @@ BAD_SECOND_LINE = [
     (read_labels, LABELS.replace('"depths":[0,1]', '"depths":[0,-1]')),
     (read_labels, LABELS.replace('"distances":[[0,1],[1,0]]', '"distances":[[0,-1],[-1,0]]')),
     (read_grounding, json.dumps(CAPTION).replace('"end": 2', '"end": 1e999')),
+    *[(read_grounding, caption_line(**{bound: value})) for bound, value in SPAN_BOUNDS],
     *[(reader, emb_line(layer=0).replace('"layer": 0', '"layer": 1e999')) for reader in EMB_READERS],
     (read_embeddings, emb_line(id=None)),
     *[(reader, emb_line(dtype="f64")) for reader in EMB_READERS],
@@ -71,6 +81,7 @@ GOOD_LINE = {read_labels: LABELS, read_grounding: json.dumps(CAPTION)}
         "labels-10**30", "labels-nested", "labels-root-1.5", "labels-scalar-depths",
         "labels-negative", "labels-negative-depth", "labels-negative-distance",
         "grounding-end-1e999",
+        *[f"grounding-{bound}-{json.dumps(value)}" for bound, value in SPAN_BOUNDS],
         "emb-layer-1e999", "scan-layer-1e999", "emb-no-id",
         "emb-f64", "scan-f64", "emb-negative-shape", "scan-negative-shape",
         "emb-n-1.9", "scan-n-1.9", "emb-n-true", "scan-n-true", "emb-layer-str", "scan-layer-str",

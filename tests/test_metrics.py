@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from structprobe import io_utils
-from structprobe.embed_io import write_embeddings
+from structprobe.embed_io import EmbeddingSequence, write_embeddings
 from structprobe.errors import DataError
 from structprobe.metrics import (
     EvalReport,
@@ -20,9 +20,8 @@ from structprobe.metrics import (
     evaluate_probe,
     gold_edges,
     length_binned_spearman,
-    root_accuracy,
     spearman,
-    uuas,
+    uuas_counts,
     read_report_tsv,
     write_report_json,
     write_report_tsv,
@@ -184,7 +183,7 @@ def test_uuas_gold_against_gold_is_one():
     rng = np.random.default_rng(4)
     for _ in range(50):
         labels = tree_labels(random_tree(int(rng.integers(2, 13)), rng), "s")
-        assert uuas(labels.distances.astype(float), labels) == pytest.approx(1.0)
+        assert uuas_counts(labels.distances.astype(float), labels) == (labels.n - 1, labels.n - 1)
 
 
 def test_uuas_two_thirds_case():
@@ -201,7 +200,7 @@ def test_uuas_two_thirds_case():
         w[a, b] = w[b, a] = 1.0
     _, best_edges = exhaustive_min_spanning_tree(w)
     assert best_edges == {(0, 1), (1, 2), (1, 3)}
-    assert uuas(w, chain) == pytest.approx(2.0 / 3.0)
+    assert uuas_counts(w, chain) == (2, 3)
 
 
 def test_uuas_two_nodes_always_one():
@@ -209,7 +208,7 @@ def test_uuas_two_nodes_always_one():
     rng = np.random.default_rng(5)
     w = np.zeros((2, 2))
     w[0, 1] = w[1, 0] = float(rng.uniform(0, 9))
-    assert uuas(w, labels) == pytest.approx(1.0)
+    assert uuas_counts(w, labels) == (1, 1)
 
 
 def test_uuas_exclusions_drop_tokens():
@@ -221,8 +220,8 @@ def test_uuas_exclusions_drop_tokens():
         root=0,
     )
     pred = chain.distances.astype(float)
-    assert uuas(pred, chain, exclude=[3]) == pytest.approx(1.0)
-    assert uuas(pred, chain, exclude=[0, 1, 2]) is None
+    assert uuas_counts(pred, chain, exclude=[3]) == (2, 2)
+    assert uuas_counts(pred, chain, exclude=[0, 1, 2]) == (0, 0)
 
 
 def test_gold_edges_extraction():
@@ -233,25 +232,50 @@ def test_gold_edges_extraction():
         assert labels.distances[a, b] == 1
 
 
-def test_root_accuracy_perfect_and_half():
-    labels = [
-        TreeLabels(id="a", distances=[[0, 1], [1, 0]], depths=[0, 1], root=0),
-        TreeLabels(id="b", distances=[[0, 1], [1, 0]], depths=[1, 0], root=1),
+def evaluate_depths(labels, predicted):
+    """``evaluate_probe`` of a one-column identity depth probe that predicts ``predicted``.
+
+    The probe's depth of a row ``h`` is ``h**2``, so rows of ``sqrt(d)`` predict depths ``d``.
+    """
+    pairs = [
+        (lab, EmbeddingSequence(id=lab.id, layer=0, values=np.sqrt(np.asarray(d, float))[:, None]))
+        for lab, d in zip(labels, predicted)
     ]
-    golds = [np.array([0.0, 1.0]), np.array([1.0, 0.0])]
-    assert root_accuracy(golds, labels) == pytest.approx(1.0)
-    assert root_accuracy([golds[0], np.array([0.0, 1.0])], labels) == pytest.approx(0.5)
+    return evaluate_probe(identity_probe("depth", 1), pairs)
+
+
+TWO_ROOTS = [
+    TreeLabels(id="a", distances=[[0, 1], [1, 0]], depths=[0, 1], root=0),
+    TreeLabels(id="b", distances=[[0, 1], [1, 0]], depths=[1, 0], root=1),
+]
+
+
+def test_root_accuracy_perfect_and_half():
+    perfect = evaluate_depths(TWO_ROOTS, [[0.0, 1.0], [1.0, 0.0]])
+    assert perfect.aggregates["root_acc"] == 1.0
+    assert perfect.counters["n_root_acc"] == 2
+    half = evaluate_depths(TWO_ROOTS, [[0.0, 1.0], [0.0, 1.0]])
+    assert [r["root_correct"] for r in half.records] == [True, False]
+    assert half.aggregates["root_acc"] == 0.5
 
 
 def test_root_accuracy_tie_goes_to_first_index():
-    labels = [TreeLabels(id="a", distances=[[0, 1], [1, 0]], depths=[0, 1], root=0)]
-    assert root_accuracy([np.zeros(2)], labels) == pytest.approx(1.0)
+    report = evaluate_depths(TWO_ROOTS, [np.zeros(2), np.zeros(2)])
+    assert [r["root_correct"] for r in report.records] == [True, False]
+    assert report.aggregates["root_acc"] == 0.5
 
 
-def test_root_accuracy_rejects_visual_labels():
-    labels = [TreeLabels(id="a", distances=[[0, 1], [1, 0]], depths=[0, 1], root=None)]
-    with pytest.raises(ValueError, match="root"):
-        root_accuracy([np.zeros(2)], labels)
+def test_evaluate_probe_on_visual_labels_reports_no_root_accuracy(tmp_path):
+    # a visual sequence has no root index: the full image is always position 0
+    star = [[0, 1, 1, 1, 1], [1, 0, 2, 2, 2], [1, 2, 0, 2, 2], [1, 2, 2, 0, 2], [1, 2, 2, 2, 0]]
+    labels = [TreeLabels(id="v", distances=star, depths=[0, 1, 1, 1, 1], root=None)]
+    report = evaluate_depths(labels, [[0.0, 1.0, 1.0, 1.0, 1.0]])
+    assert report.aggregates["nspr"] == pytest.approx(1.0)
+    assert report.aggregates["root_acc"] is None
+    assert report.counters["n_root_acc"] == 0
+    assert report.records[0]["root_correct"] is None
+    write_report_tsv(report.tsv_rows(), tmp_path / "report.tsv")
+    assert [row["metric"] for row in read_report_tsv(tmp_path / "report.tsv")] == ["nspr"]
 
 
 def test_distance_sequence_score_modes():

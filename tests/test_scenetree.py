@@ -14,7 +14,6 @@ from structprobe.errors import DataError
 from structprobe.scenetree import (
     PhraseAnnotation,
     construct_scene_tree,
-    find_highest_node,
     overlapping_phrase_pairs,
     read_grounding,
     region_sequence,
@@ -51,22 +50,24 @@ def test_hand_traced_fixture(case):
     assert list(scene.nodes[1:]) == [p["id"] for p in case["phrases"]]
 
 
-def test_find_highest_node_parent_dominates():
+def anchor_of(span, heads):
+    """The token a phrase over ``span`` anchors on, as the scene tree records it."""
+    phrase = PhraseAnnotation("p", *span, ("r",))
+    return construct_scene_tree(make_tree(heads), [phrase], "img").phrase_to_text["p"]
+
+
+def test_anchor_parent_dominates():
     # "a" attaches to "man"; the span covers both
-    tree = make_tree([1, ROOT])
-    phrase = PhraseAnnotation("p", 0, 2, ("r",))
-    assert find_highest_node(phrase, tree) == 1
+    assert anchor_of((0, 2), [1, ROOT]) == 1
 
 
-def test_find_highest_node_span_with_root():
-    tree = make_tree([ROOT, 0, 1])
-    assert find_highest_node(PhraseAnnotation("p", 0, 3, ("r",)), tree) == 0
+def test_anchor_span_with_root():
+    assert anchor_of((0, 3), [ROOT, 0, 1]) == 0
 
 
-def test_find_highest_node_leftmost_tie():
+def test_anchor_leftmost_tie():
     # siblings at depth 2 on positions 4 and 6; 5 is deeper
-    tree = make_tree([-1, 0, 1, 0, 1, 4, 3])
-    assert find_highest_node(PhraseAnnotation("p", 4, 7, ("r",)), tree) == 4
+    assert anchor_of((4, 7), [-1, 0, 1, 0, 1, 4, 3]) == 4
 
 
 def test_construct_scene_tree_computes_token_depths_once(monkeypatch):
@@ -86,10 +87,9 @@ def test_construct_scene_tree_computes_token_depths_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_find_highest_node_span_out_of_bounds():
-    tree = make_tree([ROOT, 0])
-    with pytest.raises(ValueError):
-        find_highest_node(PhraseAnnotation("p", 0, 5, ("r",)), tree)
+def test_anchor_span_out_of_bounds():
+    with pytest.raises(ValueError, match="span end 5 beyond sentence length 2"):
+        anchor_of((0, 5), [ROOT, 0])
 
 
 def test_phrase_annotation_rejects_empty_span_or_regions():

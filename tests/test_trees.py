@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from structprobe import trees as trees_mod
-from structprobe.scenetree import PhraseAnnotation, construct_scene_tree, find_highest_node
+from structprobe.scenetree import PhraseAnnotation, construct_scene_tree
 from structprobe.synth import oracle_embed_tree, random_tree
 from structprobe.trees import (
     ROOT,
@@ -292,7 +292,6 @@ def test_a_tree_is_walked_once_when_built(monkeypatch):
     tree_distances(tree)
     tree_depths(tree)
     tree_labels(tree, "s")
-    find_highest_node(phrase, tree)
     construct_scene_tree(tree, [phrase], "img")
     oracle_embed_tree(tree)
     assert len(calls) == 1
