@@ -145,8 +145,12 @@ def uuas_counts(
     gold: TreeLabels,
     exclude: Sequence[int] = (),
 ) -> tuple[int, int]:
-    """(recovered edges, gold edges), optionally dropping excluded tokens."""
-    excluded = set(exclude)
+    """(recovered edges, gold edges), optionally dropping excluded tokens.
+
+    A position at gold distance 0 from an earlier one (a region on the scene
+    node of an earlier region) is dropped as well, so each node counts once.
+    """
+    excluded = set(exclude).union(np.nonzero(np.triu(gold.distances == 0, k=1))[1].tolist())
     kept = [i for i in range(gold.n) if i not in excluded]
     gold_set = {(i, j) for i, j in gold_edges(gold) if i not in excluded and j not in excluded}
     if len(kept) < 2 or not gold_set:
@@ -218,9 +222,6 @@ def evaluate_probe(
     excluded_tokens = excluded_tokens or {}
     report = EvalReport(task=probe.task, tag=probe.meta.get("layer"), rank=probe.rank)
     distance = probe.task == "distance"
-    have_roots = all(labels.root is not None for labels, _ in dataset)
-    scores: list[float | None] = []
-    lengths: list[int] = []
     zero_variance = 0
     for labels, seq in dataset:
         if distance:
@@ -237,23 +238,22 @@ def evaluate_probe(
             pred = predict_depths(probe, seq)
             score = spearman(pred, labels.depths.astype(np.float64))
             undefined = int(score is None)
-            hit = int(np.argmin(pred)) == labels.root if have_roots else None
+            hit = None if labels.root is None else int(np.argmin(pred)) == labels.root
             record = {"nspr": score, "root_correct": hit}
         zero_variance += undefined
-        scores.append(score)
-        lengths.append(labels.n)
         report.records.append({"id": labels.id, "n": labels.n, **record})
 
+    records = report.records
     corr = "dspr" if distance else "nspr"
-    report.aggregates[corr], report.counters[f"n_{corr}"] = _length_binned(scores, lengths)
+    binned = _length_binned([r[corr] for r in records], [r["n"] for r in records])
+    report.aggregates[corr], report.counters[f"n_{corr}"] = binned
     if distance:
-        total_edges = sum(r["uuas_total"] for r in report.records)
-        report.aggregates["uuas"] = (
-            sum(r["uuas_correct"] for r in report.records) / total_edges if total_edges else None
-        )
-        report.counters["n_uuas"] = sum(1 for r in report.records if r["uuas_total"] > 0)
+        total_edges = sum(r["uuas_total"] for r in records)
+        correct_edges = sum(r["uuas_correct"] for r in records)
+        report.aggregates["uuas"] = correct_edges / total_edges if total_edges else None
+        report.counters["n_uuas"] = sum(1 for r in records if r["uuas_total"] > 0)
     else:
-        hits = [r["root_correct"] for r in report.records if have_roots]
+        hits = [r["root_correct"] for r in records if r["root_correct"] is not None]
         report.aggregates["root_acc"] = (sum(hits) / len(hits)) if hits else None
         report.counters["n_root_acc"] = len(hits)
     report.counters["zero_variance"] = zero_variance

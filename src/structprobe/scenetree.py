@@ -186,25 +186,32 @@ def overlapping_phrase_pairs(phrases: Sequence[PhraseAnnotation]) -> list[tuple[
 
 
 def _decode_caption(rec: dict) -> GroundedCaption:
+    if type(rec["tokens"]) is not list:
+        raise ValueError(f"tokens must be a JSON list, got {rec['tokens']!r}")
     tokens = tuple(str(t) for t in rec["tokens"])
     phrases = []
     for p in rec["phrases"]:
         if not isinstance(p, dict):
             raise ValueError(f"phrase {p!r} is not a JSON object")
-        if not p.get("region_ids"):
-            continue
-        start, end = p["start"], p["end"]
+        start, end, region_ids = p["start"], p["end"], p["region_ids"]
         # type(), not isinstance(): a bool is an int
         if type(start) is not int or type(end) is not int:
             raise ValueError(
                 f"phrase {p.get('phrase_id')!r}: start and end must be JSON integers, "
                 f"got {start!r} and {end!r}"
             )
+        if type(region_ids) is not list:
+            raise ValueError(
+                f"phrase {p.get('phrase_id')!r}: region_ids must be a JSON list, "
+                f"got {region_ids!r}"
+            )
+        if not region_ids:
+            continue
         ann = PhraseAnnotation(
             phrase_id=str(p["phrase_id"]),
             start=start,
             end=end,
-            region_ids=tuple(str(r) for r in p["region_ids"]),
+            region_ids=tuple(str(r) for r in region_ids),
         )
         if ann.end > len(tokens):
             raise ValueError(
@@ -223,8 +230,10 @@ def read_grounding(path: str | Path) -> Iterator[GroundedCaption]:
     """Read grounded captions from JSON Lines.
 
     Record shape: {"image_id", "sentence_id", "tokens", "phrases":
-    [{"phrase_id", "start", "end", "region_ids"}]}. Phrases without
-    region ids are dropped here, before any tree construction.
+    [{"phrase_id", "start", "end", "region_ids"}]}, where ``tokens`` and
+    each ``region_ids`` are JSON lists and every ``start`` and ``end`` a JSON
+    integer. Phrases without region ids are then dropped, before any tree
+    construction.
     """
     return read_jsonl(path, "grounding", _decode_caption)
 

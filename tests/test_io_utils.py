@@ -31,6 +31,9 @@ CAPTION = {
 SPAN_BOUNDS = [("start", 0.9), ("start", 0.0), ("start", True), ("start", "0"),
                ("end", 2.0), ("end", True), ("end", "2")]
 
+# region_ids that are no JSON list: each was read as regions, or its phrase dropped, before
+GROUNDING_NOT_LISTS = ["r12", {"r7": 1}, None]
+
 
 def caption_line(**phrase_changes) -> str:
     return json.dumps(dict(CAPTION, phrases=[dict(CAPTION["phrases"][0], **phrase_changes)]))
@@ -62,6 +65,10 @@ BAD_SECOND_LINE = [
     (read_labels, LABELS.replace('"distances":[[0,1],[1,0]]', '"distances":[[0,-1],[-1,0]]')),
     (read_grounding, json.dumps(CAPTION).replace('"end": 2', '"end": 1e999')),
     *[(read_grounding, caption_line(**{bound: value})) for bound, value in SPAN_BOUNDS],
+    # a phrase that names no region is dropped only after its bounds are checked
+    *[(read_grounding, caption_line(region_ids=[], **{bound: value})) for bound, value in SPAN_BOUNDS],
+    *[(read_grounding, caption_line(region_ids=value)) for value in GROUNDING_NOT_LISTS],
+    (read_grounding, json.dumps(dict(CAPTION, tokens="ab"))),
     *[(reader, emb_line(layer=0).replace('"layer": 0', '"layer": 1e999')) for reader in EMB_READERS],
     (read_embeddings, emb_line(id=None)),
     *[(reader, emb_line(dtype="f64")) for reader in EMB_READERS],
@@ -82,6 +89,9 @@ GOOD_LINE = {read_labels: LABELS, read_grounding: json.dumps(CAPTION)}
         "labels-negative", "labels-negative-depth", "labels-negative-distance",
         "grounding-end-1e999",
         *[f"grounding-{bound}-{json.dumps(value)}" for bound, value in SPAN_BOUNDS],
+        *[f"grounding-dropped-{bound}-{json.dumps(value)}" for bound, value in SPAN_BOUNDS],
+        *[f"grounding-region_ids-{json.dumps(value)}" for value in GROUNDING_NOT_LISTS],
+        "grounding-tokens-string",
         "emb-layer-1e999", "scan-layer-1e999", "emb-no-id",
         "emb-f64", "scan-f64", "emb-negative-shape", "scan-negative-shape",
         "emb-n-1.9", "scan-n-1.9", "emb-n-true", "scan-n-true", "emb-layer-str", "scan-layer-str",

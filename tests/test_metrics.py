@@ -278,6 +278,15 @@ def test_evaluate_probe_on_visual_labels_reports_no_root_accuracy(tmp_path):
     assert [row["metric"] for row in read_report_tsv(tmp_path / "report.tsv")] == ["nspr"]
 
 
+def test_root_accuracy_averages_the_sequences_whose_labels_have_a_root():
+    # a visual sequence beside a textual one leaves the textual root scored
+    visual = TreeLabels(id="v", distances=[[0, 1], [1, 0]], depths=[0, 1], root=None)
+    report = evaluate_depths([TWO_ROOTS[0], visual], [[0.0, 1.0], [0.0, 1.0]])
+    assert report.aggregates["root_acc"] == 1.0
+    assert report.counters["n_root_acc"] == 1
+    assert [r["root_correct"] for r in report.records] == [True, None]
+
+
 def test_distance_sequence_score_modes():
     labels = tree_labels(random_tree(7, 11), "s")
     gold = labels.distances.astype(float)

@@ -1,7 +1,8 @@
-"""Property tests of the length window that DSpr and NSpr average over."""
+"""Property tests of the report aggregates and of visual UUAS."""
 
 from __future__ import annotations
 
+import dataclasses
 import statistics
 
 import pytest
@@ -9,50 +10,125 @@ import pytest
 pytest.importorskip("hypothesis")
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from structprobe import metrics
 from structprobe.embed_io import EmbeddingSequence
-from structprobe.metrics import evaluate_probe, length_binned_spearman
+from structprobe.metrics import (
+    distance_sequence_score,
+    evaluate_probe,
+    length_binned_spearman,
+    uuas_counts,
+)
 from structprobe.probe import identity_probe
+from structprobe.scenetree import (
+    PhraseAnnotation,
+    construct_scene_tree,
+    region_sequence,
+    visual_labels,
+)
 from structprobe.synth import random_tree
-from structprobe.trees import tree_labels
+from structprobe.trees import ROOT, DepTree, tree_labels
 
 LABELS = {n: tree_labels(random_tree(n, n), f"s{n}") for n in range(1, 61)}
 SCORE = st.none() | st.floats(-1.0, 1.0)
+# one sequence: its length, its drawn correlation, whether its labels have a
+# root, and two edge counts whose smaller is read as recovered, larger as gold
+EDGES = st.integers(0, 5)
+SEQUENCE = st.tuples(st.integers(1, 60), SCORE, st.booleans(), EDGES, EDGES)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     task=st.sampled_from(["distance", "depth"]),
-    seqs=st.lists(st.tuples(st.integers(1, 60), SCORE), min_size=1, max_size=30),
+    seqs=st.lists(SEQUENCE, min_size=1, max_size=30),
 )
 def test_correlation_aggregate_and_count_follow_the_length_window(task, seqs):
-    lengths = [n for n, _ in seqs]
-    scores = [s for _, s in seqs]
+    lengths = [n for n, *_ in seqs]
+    scores = [s for _, s, *_ in seqs]
     pairs = [
-        (LABELS[n], EmbeddingSequence(id=f"s{n}", layer=0, values=np.zeros((n, 1))))
-        for n in lengths
+        (
+            LABELS[n] if rooted else dataclasses.replace(LABELS[n], root=None),
+            EmbeddingSequence(id=f"s{n}", layer=0, values=np.zeros((n, 1))),
+        )
+        for n, _, rooted, *_ in seqs
     ]
-    # evaluate_probe scores each sequence by the next drawn score
+    # evaluate_probe scores each sequence by the next drawn score and edge counts
     drawn = iter(scores)
+    edges = iter([(min(a, b), max(a, b)) for *_, a, b in seqs])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "spearman", lambda pred, gold: next(drawn))
         mp.setattr(metrics, "distance_sequence_score", lambda pred, gold: (next(drawn), 0))
-        mp.setattr(metrics, "uuas_counts", lambda pred, gold, exclude: (0, 0))
+        mp.setattr(metrics, "uuas_counts", lambda pred, gold, exclude: next(edges))
         report = evaluate_probe(identity_probe(task, 1), pairs)
     corr = "dspr" if task == "distance" else "nspr"
-
-    by_length: dict[int, list[float]] = {}
-    for n, s in seqs:
-        if s is not None and 5 <= n <= 50:
-            by_length.setdefault(n, []).append(s)
-    assert report.counters[f"n_{corr}"] == sum(map(len, by_length.values()))
+    records = report.records
+    assert [(r["n"], r[corr]) for r in records] == list(zip(lengths, scores))
     aggregate = report.aggregates[corr]
     assert aggregate == length_binned_spearman(scores, lengths)
+
+    # every aggregate and count follows from the records alone, by the README rules
+    by_length: dict[int, list[float]] = {}
+    for r in records:
+        if r[corr] is not None and 5 <= r["n"] <= 50:
+            by_length.setdefault(r["n"], []).append(r[corr])
+    assert report.counters[f"n_{corr}"] == sum(map(len, by_length.values()))
     if not by_length:
         assert aggregate is None
     else:
         means = [statistics.fmean(v) for v in by_length.values()]
         assert aggregate == pytest.approx(statistics.fmean(means), rel=1e-12, abs=1e-12)
+    if task == "distance":
+        total = sum(r["uuas_total"] for r in records)
+        correct = sum(r["uuas_correct"] for r in records)
+        assert report.aggregates["uuas"] == (correct / total if total else None)
+        assert report.counters["n_uuas"] == sum(1 for r in records if r["uuas_total"])
+    else:
+        has_root = [rooted for _, _, rooted, *_ in seqs]
+        assert [r["root_correct"] is not None for r in records] == has_root
+        hits = [r["root_correct"] for r in records if r["root_correct"] is not None]
+        assert report.aggregates["root_acc"] == (statistics.fmean(hits) if hits else None)
+        assert report.counters["n_root_acc"] == len(hits)
+
+
+REGIONS = [f"r{i}" for i in range(6)]
+
+
+@st.composite
+def captions(draw):
+    """A random dependency tree and grounded phrases over it.
+
+    Spans may nest or overlap, a phrase may name several regions, and a
+    region may be named by several phrases.
+    """
+    n = draw(st.integers(2, 12))
+    tree = random_tree(n, draw(st.integers(0, 2**32 - 1)))
+    phrases = []
+    for k in range(draw(st.integers(1, 5))):
+        start = draw(st.integers(0, n - 1))
+        end = draw(st.integers(start + 1, n))
+        named = draw(st.lists(st.sampled_from(REGIONS), min_size=1, max_size=3, unique=True))
+        phrases.append(PhraseAnnotation(f"p{k}", start, end, tuple(named)))
+    return tree, phrases
+
+
+# "two dogs chase a ball", with "two dogs" naming r1 and r2: one scene node, two regions
+TWO_DOGS = (
+    DepTree(tokens=("two", "dogs", "chase", "a", "ball"), heads=(1, 2, ROOT, 4, 2)),
+    [PhraseAnnotation("p1", 0, 2, ("r1", "r2")), PhraseAnnotation("p2", 3, 5, ("r3",))],
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(captions())
+@example(TWO_DOGS)
+def test_visual_gold_distances_score_uuas_and_dspr_one(caption):
+    tree, phrases = caption
+    scene = construct_scene_tree(tree, phrases, "img")
+    labels = visual_labels(scene, region_sequence(phrases), "v")
+    gold = labels.distances.astype(np.float64)
+    correct, total = uuas_counts(gold, labels)
+    assert correct == total
+    score, _ = distance_sequence_score(gold, gold)
+    assert score is None or score == pytest.approx(1.0, abs=1e-12)
