@@ -8,7 +8,6 @@ problem or a failed grid cell, 3 training divergence.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -96,15 +95,6 @@ def cmd_scene_tree(args) -> int:
     return 0
 
 
-def _effective_seed(args, default: int) -> int:
-    local = getattr(args, "seed", None)
-    if local is not None:
-        return local
-    if args.global_seed is not None:
-        return args.global_seed
-    return default
-
-
 def cmd_synth(args) -> int:
     try:
         data = oracle_dataset(
@@ -113,7 +103,7 @@ def cmd_synth(args) -> int:
             max_n=args.max_n,
             extra_dims=args.extra_dims,
             noise_sigma=args.noise,
-            seed=_effective_seed(args, 7),
+            seed=args.seed,
             layer=args.layer,
         )
     except ValueError as exc:
@@ -138,7 +128,7 @@ def _train_config(args) -> TrainConfig:
             rank=getattr(args, "rank", TrainConfig.rank),  # sweep has --ranks instead
             lr=args.lr,
             optimizer=args.optimizer,
-            seed=_effective_seed(args, TrainConfig.seed),
+            seed=args.seed,
         )
     except ValueError as exc:
         raise ValidationError(f"bad training options: {exc}") from exc
@@ -234,11 +224,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
     out_dir = os.environ.get("STRUCTPROBE_OUT_DIR")
     manifest = grid_mod.load_manifest(args.manifest, out_dir_override=out_dir)
-    if args.global_seed is not None:
-        train = dataclasses.replace(manifest.train, seed=args.global_seed)
-        manifest = dataclasses.replace(manifest, train=train)
     reports, failures = grid_mod.run_layer_grid(manifest, jobs=args.jobs)
     log.info(
         "grid finished: %d cell(s) succeeded, %d failed; outputs in %s",
@@ -267,20 +256,12 @@ def _add_train_flags(p: CliParser) -> None:
     p.add_argument("--patience", type=int, default=TrainConfig.patience)
     p.add_argument("--lr", type=float, default=TrainConfig.lr)
     p.add_argument("--optimizer", choices=["adam", "sgd"], default=TrainConfig.optimizer)
-    p.add_argument("--seed", type=int, default=None, help="wins over the global --seed")
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
 
 
 def build_parser() -> CliParser:
     parser = CliParser(prog="structprobe", description=__doc__)
     parser.add_argument("--quiet", action="store_true", help="only warnings and errors")
-    parser.add_argument("--jobs", type=int, default=1, help="number of grid layers trained at once")
-    parser.add_argument(
-        "--seed",
-        dest="global_seed",
-        type=int,
-        default=None,
-        help="seed of any subcommand not given its own --seed; replaces a grid manifest's seed",
-    )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=CliParser)
 
     p = sub.add_parser("build-labels", help="gold labels from CoNLL")
@@ -301,7 +282,7 @@ def build_parser() -> CliParser:
     p.add_argument("--max-n", type=int, default=50)
     p.add_argument("--extra-dims", type=int, default=16)
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=None, help="wins over the global --seed")
+    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--layer", type=int, default=0)
     p.add_argument("--out-labels", required=True)
     p.add_argument("--out-emb", required=True)
@@ -336,6 +317,7 @@ def build_parser() -> CliParser:
 
     p = sub.add_parser("grid", help="run a manifest of cells")
     p.add_argument("--manifest", required=True)
+    p.add_argument("--jobs", type=int, default=1, help="number of grid layers trained at once")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("chart", help="SVG chart from a report TSV")
@@ -356,10 +338,6 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     try:
-        if args.jobs < 1:
-            raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
-        if args.global_seed is not None and args.global_seed < 0:
-            raise ValidationError(f"--seed cannot be negative, got {args.global_seed}")
         return args.func(args)
     except StructProbeError as exc:
         print(f"structprobe: {exc}", file=sys.stderr)

@@ -6,7 +6,8 @@ base64 payload of little-endian float32 values in row-major order:
     {"id": str, "layer": int, "n": int, "m": int,
      "dtype": "f32le", "data": "<base64 of n*m*4 bytes>"}
 
-``layer``, ``n`` and ``m`` are JSON integers; ``layer`` defaults to 0 and
+``id`` is a JSON string or integer (``io_utils.record_id``); ``layer``,
+``n`` and ``m`` are JSON integers; ``layer`` defaults to 0 and
 ``n`` and ``m`` are at least 1. Header scans and decodes apply one rule
 (``_header``). Values are stored in 32-bit floats; arithmetic on them is
 done in 64-bit.
@@ -40,7 +41,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .io_utils import atomic_open, read_jsonl
+from .io_utils import atomic_open, read_jsonl, record_id
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +115,7 @@ class EmbeddingHeader(NamedTuple):
 
 def _header(rec: dict) -> EmbeddingHeader:
     """The header of a record; the rule both scan and decode apply."""
-    seq_id = str(rec["id"])
+    seq_id = record_id(rec["id"])
     layer, n, m = rec.get("layer", 0), rec["n"], rec["m"]
     for key, value in (("layer", layer), ("n", n), ("m", m)):
         if isinstance(value, bool) or not isinstance(value, int):

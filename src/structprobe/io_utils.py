@@ -1,9 +1,10 @@
-"""JSON Lines reading and atomic writing, shared by every file format.
+"""JSON Lines reading, ids and atomic writing, shared by every file format.
 
 Every line reads as ``json.loads(line.strip())`` of its UTF-8 text
-(``_loads``); this module knows no file format. A reader may pass
-``read_jsonl`` a ``fast`` hook that reads the lines its format writes in
-fewer steps and must give the same item, or the same error, as that rule.
+(``_loads``), and every id in a record by ``record_id``; this module
+knows no file format. A reader may pass ``read_jsonl`` a ``fast`` hook
+that reads the lines its format writes in fewer steps and must give the
+same item, or the same error, as that line rule.
 """
 
 from __future__ import annotations
@@ -119,6 +120,15 @@ def read_jsonl(
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise DataError(f"{path}:{lineno}: bad {what} record: {exc}") from exc
             yield item
+
+
+def record_id(value, what: str = "id") -> str:
+    """A record's id: a JSON string as it is, a JSON integer (not a bool) as its decimal text."""
+    if type(value) is str:
+        return value
+    if type(value) is int:
+        return str(value)
+    raise ValueError(f"{what} {value!r} is not a JSON string or integer")
 
 
 @contextlib.contextmanager

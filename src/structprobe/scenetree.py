@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .errors import DataError
-from .io_utils import read_jsonl
+from .io_utils import read_jsonl, record_id
 from .trees import ROOT, DepTree, TreeLabels, all_pairs_path_lengths, tree_depths
 
 log = logging.getLogger(__name__)
@@ -193,25 +193,25 @@ def _decode_caption(rec: dict) -> GroundedCaption:
     for p in rec["phrases"]:
         if not isinstance(p, dict):
             raise ValueError(f"phrase {p!r} is not a JSON object")
+        phrase_id = record_id(p["phrase_id"], "phrase_id")
         start, end, region_ids = p["start"], p["end"], p["region_ids"]
         # type(), not isinstance(): a bool is an int
         if type(start) is not int or type(end) is not int:
             raise ValueError(
-                f"phrase {p.get('phrase_id')!r}: start and end must be JSON integers, "
+                f"phrase {phrase_id!r}: start and end must be JSON integers, "
                 f"got {start!r} and {end!r}"
             )
         if type(region_ids) is not list:
             raise ValueError(
-                f"phrase {p.get('phrase_id')!r}: region_ids must be a JSON list, "
-                f"got {region_ids!r}"
+                f"phrase {phrase_id!r}: region_ids must be a JSON list, got {region_ids!r}"
             )
         if not region_ids:
             continue
         ann = PhraseAnnotation(
-            phrase_id=str(p["phrase_id"]),
+            phrase_id=phrase_id,
             start=start,
             end=end,
-            region_ids=tuple(str(r) for r in region_ids),
+            region_ids=tuple(record_id(r, "region id") for r in region_ids),
         )
         if ann.end > len(tokens):
             raise ValueError(
@@ -219,8 +219,8 @@ def _decode_caption(rec: dict) -> GroundedCaption:
             )
         phrases.append(ann)
     return GroundedCaption(
-        image_id=str(rec["image_id"]),
-        sentence_id=str(rec["sentence_id"]),
+        image_id=record_id(rec["image_id"], "image_id"),
+        sentence_id=record_id(rec["sentence_id"], "sentence_id"),
         tokens=tokens,
         phrases=tuple(phrases),
     )
@@ -231,8 +231,9 @@ def read_grounding(path: str | Path) -> Iterator[GroundedCaption]:
 
     Record shape: {"image_id", "sentence_id", "tokens", "phrases":
     [{"phrase_id", "start", "end", "region_ids"}]}, where ``tokens`` and
-    each ``region_ids`` are JSON lists and every ``start`` and ``end`` a JSON
-    integer. Phrases without region ids are then dropped, before any tree
+    each ``region_ids`` are JSON lists, every ``start`` and ``end`` a JSON
+    integer, and every id a JSON string or integer (``io_utils.record_id``).
+    Phrases without region ids are then dropped, before any tree
     construction.
     """
     return read_jsonl(path, "grounding", _decode_caption)

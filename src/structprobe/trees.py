@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
-from .io_utils import atomic_open, read_jsonl
+from .io_utils import atomic_open, read_jsonl, record_id
 
 ROOT = -1
 
@@ -465,7 +465,7 @@ def _decode_labels(rec: dict) -> TreeLabels:
     if isinstance(distances, list) and not distances:  # how JSON writes a 0-by-0 matrix
         distances = np.zeros((0, 0), np.int64)
     lab = TreeLabels(
-        id=str(rec["id"]),
+        id=record_id(rec["id"]),
         distances=distances,
         depths=rec["depths"],
         root=rec.get("root"),
@@ -535,6 +535,12 @@ def read_labels(path: str | Path) -> list[TreeLabels]:
 
     A line exactly as ``labels_record`` writes it is read by
     ``_exact_labels``; any other line by ``json.loads`` and gives the same
-    TreeLabels or the same error.
+    TreeLabels or the same error. An id named by two records is a DataError.
     """
-    return list(read_jsonl(path, "labels", _decode_labels, fast=_exact_labels))
+    labels = list(read_jsonl(path, "labels", _decode_labels, fast=_exact_labels))
+    seen: set[str] = set()
+    for lab in labels:
+        if lab.id in seen:
+            raise DataError(f"{path}: labels id {lab.id!r} is named by more than one record")
+        seen.add(lab.id)
+    return labels

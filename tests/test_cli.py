@@ -167,24 +167,26 @@ def test_synth_train_eval_pipeline(tmp_path):
     assert len(doc["sequences"]) == 60
 
 
-def test_train_seed_flag_wins_over_global(tmp_path):
+def test_train_seed_flag_seeds_the_probe(tmp_path):
     labels = tmp_path / "labels.jsonl"
     emb = tmp_path / "emb.jsonl"
     main(["--quiet", "synth", "--n-trees", "10", "--min-n", "4", "--max-n", "8",
           "--seed", "3", "--out-labels", str(labels), "--out-emb", str(emb)])
-    out_a = tmp_path / "a.json"
-    out_b = tmp_path / "b.json"
+    out_a, out_b, out_0 = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "0.json"
     base = ["--quiet", "train", "--task", "depth", "--labels", str(labels),
             "--emb", str(emb), "--val-labels", str(labels), "--val-emb", str(emb),
             "--rank", "4", "--epochs", "2", "--patience", "2"]
     assert main(base + ["--seed", "9", "--out", str(out_a)]) == 0
-    assert main(["--seed", "9"] + base[1:] + ["--out", str(out_b)]) == 0
-    a, b = load_probe(out_a), load_probe(out_b)
+    assert main(base + ["--seed", "9", "--out", str(out_b)]) == 0
+    assert main(base + ["--out", str(out_0)]) == 0
+    a, b, default = load_probe(out_a), load_probe(out_b), load_probe(out_0)
     assert np.array_equal(a.transform, b.transform)
     assert a.meta["seed"] == b.meta["seed"] == 9
+    assert default.meta["seed"] == 0
+    assert not np.array_equal(a.transform, default.transform)
 
 
-def test_train_seed_flag_wins_over_a_different_global_seed(tmp_path):
+def test_seed_before_the_subcommand_is_a_usage_error_and_writes_nothing(tmp_path):
     labels = tmp_path / "labels.jsonl"
     emb = tmp_path / "emb.jsonl"
     main(["--quiet", "synth", "--n-trees", "10", "--min-n", "4", "--max-n", "8",
@@ -192,12 +194,12 @@ def test_train_seed_flag_wins_over_a_different_global_seed(tmp_path):
     base = ["train", "--task", "depth", "--labels", str(labels), "--emb", str(emb),
             "--val-labels", str(labels), "--val-emb", str(emb),
             "--rank", "4", "--epochs", "2", "--patience", "2"]
-    out_local, out_both = tmp_path / "local.json", tmp_path / "both.json"
-    assert main(["--quiet"] + base + ["--seed", "9", "--out", str(out_local)]) == 0
-    assert main(["--quiet", "--seed", "5"] + base + ["--seed", "9", "--out", str(out_both)]) == 0
-    local, both = load_probe(out_local), load_probe(out_both)
-    assert both.meta["seed"] == 9
-    assert np.array_equal(local.transform, both.transform)
+    out = tmp_path / "both.json"
+    for argv in (["--seed", "5"] + base + ["--seed", "9"], ["--seed", "9"] + base):
+        with pytest.raises(SystemExit) as err:
+            main(["--quiet"] + argv + ["--out", str(out)])
+        assert err.value.code == 1
+        assert not out.exists()
 
 
 def test_sweep_counts_sequences_as_eval_does(tmp_path):
@@ -468,9 +470,12 @@ def test_grid_determinism_and_out_dir_override(tmp_path, monkeypatch):
     assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 0
     out_b = tmp_path / "run_b"
     monkeypatch.setenv("STRUCTPROBE_OUT_DIR", str(out_b))
-    assert main(["--quiet", "--jobs", "2", "grid", "--manifest", str(mpath)]) == 0
+    assert main(["--quiet", "grid", "--manifest", str(mpath), "--jobs", "2"]) == 0
     assert (out_a / "report.tsv").read_bytes() == (out_b / "report.tsv").read_bytes()
     assert (out_a / "chart_dspr.svg").read_bytes() == (out_b / "chart_dspr.svg").read_bytes()
+    # the manifest's train.seed is the one seed of every cell
+    for out_dir in (out_a, out_b):
+        assert load_probe(out_dir / "probe_layer1_rank6.json").meta["seed"] == 2
 
 
 def test_grid_resolves_relative_manifest_paths_against_the_manifest(tmp_path, monkeypatch):
@@ -718,8 +723,8 @@ def test_grid_jobs_below_one_rejected_before_the_manifest_is_read(
     read: list = []
     load = grid_mod.load_manifest
     monkeypatch.setattr(grid_mod, "load_manifest", lambda *a, **k: read.append(a) or load(*a, **k))
-    assert main(["--quiet", "--jobs", jobs, "grid", "--manifest", str(mpath)]) == 1
-    assert "--jobs" in capsys.readouterr().err
+    assert main(["--quiet", "grid", "--manifest", str(mpath), "--jobs", jobs]) == 1
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
     assert read == []
     assert not out_dir.exists()
     with pytest.raises(ValueError, match="jobs must be at least 1"):
@@ -848,10 +853,11 @@ def test_negative_seed_is_a_validation_error_for_train_and_grid(tmp_path, capsys
     assert "seed" in capsys.readouterr().err
 
     paths = write_grid_inputs(tmp_path, n_trees=10)
-    mpath = write_manifest(tmp_path, paths, tmp_path / "run")
-    assert main(["--quiet", "--seed", "-1", "grid", "--manifest", str(mpath)]) == 1
+    train = {"max_epochs": 1, "patience": 1, "seed": -1}
+    mpath = write_manifest(tmp_path, paths, tmp_path / "run", train=train)
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 1
     err = capsys.readouterr().err
-    assert "seed" in err and "Traceback" not in err
+    assert f"{mpath}: bad manifest: seed cannot be negative" in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
 
@@ -904,6 +910,38 @@ def test_grid_duplicate_embedding_id_is_validation_error_before_any_decode(
     assert f"{target}: duplicate embedding id" in err and "Traceback" not in err
     assert decoded == []
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "eval", "grid"])
+def test_a_labels_file_naming_an_id_twice_exits_two_and_writes_nothing(
+    tmp_path, monkeypatch, capsys, command
+):
+    if command == "grid":
+        paths = write_grid_inputs(tmp_path, n_trees=10)
+        labels, out = paths["eval_labels"], tmp_path / "run"
+        argv = ["--manifest", str(write_manifest(tmp_path, paths, out))]
+        monkeypatch.setattr(grid_mod, "train_probe", lambda *a, **k: pytest.fail("a cell trained"))
+    else:
+        labels, emb = write_synth(tmp_path)
+        probe, out = tmp_path / "probe.json", tmp_path / "out"
+        save_probe(identity_probe("depth", next(read_embeddings(emb)).m), probe)
+        argv = {
+            "train": ["--rank", "3"],
+            "sweep": ["--ranks", "3,4"],
+            "eval": ["--probe", str(probe), "--labels", str(labels), "--emb", str(emb)],
+        }[command] + ["--out", str(out)]
+        if command != "eval":
+            argv += ["--task", "depth", "--labels", str(labels), "--emb", str(emb),
+                     "--val-labels", str(labels), "--val-emb", str(emb), "--epochs", "1",
+                     "--patience", "1"]
+    first = labels.read_text().splitlines()[0]
+    with labels.open("a") as fh:
+        fh.write(first + "\n")
+    assert main(["--quiet", command] + argv) == 2
+    err = capsys.readouterr().err
+    named = f"{labels}: labels id {json.loads(first)['id']!r} is named by more than one record"
+    assert named in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["train_labels", "eval_emb"])
@@ -1119,27 +1157,54 @@ def test_eval_probe_whose_stored_layer_is_not_a_tag_exits_two_naming_it(
     assert not out.exists() and not detail.exists()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["train", "--task", "depth", "--labels", "l", "--emb", "e", "--val-labels", "l",
-      "--val-emb", "e", "--out", "o"],
-     ["sweep", "--task", "depth", "--labels", "l", "--emb", "e", "--val-labels", "l",
-      "--val-emb", "e", "--ranks", "2", "--out", "o"],
-     ["eval", "--probe", "p", "--labels", "l", "--emb", "e", "--out", "o"],
-     ["synth", "--n-trees", "2", "--out-labels", "l", "--out-emb", "e"],
-     ["build-labels", "--conll", "c", "--out", "o"],
-     ["chart", "--report", "r", "--metric", "dspr", "--out", "o"]],
-    ids=lambda argv: argv[0],
-)
-def test_jobs_below_one_exits_one_for_every_subcommand(tmp_path, monkeypatch, capsys, argv):
+# one command line per subcommand, and the flags among --seed and --jobs it reads
+SUBCOMMANDS = {
+    "train": (["--task", "depth", "--labels", "l", "--emb", "e", "--val-labels", "l",
+               "--val-emb", "e", "--out", "o"], {"--seed"}),
+    "sweep": (["--task", "depth", "--labels", "l", "--emb", "e", "--val-labels", "l",
+               "--val-emb", "e", "--ranks", "2", "--out", "o"], {"--seed"}),
+    "synth": (["--n-trees", "2", "--out-labels", "l", "--out-emb", "e"], {"--seed"}),
+    "grid": (["--manifest", "m"], {"--jobs"}),
+    "eval": (["--probe", "p", "--labels", "l", "--emb", "e", "--out", "o"], set()),
+    "build-labels": (["--conll", "c", "--out", "o"], set()),
+    "scene-tree": (["--conll", "c", "--grounding", "g", "--out", "o"], set()),
+    "chart": (["--report", "r", "--metric", "dspr", "--out", "o"], set()),
+}
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_a_subcommand_takes_only_the_seed_and_jobs_it_reads(tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
-    assert main(["--quiet", "--jobs", "0"] + argv) == 1
-    assert "--jobs must be at least 1, got 0" in capsys.readouterr().err
+    argv, reads = SUBCOMMANDS[command]
+    for flag in ("--seed", "--jobs"):
+        after = [command] + argv + [flag, "2"]
+        if flag in reads:
+            assert getattr(build_parser().parse_args(after), flag[2:]) == 2
+        # before the subcommand, no flag but --quiet is taken
+        for line in [[flag, "2", command] + argv] + ([] if flag in reads else [after]):
+            with pytest.raises(SystemExit) as err:
+                main(["--quiet"] + line)
+            assert err.value.code == 1
     assert list(tmp_path.iterdir()) == []
 
 
+def test_help_lists_each_flag_under_the_subcommand_that_reads_it(capsys):
+    def options(*argv):
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args([*argv, "--help"])
+        assert err.value.code == 0
+        text = capsys.readouterr().out.split("\noptions:\n", 1)[1]
+        return {word for word in text.split() if word.startswith("--")}
+
+    assert options() == {"--help", "--quiet"}
+    for command, (_, reads) in SUBCOMMANDS.items():
+        assert options(command) & {"--seed", "--jobs"} == reads
+
+
 @pytest.mark.parametrize("command", ["eval", "chart", "build-labels", "scene-tree"])
-def test_negative_global_seed_exits_one_for_every_subcommand(tmp_path, capsys, command):
+def test_seed_or_jobs_given_to_a_subcommand_that_reads_neither_writes_nothing(
+    tmp_path, capsys, command
+):
     labels, emb = write_synth(tmp_path)
     probe, report = tmp_path / "probe.json", tmp_path / "r.tsv"
     conll, grounding = tmp_path / "x.conll", tmp_path / "g.jsonl"
@@ -1154,12 +1219,15 @@ def test_negative_global_seed_exits_one_for_every_subcommand(tmp_path, capsys, c
         "build-labels": ["--conll", str(conll)],
         "scene-tree": ["--conll", str(conll), "--grounding", str(grounding)],
     }[command] + ["--out", str(out)]
-    assert main(["--quiet", "--seed", "-1", command] + argv) == 1
-    err = capsys.readouterr().err
-    assert "--seed cannot be negative, got -1" in err and "Traceback" not in err
-    assert not out.exists()
-    # the same run at seed 0 writes its output: only the seed stopped it
-    assert main(["--quiet", "--seed", "0", command] + argv) == 0
+    for line in (["--seed", "1", command] + argv, ["--jobs", "2", command] + argv,
+                 [command] + argv + ["--seed", "1"], [command] + argv + ["--jobs", "2"]):
+        with pytest.raises(SystemExit) as err:
+            main(["--quiet"] + line)
+        assert err.value.code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+    # the same run without the flag writes its output: only the flag stopped it
+    assert main(["--quiet", command] + argv) == 0
     assert out.exists()
 
 

@@ -34,6 +34,10 @@ SPAN_BOUNDS = [("start", 0.9), ("start", 0.0), ("start", True), ("start", "0"),
 # region_ids that are no JSON list: each was read as regions, or its phrase dropped, before
 GROUNDING_NOT_LISTS = ["r12", {"r7": 1}, None]
 
+# ids that are no JSON string or integer: each was read as its str() before
+NOT_IDS = [None, 1.5, True, ["a"], {"a": 1}]
+CAPTION_IDS = ["image_id", "sentence_id"]
+
 
 def caption_line(**phrase_changes) -> str:
     return json.dumps(dict(CAPTION, phrases=[dict(CAPTION["phrases"][0], **phrase_changes)]))
@@ -69,6 +73,14 @@ BAD_SECOND_LINE = [
     *[(read_grounding, caption_line(region_ids=[], **{bound: value})) for bound, value in SPAN_BOUNDS],
     *[(read_grounding, caption_line(region_ids=value)) for value in GROUNDING_NOT_LISTS],
     (read_grounding, json.dumps(dict(CAPTION, tokens="ab"))),
+    *[(read_labels, LABELS.replace('"id":"a"', f'"id":{json.dumps(value)}')) for value in NOT_IDS],
+    *[(reader, json.dumps(dict(EMB, id=value))) for value in NOT_IDS for reader in EMB_READERS],
+    *[(read_grounding, json.dumps(dict(CAPTION, **{key: value})))
+      for key in CAPTION_IDS for value in NOT_IDS],
+    *[(read_grounding, caption_line(phrase_id=value)) for value in NOT_IDS],
+    # a phrase that names no region is dropped only after its id is checked
+    (read_grounding, caption_line(phrase_id=None, region_ids=[])),
+    *[(read_grounding, caption_line(region_ids=["r1", value])) for value in NOT_IDS],
     *[(reader, emb_line(layer=0).replace('"layer": 0', '"layer": 1e999')) for reader in EMB_READERS],
     (read_embeddings, emb_line(id=None)),
     *[(reader, emb_line(dtype="f64")) for reader in EMB_READERS],
@@ -92,6 +104,12 @@ GOOD_LINE = {read_labels: LABELS, read_grounding: json.dumps(CAPTION)}
         *[f"grounding-dropped-{bound}-{json.dumps(value)}" for bound, value in SPAN_BOUNDS],
         *[f"grounding-region_ids-{json.dumps(value)}" for value in GROUNDING_NOT_LISTS],
         "grounding-tokens-string",
+        *[f"labels-id-{json.dumps(value)}" for value in NOT_IDS],
+        *[f"{kind}-id-{json.dumps(value)}" for value in NOT_IDS for kind in ("emb", "scan")],
+        *[f"grounding-{key}-{json.dumps(value)}" for key in CAPTION_IDS for value in NOT_IDS],
+        *[f"grounding-phrase_id-{json.dumps(value)}" for value in NOT_IDS],
+        "grounding-dropped-phrase_id-null",
+        *[f"grounding-region-id-{json.dumps(value)}" for value in NOT_IDS],
         "emb-layer-1e999", "scan-layer-1e999", "emb-no-id",
         "emb-f64", "scan-f64", "emb-negative-shape", "scan-negative-shape",
         "emb-n-1.9", "scan-n-1.9", "emb-n-true", "scan-n-true", "emb-layer-str", "scan-layer-str",
@@ -102,6 +120,20 @@ def test_bad_record_is_data_error_at_its_line(tmp_path, reader, bad):
     path.write_text(GOOD_LINE.get(reader, emb_line()) + "\n" + bad + "\n")
     with pytest.raises(DataError, match=re.escape(f"{path}:2: bad ")):
         read_all(reader, path)
+
+
+def test_an_integer_id_reads_as_its_decimal_text(tmp_path):
+    path = tmp_path / "f.jsonl"
+    path.write_text(LABELS.replace('"id":"a"', '"id":-12') + "\n")
+    assert [lab.id for lab in read_labels(path)] == ["-12"]
+    path.write_text(json.dumps(dict(EMB, id=10**20)) + "\n")
+    assert [seq.id for seq in read_embeddings(path)] == [str(10**20)]
+    assert [h.id for h in scan_embedding_headers(path)] == [str(10**20)]
+    path.write_text(json.dumps(dict(CAPTION, image_id=3, sentence_id=0, phrases=[
+        dict(CAPTION["phrases"][0], phrase_id=1, region_ids=[7, "7a"])])) + "\n")
+    (cap,) = read_grounding(path)
+    assert (cap.image_id, cap.sentence_id) == ("3", "0")
+    assert [(p.phrase_id, p.region_ids) for p in cap.phrases] == [("1", ("7", "7a"))]
 
 
 @pytest.mark.parametrize("reader", [read_labels, read_grounding, *EMB_READERS])

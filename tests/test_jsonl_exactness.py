@@ -288,6 +288,16 @@ def reference_read(path, what: str, decode):
             yield item
 
 
+def reference_labels(path):
+    """``reference_read`` of a labels file, which then names no id twice."""
+    labels = list(reference_read(path, "labels", _decode_labels))
+    ids = [lab.id for lab in labels]
+    for i, seq_id in enumerate(ids):
+        if seq_id in ids[:i]:
+            raise DataError(f"{path}: labels id {seq_id!r} is named by more than one record")
+    return labels
+
+
 READERS = {
     "emb": (read_embeddings, "embedding", _decode),
     "scan": (scan_embedding_headers, "embedding", _header),
@@ -392,7 +402,10 @@ def test_byte_reader_matches_text_reader_on_whole_files(case):
         path = Path(tmp) / "f.jsonl"
         path.write_bytes(data)
         got = read_outcome(lambda: read(path))
-        want = read_outcome(lambda: reference_read(path, what, decode))
+        if kind == "labels":
+            want = read_outcome(lambda: reference_labels(path))
+        else:
+            want = read_outcome(lambda: reference_read(path, what, decode))
     assert got == want
     assert got[0] == "items" or got[1] is DataError
 
@@ -599,7 +612,7 @@ def test_read_labels_matches_the_full_parse_on_canonical_lines_and_near_misses(d
         with mock.patch.object(io_utils, "_MAP_MIN", 1 if mapped else 1 << 62), \
                 mock.patch.object(trees_mod, "_EXACT_MIN", exact_min):
             got = read_outcome(lambda: read_labels(path))
-        want = read_outcome(lambda: reference_read(path, "labels", _decode_labels))
+        want = read_outcome(lambda: reference_labels(path))
     assert got == want
     assert got[0] == "items" or got[1] is DataError
 
@@ -625,15 +638,16 @@ def test_exact_labels_reads_back_every_plain_line_labels_record_writes(case):
 
 @pytest.mark.parametrize("n, exact", [(1, False), (9, False), (10, True), (40, True)])
 def test_read_labels_parses_a_plain_line_as_json_only_if_it_is_short(tmp_path, monkeypatch, n, exact):
-    lab = tree_labels(DepTree(tokens=("w",) * n, heads=[ROOT] + list(range(n - 1))), f"s{n}")
+    tree = DepTree(tokens=("w",) * n, heads=[ROOT] + list(range(n - 1)))
+    labs = [tree_labels(tree, f"s{n}{side}") for side in "ab"]
     path = tmp_path / "labels.jsonl"
-    write_labels([lab, lab], path)
+    write_labels(labs, path)
     assert (path.stat().st_size // 2 >= trees_mod._EXACT_MIN) == exact
     parsed = []
     real_loads = io_utils._loads
     monkeypatch.setattr(io_utils, "_loads", lambda *args: parsed.append(1) or real_loads(*args))
     back = read_labels(path)
-    assert [summary(b) for b in back] == [summary(lab)] * 2
+    assert [summary(b) for b in back] == [summary(lab) for lab in labs]
     assert len(parsed) == (0 if exact else 2)
 
 
