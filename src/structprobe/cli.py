@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 
 from . import chart as chart_mod
 from . import grid as grid_mod
 from .embed_io import read_embeddings, write_embeddings
 from .errors import DataError, StructProbeError, ValidationError
-from .io_utils import atomic_write_text
+from .io_utils import atomic_write_text, index_ids
 from .metrics import (
     check_layer_tag,
     evaluate_probe,
@@ -49,15 +48,17 @@ class CliParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _sentence_ids(trees) -> list[str]:
-    return [t.sent_id if t.sent_id is not None else f"s{i}" for i, t in enumerate(trees)]
+def _trees_by_id(path):
+    """A CoNLL file's sentences by id, ``# sent_id`` or else ``s<i>``; each id is named once."""
+    trees = read_conllu(path)
+    ids = (t.sent_id if t.sent_id is not None else f"s{i}" for i, t in enumerate(trees))
+    return index_ids(zip(ids, trees), "sentence", path)
 
 
 def cmd_build_labels(args) -> int:
-    trees = read_conllu(args.conll)
-    ids = _sentence_ids(trees)
-    write_labels((tree_labels(t, sid) for t, sid in zip(trees, ids)), args.out)
-    log.info("wrote %d label records to %s", len(trees), args.out)
+    tree_of = _trees_by_id(args.conll)
+    write_labels((tree_labels(t, sid) for sid, t in tree_of.items()), args.out)
+    log.info("wrote %d label records to %s", len(tree_of), args.out)
     return 0
 
 
@@ -69,6 +70,7 @@ def cmd_scene_tree(args) -> int:
             f"{args.conll} has {len(trees)} sentences but {args.grounding} has "
             f"{len(captions)} caption records (the files pair by order)"
         )
+    index_ids(((cap.sentence_id, cap) for cap in captions), "sentence", args.grounding)
     flagged = []
     lines = []
     for tree, cap in zip(trees, captions):
@@ -197,8 +199,7 @@ def cmd_eval(args) -> int:
         if not args.conll:
             raise ValidationError("--exclude-deprels needs --conll to supply relation labels")
         wanted = {r.strip() for r in args.exclude_deprels.split(",") if r.strip()}
-        trees = read_conllu(args.conll)
-        tree_of = dict(zip(_sentence_ids(trees), trees))
+        tree_of = _trees_by_id(args.conll)
         excluded = {
             sid: [i for i, rel in enumerate(tree.deprels or ()) if rel in wanted]
             for sid, tree in tree_of.items()
@@ -226,8 +227,7 @@ def cmd_eval(args) -> int:
 def cmd_grid(args) -> int:
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
-    out_dir = os.environ.get("STRUCTPROBE_OUT_DIR")
-    manifest = grid_mod.load_manifest(args.manifest, out_dir_override=out_dir)
+    manifest = grid_mod.load_manifest(args.manifest)
     reports, failures = grid_mod.run_layer_grid(manifest, jobs=args.jobs)
     log.info(
         "grid finished: %d cell(s) succeeded, %d failed; outputs in %s",
@@ -330,8 +330,21 @@ def build_parser() -> CliParser:
     return parser
 
 
+# the subcommands that read a flag once global, for a command line that gives it first
+_MOVED_FLAGS = {"--seed": "synth, train or sweep", "--jobs": "grid"}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the global options take no value, so the first other word is the subcommand
+    for arg in argv:
+        if not arg.startswith("-"):
+            break
+        flag = arg.split("=", 1)[0]
+        if flag in _MOVED_FLAGS:
+            parser.error(f"{flag} goes after {_MOVED_FLAGS[flag]}, not before the subcommand")
+    args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.WARNING if args.quiet else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",

@@ -102,7 +102,7 @@ def rank_list(ranks: Iterable[int]) -> tuple[int, ...]:
     return ranks
 
 
-def load_manifest(path: str | Path, out_dir_override: str | None = None) -> ExperimentManifest:
+def load_manifest(path: str | Path) -> ExperimentManifest:
     """Map a manifest file onto ``ExperimentManifest`` and ``GridCell``, which check its rules.
 
     Its relative paths are from its directory; a rejection is a ``ValidationError`` naming it.
@@ -135,7 +135,7 @@ def load_manifest(path: str | Path, out_dir_override: str | None = None) -> Expe
             cells=tuple(cells),
             ranks=ranks,
             train=TrainConfig(**train_doc),
-            out_dir=Path(out_dir_override) if out_dir_override else base / doc["out_dir"],
+            out_dir=base / doc["out_dir"],
             chart_metrics=tuple(chart_metrics),
         )
     except (KeyError, TypeError, ValueError) as exc:

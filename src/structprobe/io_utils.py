@@ -1,10 +1,11 @@
 """JSON Lines reading, ids and atomic writing, shared by every file format.
 
 Every line reads as ``json.loads(line.strip())`` of its UTF-8 text
-(``_loads``), and every id in a record by ``record_id``; this module
-knows no file format. A reader may pass ``read_jsonl`` a ``fast`` hook
-that reads the lines its format writes in fewer steps and must give the
-same item, or the same error, as that line rule.
+(``_loads``), every id in a record by ``record_id``, and a file names each
+id once (``index_ids``); this module knows no file format. A reader may
+pass ``read_jsonl`` a ``fast`` hook that reads the lines its format writes
+in fewer steps and must give the same item, or the same error, as that
+line rule.
 """
 
 from __future__ import annotations
@@ -14,17 +15,13 @@ import json
 import mmap
 import os
 import stat
-import sys
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, TextIO, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, TextIO, TypeVar
 
 from .errors import DataError
 
 T = TypeVar("T")
 
-# mmap's find searches as fast as bytes' from Python 3.11 on; 3.10's
-# compares a byte at a time, 25 times slower (15 ms against 0.6 ms on 9.7 MB)
-_MAP = sys.version_info >= (3, 11)
 # a smaller regular file is read through the buffer: mapping and unmapping
 # cost about 10 us, and finding a line in a mapping about 0.26 us more than
 # reading it from the buffer, which only copies long lines save. A one-record
@@ -58,17 +55,17 @@ def _loads(buf: bytes | mmap.mmap, start: int = 0, stop: int | None = None) -> d
 def _lines(fh: BinaryIO) -> Iterator[tuple[bytes | mmap.mmap, int, int]]:
     """``(buf, start, stop)`` of each line of the binary file ``fh``, its ``\\n`` included.
 
-    A regular file of at least ``_MAP_MIN`` bytes is mapped read-only
-    (``_MAP``), and each line is a span of the one mapping. Anything else (a
-    pipe or FIFO such as ``/dev/stdin`` or ``<(cat f)``, a smaller file, one
-    of size 0 included, which may be empty or a ``/proc`` file, or a file
-    that ``mmap`` refuses) is read lazily through ``fh``'s buffer, one
-    ``bytes`` per line. The mapping is never closed here: a view of it may
-    outlive the read, say in a DataError's traceback, and it goes with its
-    last reference.
+    A regular file of at least ``_MAP_MIN`` bytes is mapped read-only, and
+    each line is a span of the one mapping. Anything else (a pipe or FIFO
+    such as ``/dev/stdin`` or ``<(cat f)``, a smaller file, one of size 0
+    included, which may be empty or a ``/proc`` file, or a file that
+    ``mmap`` refuses) is read lazily through ``fh``'s buffer, one ``bytes``
+    per line. The mapping is never closed here: a view of it may outlive
+    the read, say in a DataError's traceback, and it goes with its last
+    reference.
     """
     info = os.fstat(fh.fileno())
-    if _MAP and stat.S_ISREG(info.st_mode) and info.st_size >= _MAP_MIN:
+    if stat.S_ISREG(info.st_mode) and info.st_size >= _MAP_MIN:
         try:
             buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         except (OSError, ValueError):
@@ -93,12 +90,12 @@ def read_jsonl(
     """Lazily yield ``decode(rec)`` for each non-blank line of a JSON Lines file.
 
     Lines end at ``\\n`` only; a ``\\r`` before it is whitespace like any
-    other. A regular file of 64 KiB or more is mapped read-only (from Python
-    3.11 on) and each line is a span of the mapping, which a ``fast`` hook
-    reads in place; a smaller file, a pipe or other file that cannot be
-    mapped is read line by line through a 1 MiB buffer (``_lines``). A file that another process truncates in place while it is
-    read is outside this contract; the package's writers replace a file by
-    rename, which is safe.
+    other. A regular file of 64 KiB or more is mapped read-only and each line
+    is a span of the mapping, which a ``fast`` hook reads in place; a smaller
+    file, a pipe or other file that cannot be mapped is read line by line
+    through a 1 MiB buffer (``_lines``). A file that another process
+    truncates in place while it is read is outside this contract; the
+    package's writers replace a file by rename, which is safe.
     A line that is not UTF-8, not JSON or not an object, or on which
     ``decode`` raises KeyError, TypeError, ValueError, OverflowError or
     RecursionError, ends the read in one DataError that names ``path:line``.
@@ -129,6 +126,22 @@ def record_id(value, what: str = "id") -> str:
     if type(value) is int:
         return str(value)
     raise ValueError(f"{what} {value!r} is not a JSON string or integer")
+
+
+def index_ids(
+    items: Iterable[tuple[str, T]], what: str, source: str | Path | None = None
+) -> dict[str, T]:
+    """``{id: item}`` of ``(id, item)`` pairs, in their order; each id is named once.
+
+    An id named twice is a DataError that names it and, if given, ``source``.
+    """
+    index: dict[str, T] = {}
+    for key, item in items:
+        if key in index:
+            where = "" if source is None else f"{source}: "
+            raise DataError(f"{where}{what} id {key!r} is named by more than one record")
+        index[key] = item
+    return index
 
 
 @contextlib.contextmanager

@@ -26,7 +26,7 @@ import numpy as np
 
 from .embed_io import EmbeddingHeader, EmbeddingSequence
 from .errors import DataError, TrainingDiverged
-from .io_utils import atomic_write_text
+from .io_utils import atomic_write_text, index_ids
 from .trees import TreeLabels
 
 TASKS = ("distance", "depth")
@@ -210,11 +210,7 @@ def pair_records(
     labels: Sequence[TreeLabels], embeddings: Iterable[EmbeddingSequence | EmbeddingHeader]
 ) -> list[Pair]:
     """Join labels with embeddings (or their headers) by unique id; lengths must agree."""
-    by_id: dict[str, EmbeddingSequence | EmbeddingHeader] = {}
-    for seq in embeddings:
-        if seq.id in by_id:
-            raise DataError(f"duplicate embedding id {seq.id!r}")
-        by_id[seq.id] = seq
+    by_id = index_ids(((seq.id, seq) for seq in embeddings), "embedding")
     pairs = []
     for lab in labels:
         seq = by_id.get(lab.id)

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
-from .io_utils import atomic_open, read_jsonl, record_id
+from .io_utils import atomic_open, index_ids, read_jsonl, record_id
 
 ROOT = -1
 
@@ -538,9 +538,5 @@ def read_labels(path: str | Path) -> list[TreeLabels]:
     TreeLabels or the same error. An id named by two records is a DataError.
     """
     labels = list(read_jsonl(path, "labels", _decode_labels, fast=_exact_labels))
-    seen: set[str] = set()
-    for lab in labels:
-        if lab.id in seen:
-            raise DataError(f"{path}: labels id {lab.id!r} is named by more than one record")
-        seen.add(lab.id)
+    index_ids(((lab.id, lab) for lab in labels), "labels", path)
     return labels

@@ -104,6 +104,49 @@ def test_scene_tree_token_mismatch_is_data_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "conll_text, sid",
+    [
+        (CONLL + "\n" + CONLL, "c1"),
+        # a sentence without a sent_id is s<i>, here the first sentence's id
+        (CONLL.replace("c1", "s1") + "\n" + CONLL.replace("# sent_id = c1\n", ""), "s1"),
+    ],
+    ids=["sent_id-twice", "sent_id-of-a-fallback"],
+)
+def test_build_labels_on_a_conll_naming_a_sentence_id_twice_exits_two_and_writes_nothing(
+    tmp_path, capsys, conll_text, sid
+):
+    conll = tmp_path / "x.conll"
+    conll.write_text(conll_text)
+    assert len(read_conllu(conll)) == 2
+    out = tmp_path / "labels.jsonl"
+    assert main(["--quiet", "build-labels", "--conll", str(conll), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{conll}: sentence id {sid!r} is named by more than one record" in err
+    assert list(tmp_path.iterdir()) == [conll]
+
+
+def test_scene_tree_on_a_grounding_naming_a_sentence_id_twice_exits_two_and_writes_nothing(
+    tmp_path, capsys
+):
+    conll = tmp_path / "x.conll"
+    conll.write_text(CONLL + "\n" + CONLL.replace("c1", "c2"))
+    grounding = tmp_path / "g.jsonl"
+    grounding.write_text((json.dumps(GROUNDING) + "\n") * 2)
+    out, report = tmp_path / "scene.jsonl", tmp_path / "overlaps.json"
+    argv = ["--quiet", "scene-tree", "--conll", str(conll), "--grounding", str(grounding),
+            "--out", str(out), "--report", str(report)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{grounding}: sentence id 'c1' is named by more than one record" in err
+    assert not out.exists() and not report.exists()
+    # with a sentence id of its own, the second caption is written
+    second = dict(GROUNDING, sentence_id="c2")
+    grounding.write_text("".join(json.dumps(cap) + "\n" for cap in (GROUNDING, second)))
+    assert main(argv) == 0
+    assert [lab.id for lab in read_labels(out)] == ["c1", "c2"]
+
+
 def test_synth_train_eval_pipeline(tmp_path):
     labels = tmp_path / "labels.jsonl"
     emb = tmp_path / "emb.jsonl"
@@ -186,7 +229,7 @@ def test_train_seed_flag_seeds_the_probe(tmp_path):
     assert not np.array_equal(a.transform, default.transform)
 
 
-def test_seed_before_the_subcommand_is_a_usage_error_and_writes_nothing(tmp_path):
+def test_seed_before_the_subcommand_is_a_usage_error_and_writes_nothing(tmp_path, capsys):
     labels = tmp_path / "labels.jsonl"
     emb = tmp_path / "emb.jsonl"
     main(["--quiet", "synth", "--n-trees", "10", "--min-n", "4", "--max-n", "8",
@@ -200,6 +243,18 @@ def test_seed_before_the_subcommand_is_a_usage_error_and_writes_nothing(tmp_path
             main(["--quiet"] + argv + ["--out", str(out)])
         assert err.value.code == 1
         assert not out.exists()
+        assert "--seed goes after synth, train or sweep" in capsys.readouterr().err
+    # the message names the flag, not its value as a bad subcommand
+    paths = write_grid_inputs(tmp_path, n_trees=10)
+    out_dir = tmp_path / "run"
+    mpath = write_manifest(tmp_path, paths, out_dir)
+    for jobs in (["--jobs", "2"], ["--jobs=2"]):
+        with pytest.raises(SystemExit) as err:
+            main(["--quiet"] + jobs + ["grid", "--manifest", str(mpath)])
+        assert err.value.code == 1
+        stderr = capsys.readouterr().err
+        assert "--jobs goes after grid," in stderr and "invalid choice" not in stderr
+    assert not out_dir.exists()
 
 
 def test_sweep_counts_sequences_as_eval_does(tmp_path):
@@ -463,14 +518,16 @@ def test_grid_runs_and_charts(tmp_path):
     assert (out_dir / "report_layer1_rank6.json").exists()
 
 
-def test_grid_determinism_and_out_dir_override(tmp_path, monkeypatch):
+def test_grid_determinism_and_out_dir_override(tmp_path):
     paths = write_grid_inputs(tmp_path)
     out_a = tmp_path / "run_a"
     mpath = write_manifest(tmp_path, paths, out_a)
     assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 0
+    # a copy of the manifest with its own out_dir is the one way to move a grid's outputs
     out_b = tmp_path / "run_b"
-    monkeypatch.setenv("STRUCTPROBE_OUT_DIR", str(out_b))
-    assert main(["--quiet", "grid", "--manifest", str(mpath), "--jobs", "2"]) == 0
+    copy = tmp_path / "copy.json"
+    copy.write_text(json.dumps(dict(json.loads(mpath.read_text()), out_dir=str(out_b))))
+    assert main(["--quiet", "grid", "--manifest", str(copy), "--jobs", "2"]) == 0
     assert (out_a / "report.tsv").read_bytes() == (out_b / "report.tsv").read_bytes()
     assert (out_a / "chart_dspr.svg").read_bytes() == (out_b / "chart_dspr.svg").read_bytes()
     # the manifest's train.seed is the one seed of every cell
@@ -489,10 +546,23 @@ def test_grid_resolves_relative_manifest_paths_against_the_manifest(tmp_path, mo
     assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 0
     assert {r["layer"] for r in read_report_tsv(data / "run" / "report.tsv")} == {0, 1}
     assert os.listdir(elsewhere) == []
-    # --manifest and STRUCTPROBE_OUT_DIR stay relative to the current directory
-    monkeypatch.setenv("STRUCTPROBE_OUT_DIR", "override")
-    assert main(["--quiet", "grid", "--manifest", os.path.join("..", "data", "manifest.json")]) == 0
-    assert (elsewhere / "override" / "report.tsv").read_bytes() == (data / "run" / "report.tsv").read_bytes()
+
+
+def test_grid_writes_only_under_the_manifests_out_dir_whatever_the_environment(
+    tmp_path, monkeypatch
+):
+    paths = write_grid_inputs(tmp_path, n_trees=10)
+    out_dir = tmp_path / "run"
+    mpath = write_manifest(tmp_path, paths, out_dir)
+    before = set(tmp_path.rglob("*"))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    monkeypatch.setenv("STRUCTPROBE_OUT_DIR", str(tmp_path / "override"))
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 0
+    written = set(tmp_path.rglob("*")) - before - {elsewhere}
+    assert written and all(path.is_relative_to(out_dir) for path in written)
+    assert (out_dir / "report.tsv").exists()
 
 
 def test_grid_on_exact_layers_recovers_gold_everywhere(tmp_path):
@@ -907,7 +977,8 @@ def test_grid_duplicate_embedding_id_is_validation_error_before_any_decode(
     mpath = write_manifest(tmp_path, paths, out_dir)
     assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 1
     err = capsys.readouterr().err
-    assert f"{target}: duplicate embedding id" in err and "Traceback" not in err
+    named = f"{target}: embedding id {json.loads(first)['id']!r} is named by more than one record"
+    assert named in err and "Traceback" not in err
     assert decoded == []
     assert not out_dir.exists()
 
@@ -1083,10 +1154,15 @@ def test_eval_exclude_deprels_with_a_depth_probe_is_validation_error(tmp_path, c
 @pytest.mark.parametrize(
     "conll_text, found",
     [
-        (CONLL.replace("# sent_id = c1", "# sent_id = zz"), "no sentence"),
-        (CONLL + "6\t.\t_\tPUNCT\t_\t_\t2\tpunct\t_\t_\n", "a sentence of 6 tokens"),
+        (CONLL.replace("# sent_id = c1", "# sent_id = zz"),
+         "no sentence for labels id 'c1' of 5 tokens"),
+        (CONLL + "6\t.\t_\tPUNCT\t_\t_\t2\tpunct\t_\t_\n",
+         "a sentence of 6 tokens for labels id 'c1' of 5 tokens"),
+        # the second c1 has no determiner: which sentence gives the exclusions is ambiguous
+        (CONLL + "\n" + CONLL.replace("\tdet\t", "\tamod\t"),
+         "sentence id 'c1' is named by more than one record"),
     ],
-    ids=["other-id", "other-length"],
+    ids=["other-id", "other-length", "id-twice"],
 )
 def test_eval_exclude_deprels_with_a_conll_that_does_not_match_the_labels_exits_two(
     tmp_path, capsys, conll_text, found
@@ -1108,7 +1184,7 @@ def test_eval_exclude_deprels_with_a_conll_that_does_not_match_the_labels_exits_
                  "--exclude-deprels", "det", "--conll", str(other)])
     assert code == 2
     err = capsys.readouterr().err
-    assert f"{other}: {found} for labels id 'c1' of 5 tokens" in err
+    assert f"{other}: {found}" in err and "Traceback" not in err
     assert not out.exists() and not detail.exists()
 
 
@@ -1173,7 +1249,9 @@ SUBCOMMANDS = {
 
 
 @pytest.mark.parametrize("command", list(SUBCOMMANDS))
-def test_a_subcommand_takes_only_the_seed_and_jobs_it_reads(tmp_path, monkeypatch, command):
+def test_a_subcommand_takes_only_the_seed_and_jobs_it_reads(
+    tmp_path, monkeypatch, capsys, command
+):
     monkeypatch.chdir(tmp_path)
     argv, reads = SUBCOMMANDS[command]
     for flag in ("--seed", "--jobs"):
@@ -1185,6 +1263,11 @@ def test_a_subcommand_takes_only_the_seed_and_jobs_it_reads(tmp_path, monkeypatc
             with pytest.raises(SystemExit) as err:
                 main(["--quiet"] + line)
             assert err.value.code == 1
+            if line[0] == flag:
+                # the message names every subcommand that reads the flag
+                message = capsys.readouterr().err.split(f"{flag} goes after ", 1)[1]
+                named = message.split(", not before", 1)[0].replace(" or ", ", ").split(", ")
+                assert set(named) == {c for c, (_, read) in SUBCOMMANDS.items() if flag in read}
     assert list(tmp_path.iterdir()) == []
 
 

@@ -202,7 +202,6 @@ def test_emb_payloads_are_not_json_scanned(tmp_path, monkeypatch):
     assert len(parsed) == 6 and max(parsed) < payload_chars
 
 
-@pytest.mark.skipif(not io_utils._MAP, reason="files are mapped from Python 3.11 on")
 def test_emb_payloads_reach_decode_as_views_of_one_mapping(tmp_path, monkeypatch):
     seqs = [EmbeddingSequence(id=f"s{i}", layer=1, values=np.full((2, 4096), i, np.float32)) for i in range(3)]
     path = tmp_path / "e.jsonl"
