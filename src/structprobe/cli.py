@@ -48,6 +48,19 @@ class CliParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+class _GoesAfter(argparse.Action):
+    """A hidden flag before the subcommand: a usage error naming the subcommands it goes after."""
+
+    def __init__(self, option_strings, dest, after):
+        super().__init__(
+            option_strings, dest, nargs="?", default=argparse.SUPPRESS, help=argparse.SUPPRESS
+        )
+        self.after = after
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{self.option_strings[0]} goes after {self.after}, not before the subcommand")
+
+
 def _trees_by_id(path):
     """A CoNLL file's sentences by id, ``# sent_id`` or else ``s<i>``; each id is named once."""
     trees = read_conllu(path)
@@ -129,7 +142,6 @@ def _train_config(args) -> TrainConfig:
             patience=args.patience,
             rank=getattr(args, "rank", TrainConfig.rank),  # sweep has --ranks instead
             lr=args.lr,
-            optimizer=args.optimizer,
             seed=args.seed,
         )
     except ValueError as exc:
@@ -178,7 +190,7 @@ def cmd_sweep(args) -> int:
     train_pairs = _load_pairs(args.labels, args.emb)
     val_pairs = _load_pairs(args.val_labels, args.val_emb)
     layer = _emb_layer_tag(train_pairs)
-    reports = grid_mod.sweep_reports(ranks, train_pairs, val_pairs, cfg, args.task, layer)
+    reports = grid_mod.sweep_ranks(ranks, train_pairs, val_pairs, cfg, args.task, layer)
     write_report_tsv([row for report in reports for row in report.tsv_rows()], args.out)
     log.info("swept ranks %s -> %s", ranks, args.out)
     return 0
@@ -255,13 +267,14 @@ def _add_train_flags(p: CliParser) -> None:
     p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
     p.add_argument("--patience", type=int, default=TrainConfig.patience)
     p.add_argument("--lr", type=float, default=TrainConfig.lr)
-    p.add_argument("--optimizer", choices=["adam", "sgd"], default=TrainConfig.optimizer)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
 
 
 def build_parser() -> CliParser:
     parser = CliParser(prog="structprobe", description=__doc__)
     parser.add_argument("--quiet", action="store_true", help="only warnings and errors")
+    for flag, after in (("--seed", "synth, train or sweep"), ("--jobs", "grid")):
+        parser.add_argument(flag, action=_GoesAfter, after=after)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=CliParser)
 
     p = sub.add_parser("build-labels", help="gold labels from CoNLL")
@@ -330,21 +343,8 @@ def build_parser() -> CliParser:
     return parser
 
 
-# the subcommands that read a flag once global, for a command line that gives it first
-_MOVED_FLAGS = {"--seed": "synth, train or sweep", "--jobs": "grid"}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # the global options take no value, so the first other word is the subcommand
-    for arg in argv:
-        if not arg.startswith("-"):
-            break
-        flag = arg.split("=", 1)[0]
-        if flag in _MOVED_FLAGS:
-            parser.error(f"{flag} goes after {_MOVED_FLAGS[flag]}, not before the subcommand")
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.WARNING if args.quiet else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",

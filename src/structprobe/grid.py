@@ -17,10 +17,10 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .chart import emit_chart
 from .embed_io import read_embeddings, scan_embedding_headers
@@ -39,6 +39,12 @@ from .trees import TreeLabels, read_labels
 log = logging.getLogger(__name__)
 
 SPLITS = ("train", "val", "eval")
+# the keys a manifest file holds, and the keys of each of its layers and baselines
+MANIFEST_KEYS = (
+    *(f"{s}_labels" for s in SPLITS),
+    *("task", "layers", "baselines", "ranks", "train", "out_dir", "chart_metrics"),
+)
+CELL_KEYS = ("tag", *(f"{s}_emb" for s in SPLITS))
 
 
 def _by_split(paths: Mapping[str, Path]) -> Mapping[str, Path]:
@@ -102,6 +108,16 @@ def rank_list(ranks: Iterable[int]) -> tuple[int, ...]:
     return ranks
 
 
+def _known_keys(entry, keys: Sequence[str], where: str) -> dict:
+    """A manifest object that holds only the given keys; an unknown key is named."""
+    if not isinstance(entry, dict):
+        raise TypeError(f"{where} must be a JSON object, not {type(entry).__name__}")
+    for key in entry:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {where}")
+    return entry
+
+
 def load_manifest(path: str | Path) -> ExperimentManifest:
     """Map a manifest file onto ``ExperimentManifest`` and ``GridCell``, which check its rules.
 
@@ -114,15 +130,18 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
     except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8 and bad JSON
         raise ValidationError(f"{path}: cannot read manifest: {exc}") from exc
     try:
+        doc = _known_keys(doc, MANIFEST_KEYS, "the manifest")
         task = doc["task"]
-        cells = [
-            GridCell(tag=entry["tag"], emb={s: base / entry[f"{s}_emb"] for s in SPLITS})
-            for entry in list(doc["layers"]) + list(doc.get("baselines", []))
-        ]
+        cells = []
+        for key, listed in (("layers", doc["layers"]), ("baselines", doc.get("baselines", []))):
+            for i, entry in enumerate(listed):
+                entry = _known_keys(entry, CELL_KEYS, f"{key}[{i}]")
+                cells.append(GridCell(entry["tag"], {s: base / entry[f"{s}_emb"] for s in SPLITS}))
         ranks = doc.get("ranks", [TrainConfig.rank])
         if not isinstance(ranks, list):
             raise ValueError(f"ranks must be a list, got {ranks!r}")
-        train_doc = dict(doc.get("train", {}))
+        train_keys = [f.name for f in fields(TrainConfig)]
+        train_doc = _known_keys(doc.get("train", {}), train_keys, '"train"')
         if "rank" in train_doc:  # every cell trains at a rank from ranks
             raise ValueError('"train" has no "rank"; list the ranks in the top-level "ranks"')
         # an unknown task is the manifest's to reject; it has no default metrics
@@ -186,25 +205,6 @@ def _cell_name(tag: int | str, rank: int) -> str:
     return f"layer{tag}_rank{rank}"
 
 
-def sweep_reports(
-    ranks: Sequence[int],
-    train: Sequence[Pair],
-    val: Sequence[Pair],
-    cfg: TrainConfig,
-    task: str,
-    layer: int | str | None,
-) -> Iterator[EvalReport]:
-    """Train one probe per rank (shared seed) and evaluate it on the validation split.
-
-    Each report's aggregates also hold the probe's best ``val_loss``.
-    """
-    for rank in ranks:
-        probe = train_probe(task, train, val, replace(cfg, rank=rank), layer=layer)
-        report = evaluate_probe(probe, val)
-        report.aggregates["val_loss"] = probe.meta["val_loss"]
-        yield report
-
-
 def sweep_ranks(
     ranks: Sequence[int],
     train: Sequence[Pair],
@@ -212,10 +212,20 @@ def sweep_ranks(
     cfg: TrainConfig,
     task: str,
     layer: int | str | None = None,
-) -> list[dict]:
-    """Train one probe per ``rank_list`` rank (shared seed) and tabulate validation metrics."""
-    reports = sweep_reports(rank_list(ranks), train, val, cfg, task, layer)
-    return [{"rank": int(r.rank), **r.aggregates} for r in reports]
+) -> list[EvalReport]:
+    """Train one probe per ``rank_list`` rank (shared seed) and score it on ``val``.
+
+    Each report's aggregates also hold the probe's best ``val_loss``, counted
+    over every validation sequence.
+    """
+    reports = []
+    for rank in rank_list(ranks):
+        probe = train_probe(task, train, val, replace(cfg, rank=rank), layer=layer)
+        report = evaluate_probe(probe, val)
+        report.aggregates["val_loss"] = probe.meta["val_loss"]
+        report.counters["n_val_loss"] = len(val)
+        reports.append(report)
+    return reports
 
 
 def run_layer_grid(

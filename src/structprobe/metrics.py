@@ -202,7 +202,7 @@ class EvalReport:
                     "task": self.task,
                     "metric": metric,
                     "value": float(value),
-                    "n_sequences": self.counters.get(f"n_{metric}", len(self.records)),
+                    "n_sequences": self.counters[f"n_{metric}"],
                 }
             )
         return rows

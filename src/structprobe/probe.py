@@ -4,7 +4,7 @@ A probe is a single k-by-m matrix applied to node embeddings. The distance
 probe predicts the squared norm of the transformed difference of two node
 vectors; the depth probe predicts the squared norm of a single transformed
 vector. Both are trained by minimizing an L1 loss against integer gold
-labels with mini-batch first-order updates and early stopping on the
+labels with mini-batch Adam updates and early stopping on the
 validation loss. One forward z = H Bᵀ per sequence serves prediction, loss
 and gradient: the subgradient is Zᵀ(L H), with L built from the signs of the
 errors, so no m-by-m matrix is built. ``metrics`` scores probes, and ``grid``
@@ -77,7 +77,6 @@ class TrainConfig:
     patience: int = 5
     rank: int = 128
     lr: float = 1e-3
-    optimizer: str = "adam"
     seed: int = 0
 
     def __post_init__(self):
@@ -100,8 +99,6 @@ class TrainConfig:
             or isinstance(lr, int) and lr > sys.float_info.max  # no float holds it
         ):
             raise ValueError(f"lr must be a finite number >= 0, got {lr!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 def _predict(probe: Probe, seq: EmbeddingSequence, task: str) -> np.ndarray:
@@ -245,16 +242,6 @@ class _Adam:
         params -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-class _Sgd:
-    """Constant-step gradient descent."""
-
-    def __init__(self, lr: float):
-        self.lr = lr
-
-    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
-        params -= self.lr * grad
-
-
 def embedding_width(splits: Mapping[str, Sequence[Pair]]) -> int:
     """The one width m of the named splits of (labels, embeddings or header) pairs.
 
@@ -281,7 +268,7 @@ def train_probe(
     cfg: TrainConfig,
     layer: int | str | None = None,
 ) -> Probe:
-    """Train a probe with mini-batch updates and early stopping.
+    """Train a probe with mini-batch Adam updates and early stopping.
 
     Keeps the parameters with the best validation loss seen so far and
     stops once that loss fails to improve for ``cfg.patience`` epochs in a
@@ -304,7 +291,7 @@ def train_probe(
     train_items = _features(train, task)
     val_items = _features(val, task)
 
-    opt = _Adam((k, m), cfg.lr) if cfg.optimizer == "adam" else _Sgd(cfg.lr)
+    opt = _Adam((k, m), cfg.lr)
     best_loss = np.inf
     best_transform = transform.copy()
     best_epoch = 0
@@ -335,7 +322,7 @@ def train_probe(
     meta = {
         "layer": layer,
         "seed": cfg.seed,
-        "optimizer": cfg.optimizer,
+        "optimizer": "adam",
         "lr": cfg.lr,
         "epochs_run": len(history),
         "best_epoch": best_epoch,

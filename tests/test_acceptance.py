@@ -191,8 +191,9 @@ def test_criterion_7_rank_insensitivity():
     pairs = data.pairs()
     assert data.embeddings[0].m == 32
     cfg = TrainConfig(seed=3)
-    table = sweep_ranks([32, 64, 128, 256], pairs[:150], pairs[150:], cfg, "distance")
-    values = [row["dspr"] for row in table]
+    reports = sweep_ranks([32, 64, 128, 256], pairs[:150], pairs[150:], cfg, "distance")
+    assert [r.rank for r in reports] == [32, 64, 128, 256]
+    values = [r.aggregates["dspr"] for r in reports]
     assert all(v is not None for v in values)
     spread = max(values) - min(values)
     assert spread < 0.02, f"spread {spread:.4f} over {values}"

@@ -22,7 +22,14 @@ from structprobe.embed_io import (
     write_embeddings,
 )
 from structprobe.metrics import read_report_tsv, write_report_tsv
-from structprobe.probe import Probe, TrainConfig, identity_probe, load_probe, save_probe
+from structprobe.probe import (
+    Probe,
+    TrainConfig,
+    identity_probe,
+    load_probe,
+    pair_records,
+    save_probe,
+)
 from structprobe.synth import oracle_dataset, oracle_embed_tree
 from structprobe.trees import read_conllu, read_labels, write_labels
 
@@ -238,17 +245,21 @@ def test_seed_before_the_subcommand_is_a_usage_error_and_writes_nothing(tmp_path
             "--val-labels", str(labels), "--val-emb", str(emb),
             "--rank", "4", "--epochs", "2", "--patience", "2"]
     out = tmp_path / "both.json"
-    for argv in (["--seed", "5"] + base + ["--seed", "9"], ["--seed", "9"] + base):
-        with pytest.raises(SystemExit) as err:
-            main(["--quiet"] + argv + ["--out", str(out)])
-        assert err.value.code == 1
-        assert not out.exists()
-        assert "--seed goes after synth, train or sweep" in capsys.readouterr().err
+    # a prefix of the flag and its = form are the flag too
+    for seed in (["--seed", "5"], ["--seed", "9"], ["--se", "1"], ["--seed=1"]):
+        for argv in (seed + base + ["--seed", "9"], seed + base):
+            with pytest.raises(SystemExit) as err:
+                main(["--quiet"] + argv + ["--out", str(out)])
+            assert err.value.code == 1
+            assert not out.exists()
+            stderr = capsys.readouterr().err
+            assert "--seed goes after synth, train or sweep" in stderr
+            assert "invalid choice" not in stderr
     # the message names the flag, not its value as a bad subcommand
     paths = write_grid_inputs(tmp_path, n_trees=10)
     out_dir = tmp_path / "run"
     mpath = write_manifest(tmp_path, paths, out_dir)
-    for jobs in (["--jobs", "2"], ["--jobs=2"]):
+    for jobs in (["--jobs", "2"], ["--jobs=2"], ["--j", "2"]):
         with pytest.raises(SystemExit) as err:
             main(["--quiet"] + jobs + ["grid", "--manifest", str(mpath)])
         assert err.value.code == 1
@@ -277,6 +288,23 @@ def test_sweep_counts_sequences_as_eval_does(tmp_path):
         assert swept[metric]["n_sequences"] == row["n_sequences"]
         assert swept[metric]["value"] == row["value"]
     assert swept["val_loss"]["n_sequences"] == 20
+
+
+def test_sweep_writes_the_rows_of_sweep_ranks_reports_in_rank_order(tmp_path):
+    labels, emb = write_synth(tmp_path, n_trees=12)
+    out = tmp_path / "sweep.tsv"
+    assert main(["--quiet", "sweep", "--task", "depth", "--labels", str(labels),
+                 "--emb", str(emb), "--val-labels", str(labels), "--val-emb", str(emb),
+                 "--batch", "4", "--epochs", "2", "--patience", "2", "--seed", "1",
+                 "--ranks", "4,2", "--out", str(out)]) == 0
+    pairs = pair_records(read_labels(labels), read_embeddings(emb))
+    cfg = TrainConfig(batch_size=4, max_epochs=2, patience=2, seed=1)
+    reports = grid_mod.sweep_ranks([4, 2], pairs, pairs, cfg, "depth", layer=0)
+    assert [r.rank for r in reports] == [4, 2]
+    rows = [row for report in reports for row in report.tsv_rows()]
+    write_report_tsv(rows, tmp_path / "library.tsv")
+    assert out.read_bytes() == (tmp_path / "library.tsv").read_bytes()
+    assert [r["rank"] for r in read_report_tsv(out)] == [4] * 3 + [2] * 3
 
 
 def test_eval_exclude_deprels_requires_conll(tmp_path):
@@ -651,8 +679,7 @@ def test_grid_all_cells_failing_exits_nonzero(tmp_path, capsys):
         tmp_path,
         paths,
         out_dir,
-        train={"batch_size": 4, "max_epochs": 5, "patience": 5,
-               "optimizer": "sgd", "lr": 1e30, "seed": 2},
+        train={"batch_size": 4, "max_epochs": 5, "patience": 5, "lr": 1e200, "seed": 2},
     )
     assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 2
     err = capsys.readouterr().err
@@ -955,7 +982,7 @@ def test_diverging_training_exits_three_without_traceback(tmp_path, capsys, comm
     extra = ["--rank", "3"] if command == "train" else ["--ranks", "3,4"]
     code = main(["--quiet", command, "--task", "distance", "--labels", str(labels),
                  "--emb", str(emb), "--val-labels", str(labels), "--val-emb", str(emb),
-                 "--optimizer", "sgd", "--lr", "1e200", "--batch", "2", "--epochs", "2",
+                 "--lr", "1e200", "--batch", "2", "--epochs", "2",
                  "--patience", "2", "--seed", "0", "--out", str(out)] + extra)
     assert code == 3
     err = capsys.readouterr().err
@@ -1127,6 +1154,31 @@ def test_grid_rank_inside_train_is_validation_error_before_any_decode(
     assert f'{mpath}: bad manifest: "train" has no "rank"; list the ranks in the top-level "ranks"' in err
     assert "Traceback" not in err
     assert decoded == []
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "where, key",
+    [(None, "rank"), (None, "chart_metric"), ("layers", "evel_emb"), ("train", "optimizer")],
+)
+def test_grid_unknown_manifest_key_is_validation_error_before_any_file_is_read(
+    tmp_path, monkeypatch, capsys, where, key
+):
+    paths = write_grid_inputs(tmp_path, n_trees=10)
+    mpath = write_manifest(tmp_path, paths, tmp_path / "run")
+    doc = json.loads(mpath.read_text())
+    target = {None: doc, "layers": doc["layers"][1], "train": doc["train"]}[where]
+    target[key] = {"evel_emb": target.get("eval_emb"), "optimizer": "adam"}.get(key, [2, 4])
+    mpath.write_text(json.dumps(doc))
+    read: list = []
+    for name in ("read_labels", "scan_embedding_headers", "read_embeddings"):
+        monkeypatch.setattr(grid_mod, name, lambda path, name=name: read.append((name, path)))
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 1
+    err = capsys.readouterr().err
+    place = {None: "the manifest", "layers": "layers[1]", "train": '"train"'}[where]
+    assert f"{mpath}: bad manifest: unknown key {key!r} in {place}" in err
+    assert "Traceback" not in err and "unexpected keyword" not in err
+    assert read == []
     assert not (tmp_path / "run").exists()
 
 
