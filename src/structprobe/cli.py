@@ -150,6 +150,8 @@ def _train_config(args) -> TrainConfig:
 
 def _load_pairs(labels_path, emb_path):
     labels = read_labels(labels_path)
+    if not labels:
+        raise DataError(f"{labels_path}: no label records")
     # decoded first: a bad line's file:line message is not prefixed again
     embeddings = list(read_embeddings(emb_path))
     try:

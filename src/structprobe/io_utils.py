@@ -146,19 +146,28 @@ def index_ids(
 
 @contextlib.contextmanager
 def atomic_open(path: str | Path) -> Iterator[TextIO]:
-    """Stream text to a temp file beside ``path``; rename it over ``path`` on success."""
-    path = Path(path)
+    """Stream text to a temp file beside ``path``; rename it over ``path`` on success.
+
+    An OSError that names the temp file, as a failed create or rename does,
+    is raised again of the same kind naming ``path`` alone: the temp name is
+    none the caller knows.
+    """
     # a plain exclusive create keeps the umask's file mode (mkstemp gives 0600)
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
-    fh = open(tmp, "x", encoding="utf-8")
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.urandom(8).hex()}")
     try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != os.fspath(tmp):
+            raise
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

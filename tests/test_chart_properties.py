@@ -10,9 +10,6 @@ from xml.etree import ElementTree
 from xml.sax import saxutils
 
 import pytest
-
-pytest.importorskip("hypothesis")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

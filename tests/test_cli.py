@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 from structprobe import cli as cli_mod
 from structprobe import grid as grid_mod
+from structprobe import io_utils
 from structprobe.cli import build_parser, main
 from structprobe.embed_io import (
     EmbeddingSequence,
@@ -64,6 +66,20 @@ def test_build_labels(tmp_path):
     assert lab.depths.tolist() == [1, 0, 1, 3, 2]
 
 
+def test_build_labels_on_a_crlf_copy_writes_the_same_labels(tmp_path):
+    # plain 10-column blocks take the block parser, and their CRLF copy the line loop
+    plain, crlf = tmp_path / "plain.conll", tmp_path / "crlf.conll"
+    plain.write_text(CONLL + "\n" + CONLL.replace("c1", "c2"))
+    crlf.write_bytes(plain.read_bytes().replace(b"\n", b"\r\n"))
+    written = []
+    for conll in (plain, crlf):
+        out = tmp_path / f"{conll.stem}_labels.jsonl"
+        assert main(["--quiet", "build-labels", "--conll", str(conll), "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert [lab.id for lab in read_labels(tmp_path / "plain_labels.jsonl")] == ["c1", "c2"]
+    assert written[0] == written[1]
+
+
 def test_scene_tree_command(tmp_path):
     conll = tmp_path / "x.conll"
     conll.write_text(CONLL)
@@ -91,6 +107,29 @@ def test_scene_tree_command(tmp_path):
     assert rec["distances"][2][3] == 0
     assert "root" not in rec
     assert json.loads(report.read_text()) == {"overlapping_spans": []}
+
+
+def test_scene_tree_on_region_ids_that_are_no_json_list_exits_two_and_writes_nothing(
+    tmp_path, capsys
+):
+    conll = tmp_path / "x.conll"
+    conll.write_text(CONLL)
+    grounding = tmp_path / "g.jsonl"
+    out = tmp_path / "scene.jsonl"
+    argv = ["--quiet", "scene-tree", "--conll", str(conll), "--grounding", str(grounding),
+            "--out", str(out)]
+    # "r12" is no list of the three regions r, 1 and 2
+    phrase = dict(GROUNDING["phrases"][0], region_ids="r12")
+    grounding.write_text(json.dumps(dict(GROUNDING, phrases=[phrase])) + "\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{grounding}:1: bad grounding record: phrase 'p1': region_ids must be a JSON list" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    phrase["region_ids"] = ["r12"]
+    grounding.write_text(json.dumps(dict(GROUNDING, phrases=[phrase])) + "\n")
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["phrase_to_text"] == {"p1": 1}
 
 
 def test_scene_tree_token_mismatch_is_data_error(tmp_path):
@@ -215,6 +254,33 @@ def test_synth_train_eval_pipeline(tmp_path):
     assert 0.0 <= metrics["uuas"] <= 1.0
     doc = json.loads(detail.read_text())
     assert len(doc["sequences"]) == 60
+
+
+def test_eval_writes_the_same_report_through_pipes_and_from_a_crlf_copy(tmp_path):
+    labels, emb = tmp_path / "labels.jsonl", tmp_path / "emb.jsonl"
+    assert main(["--quiet", "synth", "--n-trees", "20", "--seed", "3", "--out-labels", str(labels),
+                 "--out-emb", str(emb)]) == 0
+    # the plain file is mapped, a pipe cannot be and is read line by line, and a
+    # CRLF copy takes the same payload slices
+    assert emb.stat().st_size >= io_utils._MAP_MIN
+    crlf = tmp_path / "emb_crlf.jsonl"
+    crlf.write_bytes(emb.read_bytes().replace(b"\n", b"\r\n"))
+    for source in (labels, emb):
+        pipe = tmp_path / f"{source.stem}.pipe"
+        os.mkfifo(pipe)
+        threading.Thread(target=pipe.write_bytes, args=(source.read_bytes(),), daemon=True).start()
+    probe = tmp_path / "probe.json"
+    m = next(read_embeddings(emb)).m
+    save_probe(Probe(task="distance", transform=np.random.default_rng(0).normal(size=(4, m))), probe)
+    reports = []
+    for lpath, epath in ((labels, emb), (tmp_path / "labels.pipe", tmp_path / "emb.pipe"),
+                         (labels, crlf)):
+        out = tmp_path / f"{epath.name}.tsv"
+        assert main(["--quiet", "eval", "--probe", str(probe), "--labels", str(lpath),
+                     "--emb", str(epath), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert {r["metric"] for r in read_report_tsv(tmp_path / "emb.jsonl.tsv")} == {"dspr", "uuas"}
+    assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 def test_train_seed_flag_seeds_the_probe(tmp_path):
@@ -450,18 +516,23 @@ def test_overflowing_and_non_utf8_records_exit_two_without_traceback(tmp_path, c
     assert "Traceback" not in err
 
 
-# sweep has no --rank, and takes no prefix of --ranks for it
+# sweep has no --rank, and takes no prefix of --ranks for it; Adam is the one
+# update rule, so --optimizer is an unknown option
 @pytest.mark.parametrize(
     "argv",
     [["train", "--task", "nonsense"],
      ["sweep", "--task", "depth", "--labels", "l", "--emb", "e", "--val-labels", "l",
-      "--val-emb", "e", "--ranks", "2,4", "--rank", "4", "--out", "o"]],
-    ids=["bad-choice", "sweep-rank"],
+      "--val-emb", "e", "--ranks", "2,4", "--rank", "4", "--out", "o"],
+     ["train", "--task", "distance", "--labels", "l", "--emb", "e", "--val-labels", "l",
+      "--val-emb", "e", "--rank", "4", "--optimizer", "adam", "--out", "o"]],
+    ids=["bad-choice", "sweep-rank", "optimizer"],
 )
-def test_usage_error_exits_one(argv):
+def test_usage_error_exits_one(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def write_grid_inputs(
@@ -582,6 +653,10 @@ def test_grid_writes_only_under_the_manifests_out_dir_whatever_the_environment(
     paths = write_grid_inputs(tmp_path, n_trees=10)
     out_dir = tmp_path / "run"
     mpath = write_manifest(tmp_path, paths, out_dir)
+    plain_dir = tmp_path / "plain"
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(dict(json.loads(mpath.read_text()), out_dir=str(plain_dir))))
+    assert main(["--quiet", "grid", "--manifest", str(plain)]) == 0
     before = set(tmp_path.rglob("*"))
     elsewhere = tmp_path / "elsewhere"
     elsewhere.mkdir()
@@ -591,6 +666,9 @@ def test_grid_writes_only_under_the_manifests_out_dir_whatever_the_environment(
     written = set(tmp_path.rglob("*")) - before - {elsewhere}
     assert written and all(path.is_relative_to(out_dir) for path in written)
     assert (out_dir / "report.tsv").exists()
+    # and it writes the files a run without the variable writes
+    files = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+    assert files == {path.name: path.read_bytes() for path in sorted(plain_dir.iterdir())}
 
 
 def test_grid_on_exact_layers_recovers_gold_everywhere(tmp_path):
@@ -1040,6 +1118,69 @@ def test_a_labels_file_naming_an_id_twice_exits_two_and_writes_nothing(
     named = f"{labels}: labels id {json.loads(first)['id']!r} is named by more than one record"
     assert named in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("train", "--labels"), ("train", "--val-labels"), ("sweep", "--labels"), ("eval", "--labels")],
+    ids=["train-labels", "train-val-labels", "sweep", "eval"],
+)
+def test_an_empty_labels_file_exits_two_naming_it_before_its_embeddings_are_decoded(
+    tmp_path, monkeypatch, capsys, command, flag
+):
+    labels, emb = write_synth(tmp_path)
+    empty, val_emb = tmp_path / "empty.jsonl", tmp_path / "val_emb.jsonl"
+    empty.write_text("")
+    val_emb.write_bytes(emb.read_bytes())
+    probe, out = tmp_path / "probe.json", tmp_path / "out"
+    save_probe(identity_probe("depth", next(read_embeddings(emb)).m), probe)
+    files = {"--labels": labels, "--emb": emb, "--val-labels": labels, "--val-emb": val_emb}
+    files[flag] = empty
+    argv = {
+        "train": ["--task", "depth", "--rank", "3", "--epochs", "1", "--patience", "1"],
+        "sweep": ["--task", "depth", "--ranks", "3,4", "--epochs", "1", "--patience", "1"],
+        "eval": ["--probe", str(probe)],
+    }[command] + ["--out", str(out)]
+    for key, path in list(files.items())[: 2 if command == "eval" else 4]:
+        argv += [key, str(path)]
+    decoded: list = []
+    monkeypatch.setattr(cli_mod, "read_embeddings",
+                        lambda path: decoded.append(path) or read_embeddings(path))
+    assert main(["--quiet", command] + argv) == 2
+    err = capsys.readouterr().err
+    assert f"structprobe: {empty}: no label records\n" in err and "Traceback" not in err
+    # the training split's embeddings are decoded before the validation labels are read
+    assert decoded == ([str(emb)] if flag == "--val-labels" else [])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build-labels", "eval", "chart"])
+@pytest.mark.parametrize(
+    "where, error", [("nodir/out", "No such file or directory"), ("adir", "Is a directory")],
+    ids=["in-a-missing-directory", "a-directory"],
+)
+def test_an_output_path_that_cannot_be_written_is_named_as_given(
+    tmp_path, capsys, command, where, error
+):
+    labels, emb = write_synth(tmp_path)
+    probe, report, conll = tmp_path / "probe.json", tmp_path / "r.tsv", tmp_path / "x.conll"
+    save_probe(identity_probe("depth", next(read_embeddings(emb)).m), probe)
+    write_report_tsv(CHART_ROWS, report)
+    conll.write_text(CONLL)
+    (tmp_path / "adir").mkdir()
+    out = tmp_path / where
+    before = sorted(tmp_path.rglob("*"))
+    argv = {
+        "build-labels": ["--conll", str(conll)],
+        "eval": ["--probe", str(probe), "--labels", str(labels), "--emb", str(emb)],
+        "chart": ["--report", str(report), "--metric", "nspr"],
+    }[command]
+    assert main(["--quiet", command] + argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("structprobe: [Errno ") and err.endswith(f"] {error}: '{out}'\n")
+    assert f".{out.name}." not in err and "Traceback" not in err
+    # the temp file is removed
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("key", ["train_labels", "eval_emb"])

@@ -8,9 +8,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-pytest.importorskip("hypothesis")
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -19,9 +19,6 @@ import string
 
 import numpy as np
 import pytest
-
-pytest.importorskip("hypothesis")
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

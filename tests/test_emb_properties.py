@@ -23,9 +23,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-
-pytest.importorskip("hypothesis")
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

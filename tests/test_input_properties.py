@@ -12,9 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-
-pytest.importorskip("hypothesis")
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

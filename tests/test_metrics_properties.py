@@ -5,11 +5,8 @@ from __future__ import annotations
 import dataclasses
 import statistics
 
-import pytest
-
-pytest.importorskip("hypothesis")
-
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,14 +18,14 @@ from structprobe.metrics import (
     length_binned_spearman,
     uuas_counts,
 )
-from structprobe.probe import identity_probe
+from structprobe.probe import Probe, identity_probe
 from structprobe.scenetree import (
     PhraseAnnotation,
     construct_scene_tree,
     region_sequence,
     visual_labels,
 )
-from structprobe.synth import random_tree
+from structprobe.synth import oracle_dataset, random_tree
 from structprobe.trees import ROOT, DepTree, tree_labels
 
 LABELS = {n: tree_labels(random_tree(n, n), f"s{n}") for n in range(1, 61)}
@@ -132,3 +129,50 @@ def test_visual_gold_distances_score_uuas_and_dspr_one(caption):
     assert correct == total
     score, _ = distance_sequence_score(gold, gold)
     assert score is None or score == pytest.approx(1.0, abs=1e-12)
+
+
+# noisy oracle sequences of 2 to 20 tokens, some outside the 5-50 length window,
+# for relations between reports of one random probe that need no training
+NOISY = oracle_dataset(120, 2, 20, extra_dims=4, noise_sigma=0.3, seed=5).pairs()
+PROBES = st.tuples(
+    st.sampled_from(["distance", "depth"]), st.integers(1, 8), st.integers(0, 2**32 - 1)
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=PROBES, k=st.integers(-20, 20))
+def test_a_power_of_two_in_the_transform_or_moved_into_the_embeddings_changes_no_report_value(
+    spec, k
+):
+    task, rank, seed = spec
+    transform = np.random.default_rng(seed).normal(size=(rank, NOISY[0][1].m))
+    report = evaluate_probe(Probe(task, transform), NOISY)
+    scaled = evaluate_probe(Probe(task, transform * 2.0**k), NOISY)
+    moved = evaluate_probe(
+        Probe(task, transform * 2.0**-k),
+        [(lab, dataclasses.replace(seq, values=seq.values * np.float32(2.0**k)))
+         for lab, seq in NOISY],
+    )
+    for other in (scaled, moved):
+        assert other.records == report.records
+        assert other.aggregates == report.aggregates
+        assert other.counters == report.counters
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=PROBES, order=st.permutations(range(len(NOISY))))
+def test_permuting_the_dataset_permutes_the_records_and_keeps_every_aggregate(spec, order):
+    task, rank, seed = spec
+    probe = Probe(task, np.random.default_rng(seed).normal(size=(rank, NOISY[0][1].m)))
+    report = evaluate_probe(probe, NOISY)
+    permuted = evaluate_probe(probe, [NOISY[i] for i in order])
+    assert permuted.records == [report.records[i] for i in order]
+    assert permuted.counters == report.counters
+    corr = "dspr" if task == "distance" else "nspr"
+    assert permuted.aggregates.keys() == report.aggregates.keys()
+    for metric, value in report.aggregates.items():
+        if metric == corr and value is not None:
+            # the length bins' means are summed in another order
+            assert abs(permuted.aggregates[metric] - value) <= 1e-12
+        else:
+            assert permuted.aggregates[metric] == value

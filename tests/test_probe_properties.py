@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
-pytest.importorskip("hypothesis")
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -10,9 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-
-pytest.importorskip("hypothesis")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
