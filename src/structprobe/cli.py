@@ -148,16 +148,27 @@ def _train_config(args) -> TrainConfig:
         raise ValidationError(f"bad training options: {exc}") from exc
 
 
-def _load_pairs(labels_path, emb_path):
-    labels = read_labels(labels_path)
-    if not labels:
-        raise DataError(f"{labels_path}: no label records")
-    # decoded first: a bad line's file:line message is not prefixed again
-    embeddings = list(read_embeddings(emb_path))
-    try:
-        return pair_records(labels, embeddings)
-    except DataError as exc:
-        raise DataError(f"{emb_path}: {exc}") from exc
+def _load_pairs(*files):
+    """The pairs of each ``(labels_path, emb_path)``, in order.
+
+    Every labels file is read and checked before any embeddings file is
+    decoded, so a bad labels file is reported before the costly decode.
+    """
+    split_labels = []
+    for labels_path, _ in files:
+        labels = read_labels(labels_path)
+        if not labels:
+            raise DataError(f"{labels_path}: no label records")
+        split_labels.append(labels)
+    split_pairs = []
+    for labels, (_, emb_path) in zip(split_labels, files):
+        # decoded first: a bad line's file:line message is not prefixed again
+        embeddings = list(read_embeddings(emb_path))
+        try:
+            split_pairs.append(pair_records(labels, embeddings))
+        except DataError as exc:
+            raise DataError(f"{emb_path}: {exc}") from exc
+    return split_pairs
 
 
 def _emb_layer_tag(pairs):
@@ -167,8 +178,7 @@ def _emb_layer_tag(pairs):
 
 def cmd_train(args) -> int:
     cfg = _train_config(args)
-    train_pairs = _load_pairs(args.labels, args.emb)
-    val_pairs = _load_pairs(args.val_labels, args.val_emb)
+    train_pairs, val_pairs = _load_pairs((args.labels, args.emb), (args.val_labels, args.val_emb))
     probe = train_probe(args.task, train_pairs, val_pairs, cfg, layer=_emb_layer_tag(train_pairs))
     save_probe(probe, args.out)
     log.info(
@@ -189,8 +199,7 @@ def cmd_sweep(args) -> int:
         ranks = grid_mod.rank_list(json.loads(f"[{args.ranks}]"))
     except ValueError as exc:
         raise ValidationError(f"bad --ranks {args.ranks!r}: {exc}") from exc
-    train_pairs = _load_pairs(args.labels, args.emb)
-    val_pairs = _load_pairs(args.val_labels, args.val_emb)
+    train_pairs, val_pairs = _load_pairs((args.labels, args.emb), (args.val_labels, args.val_emb))
     layer = _emb_layer_tag(train_pairs)
     reports = grid_mod.sweep_ranks(ranks, train_pairs, val_pairs, cfg, args.task, layer)
     write_report_tsv([row for report in reports for row in report.tsv_rows()], args.out)
@@ -218,7 +227,7 @@ def cmd_eval(args) -> int:
             sid: [i for i, rel in enumerate(tree.deprels or ()) if rel in wanted]
             for sid, tree in tree_of.items()
         }
-    pairs = _load_pairs(args.labels, args.emb)
+    (pairs,) = _load_pairs((args.labels, args.emb))
     if excluded is not None:
         # exclusions are token positions, so each labels id needs its own sentence
         for labels, _ in pairs:

@@ -176,7 +176,7 @@ def validate_manifest_data(
             raise ValidationError(f"labels file {lpath} is missing or not a file")
         split_labels[split] = read_labels(lpath)
         if not split_labels[split]:
-            raise ValidationError(f"{lpath}: no label records")
+            raise DataError(f"{lpath}: no label records")
     for cell in manifest.cells:
         split_pairs = {}
         for split, epath in cell.emb.items():

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import DataError
 from .io_utils import read_jsonl, record_id
-from .trees import ROOT, DepTree, TreeLabels, all_pairs_path_lengths, tree_depths
+from .trees import ROOT, DepTree, TreeLabels, all_pairs_path_lengths, derived_labels, tree_depths
 
 log = logging.getLogger(__name__)
 
@@ -150,6 +152,11 @@ def visual_labels(scene: SceneTree, region_order: Sequence[str], seq_id: str) ->
     Sequence position depth and pairwise distances come from the scene
     tree; two regions of the same phrase sit on one node (distance 0).
     The root index is omitted because the root is always position 0.
+
+    The distances are gathered from ``all_pairs_path_lengths``, which
+    checks ``scene.parents``, so they hold by construction and are not
+    checked again. The depths are read from ``scene.depths``, which a
+    caller may build by hand, so they are checked as a labels file's are.
     """
     node_dist = all_pairs_path_lengths(scene.parents)
     seq_nodes = [IMAGE_NODE]
@@ -157,10 +164,10 @@ def visual_labels(scene: SceneTree, region_order: Sequence[str], seq_id: str) ->
         if rid not in scene.region_of:
             raise DataError(f"sequence {seq_id}: unknown region id {rid}")
         seq_nodes.append(scene.region_of[rid])
-    idx = list(seq_nodes)
-    distances = node_dist[idx][:, idx]
+    idx = np.array(seq_nodes)
+    distances = node_dist[idx[:, None], idx]  # what np.ix_ builds, without its overhead
     depths = [scene.depths[v] for v in seq_nodes]
-    return TreeLabels(id=seq_id, distances=distances, depths=depths, root=None)
+    return derived_labels(seq_id, distances, depths, None, check_depths=True)
 
 
 def region_sequence(phrases: Sequence[PhraseAnnotation]) -> list[str]:

@@ -88,12 +88,26 @@ def _whole_numbers(values, what: str) -> np.ndarray:
     return arr
 
 
+def _depth_vector(values) -> np.ndarray:
+    """``values`` as a 1-D int64 array of whole numbers >= 0, else ValueError."""
+    depths = _whole_numbers(values, "depths")
+    if depths.ndim != 1:
+        raise ValueError(f"depths must be 1-D, got {depths.ndim}-D")
+    return depths
+
+
 @dataclass(frozen=True, eq=False)
 class TreeLabels:
     """Gold path-length matrix and depth vector for one node sequence.
 
     ``root`` is the index with depth zero for textual sequences and None
     for visual sequences, where the root is always sequence position 0.
+
+    ``TreeLabels(...)`` checks its arrays as outside input: a labels file,
+    or a caller's own arrays. Labels the package derives from a tree it has
+    checked (``tree_labels``, ``scenetree.visual_labels``) are built by
+    ``derived_labels``, whose matrix holds by construction and is not
+    checked again.
     """
 
     id: str
@@ -103,9 +117,7 @@ class TreeLabels:
 
     def __post_init__(self):
         object.__setattr__(self, "distances", _whole_numbers(self.distances, "distances"))
-        object.__setattr__(self, "depths", _whole_numbers(self.depths, "depths"))
-        if self.depths.ndim != 1:
-            raise ValueError(f"depths must be 1-D, got {self.depths.ndim}-D")
+        object.__setattr__(self, "depths", _depth_vector(self.depths))
         n = self.depths.shape[0]
         if self.distances.shape != (n, n):
             raise ValueError(
@@ -192,15 +204,36 @@ def tree_depths(tree: DepTree) -> np.ndarray:
     return np.array(depths, dtype=np.int64)
 
 
+def derived_labels(
+    seq_id: str, distances: np.ndarray, depths, root: int | None, *, check_depths: bool = False
+) -> TreeLabels:
+    """A TreeLabels of arrays derived from a checked tree, without ``TreeLabels``' checks.
+
+    ``distances`` is the int64 path-length matrix of a tree whose heads
+    were checked (``tree_distances``, ``all_pairs_path_lengths``), or its
+    rows and columns gathered at one index list: square, symmetric, zero
+    on the diagonal and non-negative by construction. ``depths`` is the
+    int64 depth vector of the same nodes, whose ``root`` entry (if any) is
+    zero; with ``check_depths`` it is outside input instead and gets
+    ``TreeLabels``' depth checks, so a fraction, a negative value or a
+    bool is a ValueError with the same message.
+    """
+    if check_depths:
+        depths = _depth_vector(depths)
+    labels = object.__new__(TreeLabels)
+    labels.__dict__.update(id=seq_id, distances=distances, depths=depths, root=root)
+    return labels
+
+
 def tree_labels(tree: DepTree, seq_id: str) -> TreeLabels:
     """Bundle gold distances and depths for one sentence.
 
-    A token's depth is its distance to the root.
+    A token's depth is its distance to the root. Both arrays are derived
+    from the checked ``tree``, so they are built by ``derived_labels`` and
+    not checked again.
     """
     distances = tree_distances(tree)
-    return TreeLabels(
-        id=seq_id, distances=distances, depths=distances[tree.root].copy(), root=tree.root
-    )
+    return derived_labels(seq_id, distances, distances[tree.root].copy(), tree.root)
 
 
 # the longest sentence block _plain_block reads; a longer one goes through the line loop

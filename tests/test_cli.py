@@ -1149,9 +1149,26 @@ def test_an_empty_labels_file_exits_two_naming_it_before_its_embeddings_are_deco
     assert main(["--quiet", command] + argv) == 2
     err = capsys.readouterr().err
     assert f"structprobe: {empty}: no label records\n" in err and "Traceback" not in err
-    # the training split's embeddings are decoded before the validation labels are read
-    assert decoded == ([str(emb)] if flag == "--val-labels" else [])
+    # every labels file is read before any embeddings file is decoded
+    assert decoded == []
     assert not out.exists()
+
+
+def test_grid_with_an_empty_labels_file_exits_two_naming_it_before_out_dir_is_made(
+    tmp_path, monkeypatch, capsys
+):
+    paths = write_grid_inputs(tmp_path, n_trees=10)
+    paths["eval_labels"].write_text("")
+    out_dir = tmp_path / "run"
+    mpath = write_manifest(tmp_path, paths, out_dir)
+    decoded: list = []
+    monkeypatch.setattr(grid_mod, "read_embeddings", lambda path: decoded.append(path) or [])
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 2
+    err = capsys.readouterr().err
+    assert f"structprobe: {paths['eval_labels']}: no label records\n" in err
+    assert "Traceback" not in err
+    assert decoded == []
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["build-labels", "eval", "chart"])

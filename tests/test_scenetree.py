@@ -8,11 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structprobe import scenetree
 from structprobe.errors import DataError
 from structprobe.scenetree import (
+    IMAGE_NODE,
     PhraseAnnotation,
+    SceneTree,
     construct_scene_tree,
     overlapping_phrase_pairs,
     read_grounding,
@@ -20,7 +24,8 @@ from structprobe.scenetree import (
     visual_labels,
 )
 from structprobe.synth import random_tree
-from structprobe.trees import ROOT, DepTree, tree_depths
+from structprobe.trees import ROOT, DepTree, TreeLabels, tree_depths
+from test_trees import floyd_warshall
 
 FIXTURES = json.loads((Path(__file__).parent / "data" / "scene_fixtures.json").read_text())
 
@@ -223,6 +228,36 @@ def test_visual_labels_chain_distance_two():
     # image -> p1 -> p2
     assert labels.distances[0, 2] == 2
     assert labels.depths.tolist() == [0, 1, 2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_visual_labels_match_floyd_warshall_over_the_scene_parents(seed, data):
+    tree, phrases = random_instance(np.random.default_rng(seed))
+    scene = construct_scene_tree(tree, phrases, "img")
+    region_ids = [rid for p in phrases for rid in p.region_ids]
+    order = data.draw(st.lists(st.sampled_from(region_ids), max_size=12))
+    labels = visual_labels(scene, order, "seq")
+    nodes = [IMAGE_NODE] + [scene.region_of[rid] for rid in order]
+    expected = floyd_warshall(scene.parents)[np.ix_(nodes, nodes)]
+    assert np.array_equal(labels.distances, expected)
+    assert labels.depths.tolist() == [scene.depths[v] for v in nodes]
+    # built without TreeLabels' checks of the matrix, which hold by construction
+    assert labels.distances.dtype == labels.depths.dtype == np.int64
+    TreeLabels(id=labels.id, distances=labels.distances, depths=labels.depths, root=labels.root)
+
+
+@pytest.mark.parametrize(
+    "depths, message",
+    [((0, -1), "depths must not be negative"), ((0, 1.5), "depths must be whole numbers"),
+     ((0, True), "depths must be numbers, not true or false"),
+     (([0], [1]), "depths must be 1-D, got 2-D")],
+)
+def test_visual_labels_check_the_depths_of_a_hand_built_scene_tree(depths, message):
+    scene = SceneTree(image_id="img", nodes=("img", "p1"), parents=(ROOT, 0), depths=depths,
+                      phrase_to_text={"p1": 0}, region_of={"r1": 1})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        visual_labels(scene, ["r1"], "seq")
 
 
 def test_visual_labels_unknown_region():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from structprobe import trees as trees_mod
-from structprobe.scenetree import PhraseAnnotation, construct_scene_tree
+from structprobe.scenetree import PhraseAnnotation, construct_scene_tree, visual_labels
 from structprobe.synth import oracle_embed_tree, random_tree
 from structprobe.trees import (
     ROOT,
@@ -295,3 +295,28 @@ def test_a_tree_is_walked_once_when_built(monkeypatch):
     construct_scene_tree(tree, [phrase], "img")
     oracle_embed_tree(tree)
     assert len(calls) == 1
+
+
+def test_derived_labels_skip_the_input_checks_that_outside_labels_get(monkeypatch, tmp_path):
+    calls = []
+    real_check = trees_mod._whole_numbers
+
+    def counting_check(values, what):
+        calls.append(what)
+        return real_check(values, what)
+
+    monkeypatch.setattr(trees_mod, "_whole_numbers", counting_check)
+    long_tree = random_tree(20, np.random.default_rng(3))
+    tree = DepTree(tokens=("a", "man", "on", "a", "bench"), heads=(1, ROOT, 1, 4, 2))
+    labels = [tree_labels(long_tree, "long"), tree_labels(tree, "short")]
+    assert calls == []  # derived from a checked tree
+    scene = construct_scene_tree(tree, [PhraseAnnotation("p1", 3, 5, ("r1",))], "img")
+    visual_labels(scene, ["r1"], "v")
+    assert calls == ["depths"]  # SceneTree.depths may be built by hand
+    calls.clear()
+    path = tmp_path / "labels.jsonl"
+    write_labels(labels, path)
+    lines = path.read_bytes().splitlines()
+    assert len(lines[0]) >= trees_mod._EXACT_MIN > len(lines[1])  # one line per read path
+    assert [lab.id for lab in read_labels(path)] == ["long", "short"]
+    assert calls == ["distances", "depths"] * 2

@@ -48,6 +48,9 @@ def test_tree_labels_match_floyd_warshall(heads):
     labels = tree_labels(tree, "s")
     assert np.array_equal(labels.distances, expected)
     assert np.array_equal(labels.depths, expected[tree.root])
+    # built without TreeLabels' checks, which hold by construction
+    assert labels.distances.dtype == labels.depths.dtype == np.int64
+    TreeLabels(id=labels.id, distances=labels.distances, depths=labels.depths, root=labels.root)
 
 
 @settings(max_examples=200, deadline=None)
