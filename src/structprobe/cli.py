@@ -162,12 +162,8 @@ def _load_pairs(*files):
         split_labels.append(labels)
     split_pairs = []
     for labels, (_, emb_path) in zip(split_labels, files):
-        # decoded first: a bad line's file:line message is not prefixed again
-        embeddings = list(read_embeddings(emb_path))
-        try:
-            split_pairs.append(pair_records(labels, embeddings))
-        except DataError as exc:
-            raise DataError(f"{emb_path}: {exc}") from exc
+        embeddings = list(read_embeddings(emb_path))  # every line is checked before pairing
+        split_pairs.append(pair_records(labels, embeddings, emb_path))
     return split_pairs
 
 
@@ -208,6 +204,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.conll and not args.exclude_deprels:
+        raise ValidationError("--conll needs --exclude-deprels: it only supplies relation labels")
     probe = load_probe(args.probe)
     layer = probe.meta.get("layer")
     if layer is not None:

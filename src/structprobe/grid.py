@@ -187,9 +187,9 @@ def validate_manifest_data(
             # a malformed line stays a DataError; only the pairing is a manifest problem
             headers = scan_embedding_headers(epath)
             try:
-                split_pairs[split] = pair_records(split_labels[split], headers)
+                split_pairs[split] = pair_records(split_labels[split], headers, epath)
             except DataError as exc:
-                raise ValidationError(f"{epath}: {exc}") from exc
+                raise ValidationError(str(exc)) from exc
         try:
             embedding_width(split_pairs)
         except DataError as exc:
@@ -246,7 +246,7 @@ def run_layer_grid(
         if cell.tag in width_errors:
             raise DataError(width_errors[cell.tag])
         pairs = {
-            split: pair_records(split_labels[split], read_embeddings(epath))
+            split: pair_records(split_labels[split], read_embeddings(epath), epath)
             for split, epath in cell.emb.items()
         }
         outcomes: list[EvalReport | Exception] = []

@@ -18,7 +18,7 @@ import binascii
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -80,9 +80,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):  # a numpy scalar is kept as the Python number it holds
+            if isinstance(getattr(self, f.name), np.generic):
+                object.__setattr__(self, f.name, getattr(self, f.name).item())
         for name in ("batch_size", "max_epochs", "patience", "rank", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("batch_size", "max_epochs", "patience", "rank"):
             if getattr(self, name) < 1:
@@ -94,7 +97,7 @@ class TrainConfig:
         lr = self.lr
         if (
             isinstance(lr, bool)
-            or not isinstance(lr, (int, float, np.integer, np.floating))
+            or not isinstance(lr, (int, float))
             or not 0 <= lr < math.inf  # NaN fails both comparisons
             or isinstance(lr, int) and lr > sys.float_info.max  # no float holds it
         ):
@@ -204,18 +207,24 @@ def dataset_loss(transform: np.ndarray, pairs: Sequence[Pair], task: str) -> flo
 
 
 def pair_records(
-    labels: Sequence[TreeLabels], embeddings: Iterable[EmbeddingSequence | EmbeddingHeader]
+    labels: Sequence[TreeLabels],
+    embeddings: Iterable[EmbeddingSequence | EmbeddingHeader],
+    source: str | Path | None = None,
 ) -> list[Pair]:
-    """Join labels with embeddings (or their headers) by unique id; lengths must agree."""
-    by_id = index_ids(((seq.id, seq) for seq in embeddings), "embedding")
+    """Join labels with embeddings (or their headers) by unique id; lengths must agree.
+
+    A DataError names ``source``, the embeddings file, if given.
+    """
+    by_id = index_ids(((seq.id, seq) for seq in embeddings), "embedding", source)
+    where = "" if source is None else f"{source}: "
     pairs = []
     for lab in labels:
         seq = by_id.get(lab.id)
         if seq is None:
-            raise DataError(f"no embeddings for sequence {lab.id!r}")
+            raise DataError(f"{where}no embeddings for sequence {lab.id!r}")
         if seq.n != lab.n:
             raise DataError(
-                f"sequence {lab.id!r}: {seq.n} embedding rows but {lab.n} labelled nodes"
+                f"{where}sequence {lab.id!r}: {seq.n} embedding rows but {lab.n} labelled nodes"
             )
         pairs.append((lab, seq))
     return pairs

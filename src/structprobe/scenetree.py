@@ -149,16 +149,16 @@ def construct_scene_tree(
 def visual_labels(scene: SceneTree, region_order: Sequence[str], seq_id: str) -> TreeLabels:
     """Gold labels for the visual sequence: full image first, then regions.
 
-    Sequence position depth and pairwise distances come from the scene
-    tree; two regions of the same phrase sit on one node (distance 0).
-    The root index is omitted because the root is always position 0.
-
-    The distances are gathered from ``all_pairs_path_lengths``, which
-    checks ``scene.parents``, so they hold by construction and are not
-    checked again. The depths are read from ``scene.depths``, which a
-    caller may build by hand, so they are checked as a labels file's are.
+    Sequence position depths and pairwise distances come from the scene
+    tree's ``parents``; two regions of the same phrase sit on one node
+    (distance 0). A depth is the distance to the full image, node 0, which
+    must be the root (ValueError otherwise). The root index is omitted
+    because the root is always position 0. The labels are derived from the
+    checked ``parents`` and not checked again.
     """
     node_dist = all_pairs_path_lengths(scene.parents)
+    if scene.parents[IMAGE_NODE] != ROOT:
+        raise ValueError(f"scene {scene.image_id}: node 0 is not the root of its parents")
     seq_nodes = [IMAGE_NODE]
     for rid in region_order:
         if rid not in scene.region_of:
@@ -166,8 +166,7 @@ def visual_labels(scene: SceneTree, region_order: Sequence[str], seq_id: str) ->
         seq_nodes.append(scene.region_of[rid])
     idx = np.array(seq_nodes)
     distances = node_dist[idx[:, None], idx]  # what np.ix_ builds, without its overhead
-    depths = [scene.depths[v] for v in seq_nodes]
-    return derived_labels(seq_id, distances, depths, None, check_depths=True)
+    return derived_labels(seq_id, distances, None)
 
 
 def region_sequence(phrases: Sequence[PhraseAnnotation]) -> list[str]:

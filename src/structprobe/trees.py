@@ -88,14 +88,6 @@ def _whole_numbers(values, what: str) -> np.ndarray:
     return arr
 
 
-def _depth_vector(values) -> np.ndarray:
-    """``values`` as a 1-D int64 array of whole numbers >= 0, else ValueError."""
-    depths = _whole_numbers(values, "depths")
-    if depths.ndim != 1:
-        raise ValueError(f"depths must be 1-D, got {depths.ndim}-D")
-    return depths
-
-
 @dataclass(frozen=True, eq=False)
 class TreeLabels:
     """Gold path-length matrix and depth vector for one node sequence.
@@ -117,7 +109,9 @@ class TreeLabels:
 
     def __post_init__(self):
         object.__setattr__(self, "distances", _whole_numbers(self.distances, "distances"))
-        object.__setattr__(self, "depths", _depth_vector(self.depths))
+        object.__setattr__(self, "depths", _whole_numbers(self.depths, "depths"))
+        if self.depths.ndim != 1:
+            raise ValueError(f"depths must be 1-D, got {self.depths.ndim}-D")
         n = self.depths.shape[0]
         if self.distances.shape != (n, n):
             raise ValueError(
@@ -204,22 +198,17 @@ def tree_depths(tree: DepTree) -> np.ndarray:
     return np.array(depths, dtype=np.int64)
 
 
-def derived_labels(
-    seq_id: str, distances: np.ndarray, depths, root: int | None, *, check_depths: bool = False
-) -> TreeLabels:
-    """A TreeLabels of arrays derived from a checked tree, without ``TreeLabels``' checks.
+def derived_labels(seq_id: str, distances: np.ndarray, root: int | None) -> TreeLabels:
+    """A TreeLabels of a checked tree's path lengths, without ``TreeLabels``' checks.
 
     ``distances`` is the int64 path-length matrix of a tree whose heads
     were checked (``tree_distances``, ``all_pairs_path_lengths``), or its
     rows and columns gathered at one index list: square, symmetric, zero
-    on the diagonal and non-negative by construction. ``depths`` is the
-    int64 depth vector of the same nodes, whose ``root`` entry (if any) is
-    zero; with ``check_depths`` it is outside input instead and gets
-    ``TreeLabels``' depth checks, so a fraction, a negative value or a
-    bool is a ValueError with the same message.
+    on the diagonal and non-negative by construction. A depth is the path
+    length to the root, so the depths are row ``root`` of the matrix, or
+    row 0 when ``root`` is None; that row must belong to the tree's root.
     """
-    if check_depths:
-        depths = _depth_vector(depths)
+    depths = distances[0 if root is None else root].copy()
     labels = object.__new__(TreeLabels)
     labels.__dict__.update(id=seq_id, distances=distances, depths=depths, root=root)
     return labels
@@ -228,12 +217,10 @@ def derived_labels(
 def tree_labels(tree: DepTree, seq_id: str) -> TreeLabels:
     """Bundle gold distances and depths for one sentence.
 
-    A token's depth is its distance to the root. Both arrays are derived
-    from the checked ``tree``, so they are built by ``derived_labels`` and
-    not checked again.
+    Both arrays are derived from the checked ``tree`` by ``derived_labels``
+    and not checked again.
     """
-    distances = tree_distances(tree)
-    return derived_labels(seq_id, distances, distances[tree.root].copy(), tree.root)
+    return derived_labels(seq_id, tree_distances(tree), tree.root)
 
 
 # the longest sentence block _plain_block reads; a longer one goes through the line loop

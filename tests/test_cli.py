@@ -389,6 +389,20 @@ def test_eval_exclude_deprels_requires_conll(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("conll", ["missing", "repeated"])
+def test_eval_conll_requires_exclude_deprels_before_any_input_is_read(tmp_path, capsys, conll):
+    path = tmp_path / "x.conll"
+    if conll == "repeated":
+        path.write_text("# sent_id = a\n1\tw\t_\t_\t_\t_\t0\troot\t_\t_\n\n" * 2)
+    out = tmp_path / "r.tsv"
+    code = main(["--quiet", "eval", "--probe", str(tmp_path / "no-probe.json"),
+                 "--labels", str(tmp_path / "no-labels.jsonl"), "--emb", str(tmp_path / "no-emb"),
+                 "--out", str(out), "--json", str(tmp_path / "d.json"), "--conll", str(path)])
+    assert code == 1
+    assert "--conll needs --exclude-deprels" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == (["x.conll"] if conll == "repeated" else [])
+
+
 def test_sweep_command(tmp_path):
     labels = tmp_path / "labels.jsonl"
     emb = tmp_path / "emb.jsonl"

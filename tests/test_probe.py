@@ -352,6 +352,20 @@ def test_train_config_accepts_numpy_integers():
     assert TrainConfig(rank=np.int64(3), seed=np.int32(2)).rank == 3
 
 
+def test_a_train_config_of_numpy_scalars_saves_the_probe_of_its_python_numbers(tmp_path):
+    pairs = oracle_dataset(8, 4, 6, extra_dims=0, seed=6).pairs()
+    python = dict(batch_size=4, max_epochs=2, patience=1, rank=3, lr=0.01, seed=3)
+    numpy = dict(batch_size=np.int32(4), max_epochs=np.int64(2), patience=np.uint8(1),
+                 rank=np.int64(3), lr=np.float64(0.01), seed=np.int64(3))
+    paths = []
+    for name, values in (("python", python), ("numpy", numpy)):
+        cfg = TrainConfig(**values)
+        assert all(type(getattr(cfg, k)) is type(v) for k, v in python.items())
+        paths.append(tmp_path / f"{name}.json")
+        save_probe(train_probe("depth", pairs[:6], pairs[6:], cfg), paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 @pytest.mark.parametrize("field, text", [("k", "1e999"), ("k", "4.0"), ("m", "true"), ("m", "-7")])
 def test_load_probe_requires_integer_k_and_m(tmp_path, field, text):
     path = tmp_path / "probe.json"

@@ -24,7 +24,7 @@ from structprobe.scenetree import (
     visual_labels,
 )
 from structprobe.synth import random_tree
-from structprobe.trees import ROOT, DepTree, TreeLabels, tree_depths
+from structprobe.trees import ROOT, DepTree, TreeLabels, tree_depths, tree_labels
 from test_trees import floyd_warshall
 
 FIXTURES = json.loads((Path(__file__).parent / "data" / "scene_fixtures.json").read_text())
@@ -247,16 +247,36 @@ def test_visual_labels_match_floyd_warshall_over_the_scene_parents(seed, data):
     TreeLabels(id=labels.id, distances=labels.distances, depths=labels.depths, root=labels.root)
 
 
-@pytest.mark.parametrize(
-    "depths, message",
-    [((0, -1), "depths must not be negative"), ((0, 1.5), "depths must be whole numbers"),
-     ((0, True), "depths must be numbers, not true or false"),
-     (([0], [1]), "depths must be 1-D, got 2-D")],
-)
-def test_visual_labels_check_the_depths_of_a_hand_built_scene_tree(depths, message):
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_derived_depths_are_the_root_row_of_the_distances(seed, data):
+    rng = np.random.default_rng(seed)
+    text = tree_labels(random_tree(int(rng.integers(1, 40)), rng), "t")
+    tree, phrases = random_instance(rng)
+    scene = construct_scene_tree(tree, phrases, "img")
+    region_ids = [rid for p in phrases for rid in p.region_ids]
+    order = data.draw(st.lists(st.sampled_from(region_ids), max_size=12))
+    visual = visual_labels(scene, order, "v")
+    for labels in (text, visual):
+        root = labels.root if labels.root is not None else 0
+        assert labels.depths.dtype == np.int64
+        assert np.array_equal(labels.depths, labels.distances[root])
+        TreeLabels(id=labels.id, distances=labels.distances, depths=labels.depths, root=labels.root)
+
+
+@pytest.mark.parametrize("depths", [(0, -1), (0, 1.5), (0, True), ([0], [1]), (0, 7)])
+def test_visual_labels_take_a_hand_built_scene_trees_depths_from_its_parents(depths):
     scene = SceneTree(image_id="img", nodes=("img", "p1"), parents=(ROOT, 0), depths=depths,
                       phrase_to_text={"p1": 0}, region_of={"r1": 1})
-    with pytest.raises(ValueError, match=re.escape(message)):
+    labels = visual_labels(scene, ["r1", "r1"], "seq")
+    assert labels.depths.tolist() == [0, 1, 1]
+    assert labels.depths.dtype == np.int64
+
+
+def test_visual_labels_reject_a_scene_whose_root_is_not_node_zero():
+    scene = SceneTree(image_id="img", nodes=("img", "p1"), parents=(1, ROOT), depths=(1, 0),
+                      phrase_to_text={"p1": 0}, region_of={"r1": 1})
+    with pytest.raises(ValueError, match="scene img: node 0 is not the root of its parents"):
         visual_labels(scene, ["r1"], "seq")
 
 

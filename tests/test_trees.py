@@ -312,7 +312,7 @@ def test_derived_labels_skip_the_input_checks_that_outside_labels_get(monkeypatc
     assert calls == []  # derived from a checked tree
     scene = construct_scene_tree(tree, [PhraseAnnotation("p1", 3, 5, ("r1",))], "img")
     visual_labels(scene, ["r1"], "v")
-    assert calls == ["depths"]  # SceneTree.depths may be built by hand
+    assert calls == []  # depths are the root row of the checked matrix
     calls.clear()
     path = tmp_path / "labels.jsonl"
     write_labels(labels, path)
