@@ -152,18 +152,26 @@ def visual_labels(scene: SceneTree, region_order: Sequence[str], seq_id: str) ->
     Sequence position depths and pairwise distances come from the scene
     tree's ``parents``; two regions of the same phrase sit on one node
     (distance 0). A depth is the distance to the full image, node 0, which
-    must be the root (ValueError otherwise). The root index is omitted
-    because the root is always position 0. The labels are derived from the
-    checked ``parents`` and not checked again.
+    must be the root, and each region's node an int index into ``parents``
+    (ValueError otherwise). The root index is omitted because the root is
+    always position 0. The labels are derived from the checked ``parents``
+    and not checked again.
     """
     node_dist = all_pairs_path_lengths(scene.parents)
     if scene.parents[IMAGE_NODE] != ROOT:
         raise ValueError(f"scene {scene.image_id}: node 0 is not the root of its parents")
+    n = len(node_dist)
     seq_nodes = [IMAGE_NODE]
     for rid in region_order:
         if rid not in scene.region_of:
             raise DataError(f"sequence {seq_id}: unknown region id {rid}")
-        seq_nodes.append(scene.region_of[rid])
+        node = scene.region_of[rid]
+        # type(True) is bool, not int: a bool is no node, though it indexes like one
+        if (type(node) is not int and not isinstance(node, np.integer)) or not 0 <= node < n:
+            raise ValueError(
+                f"scene {scene.image_id}: region {rid} is on node {node!r}, not one of its {n} nodes"
+            )
+        seq_nodes.append(node)
     idx = np.array(seq_nodes)
     distances = node_dist[idx[:, None], idx]  # what np.ix_ builds, without its overhead
     return derived_labels(seq_id, distances, None)

@@ -223,62 +223,6 @@ def tree_labels(tree: DepTree, seq_id: str) -> TreeLabels:
     return derived_labels(seq_id, tree_distances(tree), tree.root)
 
 
-# the longest sentence block _plain_block reads; a longer one goes through the line loop
-_BLOCK_MAX = 1024
-
-
-@functools.cache
-def _line_ids() -> list[str]:
-    """The ID field of each token line of a plain block as ``_plain_block`` splits it.
-
-    ``"1"``, then ``"\\n2"`` to ``"\\n1024"``: each later line keeps the
-    ``"\\n"`` it is joined by. Built on first use, not at import.
-    """
-    return ["1"] + [f"\n{i}" for i in range(2, _BLOCK_MAX + 1)]
-
-
-def _plain_block(block: str) -> tuple[str, list[str], list[int], list[str]] | None:
-    """``(comments, forms, heads, deprels)`` of a plain sentence block, else None.
-
-    ``block`` is the text of the block's lines, joined by ``"\\n"``. A plain
-    block is comment lines, each starting with ``#`` (``comments``, each
-    with its ``"\\n"``), then ``k`` (1 to ``_BLOCK_MAX``) token lines of
-    exactly 10 tab-separated columns with no whitespace at either end, whose
-    IDs read ``1`` to ``k`` as written and whose HEADs ``int`` reads as 0 to
-    ``k``. ``heads`` are token indices, ROOT for HEAD 0.
-
-    The token lines are split at tabs in one pass, with each ``"\\n"`` kept
-    at the start of the next line's ID: no line holds a ``"\\n"``, so the
-    IDs found in every tenth field prove that each line has 10 columns. A
-    line that starts with its ID and whose last column does not end in
-    whitespace is one that ``str.strip``, which the line loop applies first,
-    leaves as it is, and the line loop reads its ID, FORM, HEAD and DEPREL as
-    here.
-    """
-    pos = 0
-    while block.startswith("#", pos):
-        pos = block.find("\n", pos) + 1
-        if not pos:
-            return None
-    body = block[pos:]
-    k = body.count("\n") + 1
-    if k > _BLOCK_MAX:
-        return None
-    fields = body.replace("\n", "\t\n").split("\t")
-    if len(fields) != 10 * k or fields[::10] != _line_ids()[:k]:
-        return None
-    last = fields[9::10]
-    if "" in last or list(map(str.rstrip, last)) != last:  # an empty one: the line ends in a tab
-        return None
-    try:
-        heads = [h - 1 for h in map(int, fields[6::10])]
-    except ValueError:
-        return None
-    if min(heads) < ROOT or max(heads) >= k:
-        return None
-    return block[:pos], fields[1::10], heads, fields[7::10]
-
-
 def parse_conllu(text: str) -> list[DepTree]:
     """Parse CoNLL-formatted text into one DepTree per sentence block.
 
@@ -288,39 +232,17 @@ def parse_conllu(text: str) -> list[DepTree]:
     ones are ignored. Multiword-token lines (ID "i-j") and empty-node
     lines (ID "i.j") are skipped; HEAD 0 marks the root.
 
-    The text is cut into blocks at each empty line (``"\\n\\n"``). A plain
-    block (``_plain_block``: ``#`` comments, then 10-column tab-separated
-    token lines numbered ``1`` to ``n`` as written, with no whitespace at
-    either end) is read in one pass. Any other block goes through the line
-    loop with its own line numbers: compact, multiword-token or empty-node
-    lines, CRLF line ends, comments between token lines, a block of comments
-    only (whose ``sent_id`` carries over to the next block), IDs such as
-    ``01``, and a bad ID, HEAD or column count. Either way the trees,
-    sent_ids and ConllError texts, line numbers included, are the same.
+    Each line is stripped and read on its own, in one pass; an empty line
+    ends a sentence, and a ``# sent_id`` comment names the next one. A
+    ConllError names its line, or the line that ends its sentence;
+    ``read_conllu`` puts the file's path in front.
     """
     trees: list[DepTree] = []
     block: list[tuple[int, str, int, str]] = []
     pending_id = None
 
-    def add(forms, heads, deprels, end_line: int) -> None:
-        nonlocal pending_id
-        label = pending_id if pending_id is not None else f"#{len(trees)}"
-        try:
-            tree = DepTree(tokens=forms, heads=heads, deprels=deprels, sent_id=pending_id)
-        except ValueError as exc:
-            raise ConllError(f"sentence {label} (ending at line {end_line}): {exc}") from exc
-        trees.append(tree)
-        pending_id = None
-
-    def comment(line: str) -> None:
-        nonlocal pending_id
-        body = line.lstrip("#").strip()
-        if body.startswith("sent_id"):
-            _, _, value = body.partition("=")
-            pending_id = value.strip() or None
-
     def flush(end_line: int) -> None:
-        nonlocal block
+        nonlocal block, pending_id
         if not block:
             return
         ids = [row[0] for row in block]
@@ -340,66 +262,69 @@ def parse_conllu(text: str) -> list[DepTree]:
                     f"sentence ending at line {end_line}: token {tid} has head {head} "
                     f"outside 0..{n}"
                 )
-        add([row[1] for row in block], heads, [row[3] for row in block], end_line)
+        label = pending_id if pending_id is not None else f"#{len(trees)}"
+        try:
+            tree = DepTree(
+                tokens=[row[1] for row in block],
+                heads=heads,
+                deprels=[row[3] for row in block],
+                sent_id=pending_id,
+            )
+        except ValueError as exc:
+            raise ConllError(f"sentence {label} (ending at line {end_line}): {exc}") from exc
+        trees.append(tree)
         block = []
-
-    def parse_lines(lines: list[str], first: int) -> None:
-        for lineno, raw in enumerate(lines, start=first):
-            line = raw.strip()
-            if not line:
-                flush(lineno)
-                continue
-            if line.startswith("#"):
-                comment(line)
-                continue
-            cols = line.split("\t") if "\t" in line else line.split()
-            if len(cols) < 4:
-                raise ConllError(f"line {lineno}: expected at least 4 columns, got {len(cols)}")
-            tok_id = cols[0]
-            if "-" in tok_id or "." in tok_id:
-                continue
-            head_col, deprel_col = (6, 7) if len(cols) >= 8 else (2, 3)
-            try:
-                parsed_id = int(tok_id)
-                head = int(cols[head_col])
-            except ValueError as exc:
-                raise ConllError(f"line {lineno}: non-integer ID or HEAD field: {exc}") from exc
-            block.append((parsed_id, cols[1], head, cols[deprel_col]))
+        pending_id = None
 
     # only "\n" ends a line (splitlines() would also break at U+2028 and the
     # other Unicode separators a FORM may hold); strip() drops a CRLF's "\r"
-    chunks = text.split("\n\n")
-    start = 1  # the number of the block's first line
-    for i, chunk in enumerate(chunks):
-        if i < len(chunks) - 1:
-            end = start + chunk.count("\n") + 1  # the empty line after the block
-        elif chunk:  # the text's last "\n" ends a line and starts none
-            chunk = chunk.removesuffix("\n")
-            end = start + chunk.count("\n")
-        else:
-            break
-        plain = _plain_block(chunk)
-        if plain is None:
-            parse_lines(chunk.split("\n"), start)
-            flush(end)
-        else:
-            comments, forms, heads, deprels = plain
-            for line in comments.split("\n")[:-1]:
-                comment(line.strip())
-            add(forms, heads, deprels, end)
-        start = end + 1
+    lines = text.split("\n")
+    if not lines[-1]:  # the text's last "\n" ends a line and starts none
+        lines.pop()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            flush(lineno)
+            continue
+        if line.startswith("#"):
+            body = line.lstrip("#").strip()
+            if body.startswith("sent_id"):
+                _, _, value = body.partition("=")
+                pending_id = value.strip() or None
+            continue
+        cols = line.split("\t") if "\t" in line else line.split()
+        if len(cols) < 4:
+            raise ConllError(f"line {lineno}: expected at least 4 columns, got {len(cols)}")
+        tok_id = cols[0]
+        if "-" in tok_id or "." in tok_id:
+            continue
+        head_col, deprel_col = (6, 7) if len(cols) >= 8 else (2, 3)
+        try:
+            parsed_id = int(tok_id)
+            head = int(cols[head_col])
+        except ValueError as exc:
+            raise ConllError(f"line {lineno}: non-integer ID or HEAD field: {exc}") from exc
+        block.append((parsed_id, cols[1], head, cols[deprel_col]))
+    flush(len(lines))
     return trees
 
 
 def read_conllu(path: str | Path) -> list[DepTree]:
-    """Parse a UTF-8 CoNLL file; bytes that are not UTF-8 are a ConllError."""
+    """Parse a UTF-8 CoNLL file; every ConllError names the file.
+
+    Bytes that are not UTF-8 are a ConllError naming ``path:line``; any other
+    is ``parse_conllu``'s, with ``path`` in front.
+    """
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ConllError(f"{path}:{line}: not valid UTF-8: {exc.reason}") from exc
-    return parse_conllu(text)
+    try:
+        return parse_conllu(text)
+    except ConllError as exc:
+        raise ConllError(f"{path}: {exc}") from exc
 
 
 def write_labels(labels: Iterable[TreeLabels], path: str | Path) -> None:

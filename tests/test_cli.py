@@ -481,6 +481,42 @@ def test_build_labels_on_non_utf8_conll_names_file_and_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["build-labels", "scene-tree", "eval"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 a 2 x\n2 b x root\n", "line 2: non-integer ID or HEAD field"),
+        ("1 a 2 x\n2 b 5 root\n\n", "sentence ending at line 3: token 2 has head 5 outside 0..2"),
+        ("# sent_id = c1\n1 a 0 x\n2 b 0 root\n", "sentence c1 (ending at line 3): a tree has"),
+    ],
+    ids=["line", "sentence", "tree"],
+)
+def test_a_bad_conll_exits_two_naming_the_conll_file_and_writes_nothing(
+    tmp_path, capsys, command, text, message
+):
+    conll, grounding = tmp_path / "bad.conll", tmp_path / "g.jsonl"
+    conll.write_text(text)
+    grounding.write_text(json.dumps(GROUNDING) + "\n")
+    probe = tmp_path / "probe.json"
+    save_probe(identity_probe("distance", 4), probe)
+    inputs = sorted(tmp_path.iterdir())
+    out = tmp_path / "out"
+    argv = {
+        "build-labels": ["--conll", str(conll), "--out", str(out)],
+        "scene-tree": ["--conll", str(conll), "--grounding", str(grounding), "--out", str(out),
+                       "--report", str(tmp_path / "report.json")],
+        "eval": ["--probe", str(probe), "--labels", str(tmp_path / "labels.jsonl"),
+                 "--emb", str(tmp_path / "emb.jsonl"), "--out", str(out),
+                 "--json", str(tmp_path / "d.json"), "--exclude-deprels", "det",
+                 "--conll", str(conll)],
+    }[command]
+    assert main(["--quiet", command, *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"structprobe: {conll}: {message}" in err
+    assert str(grounding) not in err and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
 def test_malformed_records_exit_two(tmp_path):
     labels = tmp_path / "labels.jsonl"
     emb = tmp_path / "emb.jsonl"

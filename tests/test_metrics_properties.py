@@ -18,7 +18,7 @@ from structprobe.metrics import (
     length_binned_spearman,
     uuas_counts,
 )
-from structprobe.probe import Probe, identity_probe
+from structprobe.probe import Probe, identity_probe, predict_distances
 from structprobe.scenetree import (
     PhraseAnnotation,
     construct_scene_tree,
@@ -26,7 +26,7 @@ from structprobe.scenetree import (
     visual_labels,
 )
 from structprobe.synth import oracle_dataset, random_tree
-from structprobe.trees import ROOT, DepTree, tree_labels
+from structprobe.trees import ROOT, DepTree, TreeLabels, tree_labels
 
 LABELS = {n: tree_labels(random_tree(n, n), f"s{n}") for n in range(1, 61)}
 SCORE = st.none() | st.floats(-1.0, 1.0)
@@ -176,3 +176,28 @@ def test_permuting_the_dataset_permutes_the_records_and_keeps_every_aggregate(sp
             assert abs(permuted.aggregates[metric] - value) <= 1e-12
         else:
             assert permuted.aggregates[metric] == value
+
+
+@settings(max_examples=25, deadline=None)
+@given(rank=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), at=st.integers(0, len(NOISY) - 1),
+       data=st.data())
+def test_permuting_one_sequences_nodes_keeps_its_dspr_and_its_untied_uuas(rank, seed, at, data):
+    labels, seq = NOISY[at]
+    order = data.draw(st.permutations(range(labels.n)))
+    permuted = (
+        TreeLabels(labels.id, labels.distances[np.ix_(order, order)], labels.depths[order],
+                   order.index(labels.root)),
+        dataclasses.replace(seq, values=seq.values[order]),
+    )
+    probe = Probe("distance", np.random.default_rng(seed).normal(size=(rank, seq.m)))
+    (record,) = evaluate_probe(probe, [(labels, seq)]).records
+    (moved,) = evaluate_probe(probe, [permuted]).records
+    if record["dspr"] is None:
+        assert moved["dspr"] is None
+    else:
+        assert abs(moved["dspr"] - record["dspr"]) <= 1e-12
+    upper = np.triu_indices(labels.n, k=1)
+    pred = predict_distances(probe, seq)[upper]
+    if np.unique(pred).size == pred.size and labels.distances[upper].all():
+        assert moved["uuas_correct"] == record["uuas_correct"]
+        assert moved["uuas_total"] == record["uuas_total"]

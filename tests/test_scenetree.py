@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -278,6 +279,21 @@ def test_visual_labels_reject_a_scene_whose_root_is_not_node_zero():
                       phrase_to_text={"p1": 0}, region_of={"r1": 1})
     with pytest.raises(ValueError, match="scene img: node 0 is not the root of its parents"):
         visual_labels(scene, ["r1"], "seq")
+
+
+@pytest.mark.parametrize("node", [-1, 3, 5, True, 1.0, "1", None])
+def test_visual_labels_reject_a_region_on_a_node_the_scene_does_not_have(node):
+    # the chain image -> p1 -> p2; -1 would read the last node, True node 1
+    scene = SceneTree(image_id="img", nodes=("img", "p1", "p2"), parents=(ROOT, 0, 1),
+                      depths=(0, 1, 2), phrase_to_text={"p1": 0, "p2": 1},
+                      region_of={"r0": 2, "r1": node})
+    message = f"scene img: region r1 is on node {node!r}, not one of its 3 nodes"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        visual_labels(scene, ["r0", "r1"], "seq")
+    numpy_node = dataclasses.replace(scene, region_of={"r0": 2, "r1": np.int64(1)})
+    assert visual_labels(numpy_node, ["r0", "r1"], "seq").distances.tolist() == [
+        [0, 2, 1], [2, 0, 1], [1, 1, 0]
+    ]
 
 
 def test_visual_labels_unknown_region():
