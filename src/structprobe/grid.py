@@ -234,8 +234,10 @@ def run_layer_grid(
     """Train and evaluate every (layer, rank) cell; emit the aggregate table.
 
     Up to ``jobs`` layers run at once. Failed cells are recorded and
-    skipped. Raises only if every cell fails. Returns the successful
-    reports in manifest order and the (cell, error) failures.
+    skipped; a cell is scored before its probe and report are written, so
+    one whose training or scoring fails leaves no file. Raises only if
+    every cell fails. Returns the successful reports in manifest order and
+    the (cell, error) failures.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -257,8 +259,8 @@ def run_layer_grid(
                 probe = train_probe(
                     manifest.task, pairs["train"], pairs["val"], cfg, layer=cell.tag
                 )
-                save_probe(probe, manifest.out_dir / f"probe_{name}.json")
                 report = evaluate_probe(probe, pairs["eval"])
+                save_probe(probe, manifest.out_dir / f"probe_{name}.json")
                 write_report_json(report, manifest.out_dir / f"report_{name}.json")
                 outcomes.append(report)
             except Exception as exc:

@@ -94,38 +94,27 @@ def construct_scene_tree(
         seen_ids.add(p.phrase_id)
 
     token_depths = tree_depths(tree)
-    anchor = {p.phrase_id: _anchor(p, tree, token_depths) for p in phrases}
-    order = sorted(
-        range(len(phrases)), key=lambda i: (token_depths[anchor[phrases[i].phrase_id]], i)
-    )
+    anchors = [_anchor(p, tree, token_depths) for p in phrases]
+    order = sorted(range(len(phrases)), key=lambda i: (token_depths[anchors[i]], i))
 
-    nodes = (image_id,) + tuple(p.phrase_id for p in phrases)
-    node_of = {p.phrase_id: i + 1 for i, p in enumerate(phrases)}
-    parents = [ROOT] + [0] * len(phrases)
+    # node i + 1 is phrase i; a dependency token maps to the scene node of
+    # the first phrase attached there, and the sentence root is implicitly
+    # occupied by the full image
+    parents = [ROOT] + [IMAGE_NODE] * len(phrases)
     depths = [0] * (len(phrases) + 1)
-    # dependency token -> scene nodes of already-attached phrases, in
-    # attachment order; the sentence root is implicitly occupied by node 0
-    occupants: dict[int, list[int]] = {}
-
+    occupant: dict[int, int] = {}
+    root, heads = tree.root, tree.heads
     for i in order:
-        p = phrases[i]
-        cur = anchor[p.phrase_id]
-        while True:
-            occ = occupants.get(cur)
-            if occ:
-                parent_node = occ[0]
-                break
-            if cur == tree.root:
-                parent_node = IMAGE_NODE
-                break
-            cur = tree.heads[cur]
-        node = node_of[p.phrase_id]
-        parents[node] = parent_node
-        depths[node] = depths[parent_node] + 1
-        occupants.setdefault(anchor[p.phrase_id], []).append(node)
+        cur = anchors[i]
+        while cur not in occupant and cur != root:
+            cur = heads[cur]
+        parent = occupant.get(cur, IMAGE_NODE)
+        parents[i + 1] = parent
+        depths[i + 1] = depths[parent] + 1
+        occupant.setdefault(anchors[i], i + 1)
 
     region_of: dict[str, int] = {}
-    for p in phrases:
+    for node, p in enumerate(phrases, start=1):
         for rid in p.region_ids:
             if rid in region_of:
                 log.warning(
@@ -134,14 +123,14 @@ def construct_scene_tree(
                     rid,
                 )
                 continue
-            region_of[rid] = node_of[p.phrase_id]
+            region_of[rid] = node
 
     return SceneTree(
         image_id=image_id,
-        nodes=nodes,
+        nodes=(image_id,) + tuple(p.phrase_id for p in phrases),
         parents=tuple(parents),
         depths=tuple(depths),
-        phrase_to_text={p.phrase_id: anchor[p.phrase_id] for p in phrases},
+        phrase_to_text={p.phrase_id: a for p, a in zip(phrases, anchors)},
         region_of=region_of,
     )
 
@@ -203,7 +192,9 @@ def _decode_caption(rec: dict) -> GroundedCaption:
     if type(rec["tokens"]) is not list:
         raise ValueError(f"tokens must be a JSON list, got {rec['tokens']!r}")
     tokens = tuple(str(t) for t in rec["tokens"])
-    phrases = []
+    if type(rec["phrases"]) is not list:
+        raise ValueError(f"phrases must be a JSON list, got {rec['phrases']!r}")
+    phrases, phrase_ids = [], set()
     for p in rec["phrases"]:
         if not isinstance(p, dict):
             raise ValueError(f"phrase {p!r} is not a JSON object")
@@ -231,6 +222,9 @@ def _decode_caption(rec: dict) -> GroundedCaption:
             raise ValueError(
                 f"phrase {ann.phrase_id} span end {ann.end} beyond {len(tokens)} tokens"
             )
+        if ann.phrase_id in phrase_ids:
+            raise ValueError(f"duplicate phrase id {ann.phrase_id}")
+        phrase_ids.add(ann.phrase_id)
         phrases.append(ann)
     return GroundedCaption(
         image_id=record_id(rec["image_id"], "image_id"),
@@ -244,11 +238,11 @@ def read_grounding(path: str | Path) -> Iterator[GroundedCaption]:
     """Read grounded captions from JSON Lines.
 
     Record shape: {"image_id", "sentence_id", "tokens", "phrases":
-    [{"phrase_id", "start", "end", "region_ids"}]}, where ``tokens`` and
-    each ``region_ids`` are JSON lists, every ``start`` and ``end`` a JSON
-    integer, and every id a JSON string or integer (``io_utils.record_id``).
-    Phrases without region ids are then dropped, before any tree
-    construction.
+    [{"phrase_id", "start", "end", "region_ids"}]}, where ``tokens``,
+    ``phrases`` and each ``region_ids`` are JSON lists, every ``start`` and
+    ``end`` a JSON integer, and every id a JSON string or integer
+    (``io_utils.record_id``). Phrases without region ids are then dropped,
+    before any tree construction, and the phrase ids kept must be distinct.
     """
     return read_jsonl(path, "grounding", _decode_caption)
 

@@ -132,6 +132,52 @@ def test_scene_tree_on_region_ids_that_are_no_json_list_exits_two_and_writes_not
     assert json.loads(out.read_text())["phrase_to_text"] == {"p1": 1}
 
 
+@pytest.mark.parametrize("phrases", [{}, "", 5, None, {"p1": GROUNDING["phrases"][0]}])
+def test_scene_tree_on_phrases_that_are_no_json_list_exits_two_and_writes_nothing(
+    tmp_path, capsys, phrases
+):
+    conll = tmp_path / "x.conll"
+    conll.write_text(CONLL)
+    grounding = tmp_path / "g.jsonl"
+    grounding.write_text(json.dumps(dict(GROUNDING, phrases=phrases)) + "\n")
+    out, report = tmp_path / "scene.jsonl", tmp_path / "overlaps.json"
+    argv = ["--quiet", "scene-tree", "--conll", str(conll), "--grounding", str(grounding),
+            "--out", str(out), "--report", str(report)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert (
+        f"{grounding}:1: bad grounding record: phrases must be a JSON list, got {phrases!r}"
+        in err
+    )
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.jsonl", "x.conll"]
+
+
+def test_scene_tree_on_a_repeated_phrase_id_names_the_grounding_line_and_writes_nothing(
+    tmp_path, capsys
+):
+    conll = tmp_path / "x.conll"
+    conll.write_text(CONLL)
+    grounding = tmp_path / "g.jsonl"
+    phrases = [GROUNDING["phrases"][0], dict(GROUNDING["phrases"][1], phrase_id="p1")]
+    grounding.write_text(
+        json.dumps(GROUNDING) + "\n" + json.dumps(dict(GROUNDING, phrases=phrases)) + "\n"
+    )
+    out, report = tmp_path / "scene.jsonl", tmp_path / "overlaps.json"
+    argv = ["--quiet", "scene-tree", "--conll", str(conll), "--grounding", str(grounding),
+            "--out", str(out), "--report", str(report)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{grounding}:2: bad grounding record: duplicate phrase id p1" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.jsonl", "x.conll"]
+    # a dropped phrase (no region ids) shares its id with a kept one, as before
+    phrases[1]["region_ids"] = []
+    grounding.write_text(json.dumps(dict(GROUNDING, phrases=phrases)) + "\n")
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["phrase_to_text"] == {"p1": 1}
+
+
 def test_scene_tree_token_mismatch_is_data_error(tmp_path):
     conll = tmp_path / "x.conll"
     conll.write_text(CONLL)
@@ -936,6 +982,29 @@ def test_grid_decodes_each_embedding_file_once(tmp_path, monkeypatch):
         str(paths[f"{split}_emb_l{tag}"]) for tag in "01" for split in ("train", "val", "eval")
     ]
     assert sorted(decoded) == sorted(expected)
+
+
+def test_grid_cell_that_fails_scoring_leaves_no_file(tmp_path, monkeypatch):
+    paths = write_grid_inputs(tmp_path, n_trees=15)
+    clean_dir, failed_dir = tmp_path / "clean", tmp_path / "failed"
+    mpath = write_manifest(tmp_path, paths, clean_dir, ranks=(2, 3))
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 0
+    real_evaluate = grid_mod.evaluate_probe
+
+    def evaluate_failing_rank_3(probe, pairs):
+        if probe.transform.shape[0] == 3:
+            raise ValueError("scoring failed")
+        return real_evaluate(probe, pairs)
+
+    monkeypatch.setattr(grid_mod, "evaluate_probe", evaluate_failing_rank_3)
+    mpath.write_text(json.dumps(dict(json.loads(mpath.read_text()), out_dir=str(failed_dir))))
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 2
+    assert not list(failed_dir.glob("*rank3*"))
+    for name in ("probe_layer0_rank2.json", "report_layer0_rank2.json",
+                 "probe_layer1_rank2.json", "report_layer1_rank2.json"):
+        assert (failed_dir / name).read_bytes() == (clean_dir / name).read_bytes()
+    clean_rows = [r for r in read_report_tsv(clean_dir / "report.tsv") if r["rank"] == 2]
+    assert read_report_tsv(failed_dir / "report.tsv") == clean_rows
 
 
 @pytest.mark.parametrize("jobs", ["0", "-5"])

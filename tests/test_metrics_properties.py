@@ -201,3 +201,19 @@ def test_permuting_one_sequences_nodes_keeps_its_dspr_and_its_untied_uuas(rank, 
     if np.unique(pred).size == pred.size and labels.distances[upper].all():
         assert moved["uuas_correct"] == record["uuas_correct"]
         assert moved["uuas_total"] == record["uuas_total"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-3, 3), max_size=60)
+    | st.lists(st.floats(allow_nan=False), max_size=60)
+)
+@example([])
+@example([2, 2, 2])
+@example([0.0, -0.0, 1.0])
+def test_average_ranks_are_scipy_rankdata_average(values):
+    from scipy.stats import rankdata  # the test oracle; src/ never imports scipy
+
+    got = metrics.average_ranks(values)
+    assert got.dtype == np.float64
+    assert got.tolist() == rankdata(values, method="average").tolist()
