@@ -3,7 +3,6 @@ probes, and their metric suite, over externally supplied embeddings."""
 
 from .embed_io import AlignmentMap, EmbeddingSequence, align_wordpieces, read_embeddings, write_embeddings
 from .errors import DataError, StructProbeError, TrainingDiverged, ValidationError
-from .grid import sweep_ranks
 from .metrics import EvalReport, evaluate_probe, length_binned_spearman, spearman
 from .probe import (
     Probe,

@@ -197,8 +197,15 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"bad --ranks {args.ranks!r}: {exc}") from exc
     train_pairs, val_pairs = _load_pairs((args.labels, args.emb), (args.val_labels, args.val_emb))
     layer = _emb_layer_tag(train_pairs)
-    reports = grid_mod.sweep_ranks(ranks, train_pairs, val_pairs, cfg, args.task, layer)
-    write_report_tsv([row for report in reports for row in report.tsv_rows()], args.out)
+    splits = {"train": train_pairs, "val": val_pairs, "eval": val_pairs}
+    rows = []
+    for _, probe, outcome in grid_mod.rank_cells(args.task, splits, cfg, ranks, layer):
+        if probe is None:  # the first error ends the sweep: later ranks never train
+            raise outcome
+        outcome.aggregates["val_loss"] = probe.meta["val_loss"]
+        outcome.counters["n_val_loss"] = len(val_pairs)
+        rows += outcome.tsv_rows()
+    write_report_tsv(rows, args.out)
     log.info("swept ranks %s -> %s", ranks, args.out)
     return 0
 

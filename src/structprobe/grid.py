@@ -1,15 +1,14 @@
 """Rank sweeps and layer grids: compose ``probe`` training with ``metrics`` scoring.
 
-A sweep trains and scores one probe per rank and stops at its first error.
-A grid's manifest names a labels file per split, an embedding file per split
-for each layer or baseline tag, the ranks, and the training config; the
-types check their own rules, however they are built. Every path must be a
-file, and each (labels, embeddings) pair must agree on ids and lengths,
-before any cell trains; a layer whose splits differ in width fails its cells
-without being decoded. Layers run in a bounded worker pool: each job decodes
-its layer's embedding files once, then trains and evaluates one (layer, rank)
-cell per rank, and a failed cell does not stop the others. The aggregate TSV
-and charts are written once, atomically, in a deterministic order.
+``rank_cells`` trains and scores one probe per rank and yields each cell's outcome, its
+error included: ``sweep`` stops at the first error, a grid records it and goes on. A grid's
+manifest names a labels file per split, an embedding file per split for each layer or
+baseline tag, the ranks, and the training config; the types check their own rules, however
+they are built. Every path must be a file, and each (labels, embeddings) pair must agree on
+ids and lengths, before any cell trains; a layer whose splits differ in width fails its
+cells without being decoded. Layers run in a bounded worker pool, each decoding its files
+once. The aggregate TSV and charts are written once, atomically, in a deterministic order,
+into an ``out_dir`` that was new or empty.
 """
 
 from __future__ import annotations
@@ -20,11 +19,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .chart import emit_chart
 from .embed_io import read_embeddings, scan_embedding_headers
 from .errors import DataError, StructProbeError, ValidationError
+from .io_utils import error_text
 from .metrics import (
     TASK_METRICS,
     EvalReport,
@@ -33,7 +33,7 @@ from .metrics import (
     write_report_json,
     write_report_tsv,
 )
-from .probe import TASKS, Pair, TrainConfig, embedding_width, pair_records, save_probe, train_probe
+from .probe import TASKS, Pair, Probe, TrainConfig, embedding_width, pair_records, save_probe, train_probe
 from .trees import TreeLabels, read_labels
 
 log = logging.getLogger(__name__)
@@ -158,7 +158,7 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
             chart_metrics=tuple(chart_metrics),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: bad manifest: {exc}") from exc
+        raise ValidationError(f"{path}: bad manifest: {error_text(exc)}") from exc
 
 
 def validate_manifest_data(
@@ -205,44 +205,50 @@ def _cell_name(tag: int | str, rank: int) -> str:
     return f"layer{tag}_rank{rank}"
 
 
-def sweep_ranks(
-    ranks: Sequence[int],
-    train: Sequence[Pair],
-    val: Sequence[Pair],
-    cfg: TrainConfig,
+def rank_cells(
     task: str,
+    splits: Mapping[str, Sequence[Pair]],
+    cfg: TrainConfig,
+    ranks: Iterable[int],
     layer: int | str | None = None,
-) -> list[EvalReport]:
-    """Train one probe per ``rank_list`` rank (shared seed) and score it on ``val``.
+) -> Iterator[tuple[int, Probe | None, EvalReport | Exception]]:
+    """Per ``rank_list`` rank, in order: train on ``splits["train"]``, stop early on ``"val"``.
 
-    Each report's aggregates also hold the probe's best ``val_loss``, counted
-    over every validation sequence.
+    Each probe (shared seed) is scored on ``splits["eval"]`` and yielded as ``(rank, probe,
+    report)``, or as ``(rank, None, error)`` if training or scoring raised. Writes nothing;
+    the caller decides whether an error ends the loop.
     """
-    reports = []
     for rank in rank_list(ranks):
-        probe = train_probe(task, train, val, replace(cfg, rank=rank), layer=layer)
-        report = evaluate_probe(probe, val)
-        report.aggregates["val_loss"] = probe.meta["val_loss"]
-        report.counters["n_val_loss"] = len(val)
-        reports.append(report)
-    return reports
+        try:
+            probe = train_probe(task, splits["train"], splits["val"], replace(cfg, rank=rank), layer)
+            outcome = (rank, probe, evaluate_probe(probe, splits["eval"]))
+        except Exception as exc:
+            outcome = (rank, None, exc)
+        yield outcome  # outside the try: what the caller does here is not this cell's error
 
 
 def run_layer_grid(
     manifest: ExperimentManifest, jobs: int = 1
 ) -> tuple[list[EvalReport], list[tuple[str, str]]]:
-    """Train and evaluate every (layer, rank) cell; emit the aggregate table.
+    """Train and evaluate every (layer, rank) cell by ``rank_cells``; emit the aggregate table.
 
-    Up to ``jobs`` layers run at once. Failed cells are recorded and
-    skipped; a cell is scored before its probe and report are written, so
-    one whose training or scoring fails leaves no file. Raises only if
-    every cell fails. Returns the successful reports in manifest order and
-    the (cell, error) failures.
+    ``out_dir`` holds one run: one that exists and is not an empty directory is a
+    ValidationError before any input is read. Up to ``jobs`` layers run at once. A failed
+    cell is recorded and the others go on; a cell's probe and report are written once it is
+    scored, so a cell whose training or scoring fails leaves no file. Raises only if every
+    cell fails. Returns the successful reports in manifest order and the (cell, error)
+    failures.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    out_dir = manifest.out_dir
+    if out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):
+        raise ValidationError(
+            f"out_dir {out_dir} exists and is not an empty directory; "
+            "a grid writes one run into a new or empty directory"
+        )
     split_labels, width_errors = validate_manifest_data(manifest)
-    manifest.out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def run_layer(cell: GridCell) -> list[EvalReport | Exception]:
         if cell.tag in width_errors:
@@ -251,20 +257,17 @@ def run_layer_grid(
             split: pair_records(split_labels[split], read_embeddings(epath), epath)
             for split, epath in cell.emb.items()
         }
+        cells = rank_cells(manifest.task, pairs, manifest.train, manifest.ranks, cell.tag)
         outcomes: list[EvalReport | Exception] = []
-        for rank in manifest.ranks:
-            name = _cell_name(cell.tag, rank)
-            try:
-                cfg = replace(manifest.train, rank=rank)
-                probe = train_probe(
-                    manifest.task, pairs["train"], pairs["val"], cfg, layer=cell.tag
-                )
-                report = evaluate_probe(probe, pairs["eval"])
-                save_probe(probe, manifest.out_dir / f"probe_{name}.json")
-                write_report_json(report, manifest.out_dir / f"report_{name}.json")
-                outcomes.append(report)
-            except Exception as exc:
-                outcomes.append(exc)
+        for rank, probe, outcome in cells:
+            if probe is not None:  # scored: write its files; a failed write fails the cell
+                name = _cell_name(cell.tag, rank)
+                try:
+                    save_probe(probe, out_dir / f"probe_{name}.json")
+                    write_report_json(outcome, out_dir / f"report_{name}.json")
+                except Exception as exc:
+                    outcome = exc
+            outcomes.append(outcome)
         return outcomes
 
     reports: list[EvalReport] = []
@@ -291,13 +294,13 @@ def run_layer_grid(
 
     rows = [row for report in reports for row in report.tsv_rows()]
     rows.sort(key=lambda r: (_tag_sort_key(r["layer"]), r["rank"], r["metric"]))
-    write_report_tsv(rows, manifest.out_dir / "report.tsv")
+    write_report_tsv(rows, out_dir / "report.tsv")
 
     for metric in manifest.chart_metrics:
         present = [r for r in rows if r["metric"] == metric]
         if not present:
             log.warning("no rows for chart metric %s; skipping chart", metric)
             continue
-        emit_chart(present, metric, manifest.out_dir / f"chart_{metric}.svg")
+        emit_chart(present, metric, out_dir / f"chart_{metric}.svg")
 
     return reports, failures

@@ -2,7 +2,8 @@
 
 Every line reads as ``json.loads(line.strip())`` of its UTF-8 text
 (``_loads``), every id in a record by ``record_id``, and a file names each
-id once (``index_ids``); this module knows no file format. A reader may
+id once (``index_ids``); a rejected record or file names a KeyError's key as
+missing (``error_text``). This module knows no file format. A reader may
 pass ``read_jsonl`` a ``fast`` hook that reads the lines its format writes
 in fewer steps and must give the same item, or the same error, as that
 line rule.
@@ -115,8 +116,15 @@ def read_jsonl(
                         continue
                     item = decode(rec)
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-                raise DataError(f"{path}:{lineno}: bad {what} record: {exc}") from exc
+                raise DataError(f"{path}:{lineno}: bad {what} record: {error_text(exc)}") from exc
             yield item
+
+
+def error_text(exc: Exception) -> str:
+    """An error's text for a message; a KeyError's is ``missing key 'sentence_id'``."""
+    if isinstance(exc, KeyError) and len(exc.args) == 1:
+        return f"missing key {exc.args[0]!r}"
+    return str(exc)
 
 
 def record_id(value, what: str = "id") -> str:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .embed_io import EmbeddingHeader, EmbeddingSequence
 from .errors import DataError, TrainingDiverged
-from .io_utils import atomic_write_text, index_ids
+from .io_utils import atomic_write_text, error_text, index_ids
 from .trees import TreeLabels
 
 TASKS = ("distance", "depth")
@@ -367,4 +367,4 @@ def load_probe(path: str | Path) -> Probe:
         transform = np.frombuffer(blob, dtype="<f8").reshape(k, m)
         return Probe(task=rec["task"], transform=transform, meta=dict(rec.get("meta", {})))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, binascii.Error) as exc:
-        raise DataError(f"{path}: bad probe file: {exc}") from exc
+        raise DataError(f"{path}: bad probe file: {error_text(exc)}") from exc

@@ -14,7 +14,7 @@ import numpy as np
 
 from structprobe.cli import main
 from structprobe.embed_io import EmbeddingSequence, read_embeddings, write_embeddings
-from structprobe.grid import sweep_ranks
+from structprobe.grid import rank_cells
 from structprobe.metrics import (
     decode_mst_edges,
     evaluate_probe,
@@ -191,8 +191,10 @@ def test_criterion_7_rank_insensitivity():
     pairs = data.pairs()
     assert data.embeddings[0].m == 32
     cfg = TrainConfig(seed=3)
-    reports = sweep_ranks([32, 64, 128, 256], pairs[:150], pairs[150:], cfg, "distance")
-    assert [r.rank for r in reports] == [32, 64, 128, 256]
+    splits = {"train": pairs[:150], "val": pairs[150:], "eval": pairs[150:]}
+    cells = list(rank_cells("distance", splits, cfg, [32, 64, 128, 256]))
+    reports = [report for _, _, report in cells]
+    assert [rank for rank, _, _ in cells] == [r.rank for r in reports] == [32, 64, 128, 256]
     values = [r.aggregates["dspr"] for r in reports]
     assert all(v is not None for v in values)
     spread = max(values) - min(values)

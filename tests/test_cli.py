@@ -17,6 +17,7 @@ from structprobe import cli as cli_mod
 from structprobe import grid as grid_mod
 from structprobe import io_utils
 from structprobe.cli import build_parser, main
+from structprobe.errors import TrainingDiverged
 from structprobe.embed_io import (
     EmbeddingSequence,
     read_embeddings,
@@ -402,21 +403,33 @@ def test_sweep_counts_sequences_as_eval_does(tmp_path):
     assert swept["val_loss"]["n_sequences"] == 20
 
 
-def test_sweep_writes_the_rows_of_sweep_ranks_reports_in_rank_order(tmp_path):
+def test_sweep_writes_the_rows_of_rank_cells_reports_in_rank_order(tmp_path):
     labels, emb = write_synth(tmp_path, n_trees=12)
+    # the last 4 records are the validation split
+    val_labels, val_emb = tmp_path / "val_labels.jsonl", tmp_path / "val_emb.jsonl"
+    val_labels.write_text("".join(labels.read_text().splitlines(keepends=True)[8:]))
+    val_emb.write_text("".join(emb.read_text().splitlines(keepends=True)[8:]))
     out = tmp_path / "sweep.tsv"
     assert main(["--quiet", "sweep", "--task", "depth", "--labels", str(labels),
-                 "--emb", str(emb), "--val-labels", str(labels), "--val-emb", str(emb),
+                 "--emb", str(emb), "--val-labels", str(val_labels), "--val-emb", str(val_emb),
                  "--batch", "4", "--epochs", "2", "--patience", "2", "--seed", "1",
                  "--ranks", "4,2", "--out", str(out)]) == 0
     pairs = pair_records(read_labels(labels), read_embeddings(emb))
+    val = pair_records(read_labels(val_labels), read_embeddings(val_emb))
     cfg = TrainConfig(batch_size=4, max_epochs=2, patience=2, seed=1)
-    reports = grid_mod.sweep_ranks([4, 2], pairs, pairs, cfg, "depth", layer=0)
-    assert [r.rank for r in reports] == [4, 2]
-    rows = [row for report in reports for row in report.tsv_rows()]
+    splits = {"train": pairs, "val": val, "eval": val}
+    cells = list(grid_mod.rank_cells("depth", splits, cfg, [4, 2], layer=0))
+    assert [rank for rank, _, _ in cells] == [r.rank for _, _, r in cells] == [4, 2]
+    rows = []
+    for _, probe, report in cells:
+        # the sweep's val_loss row: the probe's best loss, over every validation sequence
+        report.aggregates["val_loss"] = probe.meta["val_loss"]
+        report.counters["n_val_loss"] = len(val)
+        rows += report.tsv_rows()
     write_report_tsv(rows, tmp_path / "library.tsv")
     assert out.read_bytes() == (tmp_path / "library.tsv").read_bytes()
     assert [r["rank"] for r in read_report_tsv(out)] == [4] * 3 + [2] * 3
+    assert [r["n_sequences"] for r in read_report_tsv(out) if r["metric"] == "val_loss"] == [4, 4]
 
 
 def test_eval_exclude_deprels_requires_conll(tmp_path):
@@ -1665,3 +1678,144 @@ def test_a_replaced_manifest_follows_the_manifest_rules_before_any_training(
     with pytest.raises(ValueError):
         grid_mod.run_layer_grid(REPLACEMENTS[case](manifest))
     assert not out_dir.exists()
+
+
+def _missing_key_argv(tmp_path: Path, reader: str) -> tuple[list[str], Path]:
+    """A command line whose one reader meets a record or file without a required key."""
+    conll = tmp_path / "x.conll"
+    conll.write_text(CONLL)
+    bad = tmp_path / "bad.json"
+    if reader == "grounding":
+        bad.write_text(json.dumps({k: v for k, v in GROUNDING.items() if k != "sentence_id"}) + "\n")
+        return ["scene-tree", "--conll", str(conll), "--grounding", str(bad),
+                "--out", str(tmp_path / "scene.jsonl")], bad
+    if reader == "labels":
+        bad.write_text('{"id": "s0", "n": 1, "depths": [0], "root": 0}\n')
+        return ["train", "--task", "depth", "--labels", str(bad), "--emb", "e.jsonl",
+                "--val-labels", str(bad), "--val-emb", "e.jsonl", "--out", "p.json"], bad
+    if reader == "manifest":
+        bad.write_text(json.dumps({"task": "distance", "out_dir": "run"}))
+        return ["grid", "--manifest", str(bad)], bad
+    save_probe(identity_probe("depth", 2), bad)
+    bad.write_text(json.dumps({k: v for k, v in json.loads(bad.read_text()).items() if k != "k"}))
+    return ["eval", "--probe", str(bad), "--labels", "l.jsonl", "--emb", "e.jsonl",
+            "--out", str(tmp_path / "r.tsv")], bad
+
+
+@pytest.mark.parametrize(
+    "reader, code, message",
+    [
+        ("grounding", 2, "{}:1: bad grounding record: missing key 'sentence_id'"),
+        ("labels", 2, "{}:1: bad labels record: missing key 'distances'"),
+        ("manifest", 1, "{}: bad manifest: missing key 'layers'"),
+        ("probe", 2, "{}: bad probe file: missing key 'k'"),
+    ],
+    ids=["grounding", "labels", "manifest", "probe"],
+)
+def test_a_missing_key_is_called_missing(tmp_path, monkeypatch, capsys, reader, code, message):
+    monkeypatch.chdir(tmp_path)
+    argv, bad = _missing_key_argv(tmp_path, reader)
+    inputs = sorted(tmp_path.iterdir())
+    assert main(["--quiet"] + argv) == code
+    err = capsys.readouterr().err
+    assert f"structprobe: {message.format(bad)}\n" in err and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
+def _snapshot(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_grid_rerun_into_its_out_dir_exits_one_reads_nothing_and_changes_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    paths = write_grid_inputs(tmp_path, n_trees=12)
+    out_dir = tmp_path / "run"
+    mpath = write_manifest(tmp_path, paths, out_dir, ranks=(2,))
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 0
+    before = _snapshot(tmp_path)
+    for name in ("read_labels", "scan_embedding_headers", "read_embeddings"):
+        monkeypatch.setattr(grid_mod, name, lambda *a, _n=name: pytest.fail(f"{_n} called"))
+    # the same manifest, and one that names fewer ranks, are both refused
+    fewer = tmp_path / "fewer.json"
+    fewer.write_text(json.dumps(dict(json.loads(mpath.read_text()), ranks=[3])))
+    for manifest in (mpath, fewer):
+        capsys.readouterr()
+        assert main(["--quiet", "grid", "--manifest", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert f"out_dir {out_dir} exists and is not an empty directory" in err
+        assert "Traceback" not in err
+    after = _snapshot(tmp_path)
+    del after["fewer.json"]
+    assert after == before
+
+
+def test_grid_into_an_existing_empty_directory_runs(tmp_path):
+    paths = write_grid_inputs(tmp_path, n_trees=12)
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    mpath = write_manifest(tmp_path, paths, out_dir, ranks=(2,))
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 0
+    assert {r["layer"] for r in read_report_tsv(out_dir / "report.tsv")} == {0, 1}
+
+
+def test_grid_with_a_file_as_out_dir_exits_one_and_leaves_it(tmp_path, monkeypatch, capsys):
+    paths = write_grid_inputs(tmp_path, n_trees=12)
+    out_dir = tmp_path / "run"
+    out_dir.write_text("not a directory\n")
+    mpath = write_manifest(tmp_path, paths, out_dir, ranks=(2,))
+    monkeypatch.setattr(grid_mod, "read_labels", lambda *a: pytest.fail("labels read"))
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 1
+    err = capsys.readouterr().err
+    assert f"out_dir {out_dir} exists and is not an empty directory" in err
+    assert "Traceback" not in err
+    assert out_dir.read_text() == "not a directory\n"
+
+
+def _train_diverging_at_rank_2(monkeypatch) -> list[int]:
+    """``grid.train_probe`` raising TrainingDiverged at rank 2; the ranks it was called with."""
+    calls: list[int] = []
+    real_train = grid_mod.train_probe
+
+    def diverging_train(task, train, val, cfg, layer=None):
+        calls.append(cfg.rank)
+        if cfg.rank == 2:
+            raise TrainingDiverged("non-finite loss in epoch 1")
+        return real_train(task, train, val, cfg, layer)
+
+    monkeypatch.setattr(grid_mod, "train_probe", diverging_train)
+    return calls
+
+
+def test_sweep_stops_at_its_first_failed_rank_with_its_exit_code(tmp_path, monkeypatch, capsys):
+    labels, emb = write_synth(tmp_path, n_trees=12)
+    calls = _train_diverging_at_rank_2(monkeypatch)
+    out = tmp_path / "sweep.tsv"
+    code = main(["--quiet", "sweep", "--task", "depth", "--labels", str(labels),
+                 "--emb", str(emb), "--val-labels", str(labels), "--val-emb", str(emb),
+                 "--epochs", "2", "--patience", "2", "--ranks", "2,3,4", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "structprobe: non-finite loss in epoch 1" in err and "Traceback" not in err
+    assert calls == [2]  # ranks 3 and 4 never train
+    assert not out.exists()
+
+
+def test_grid_records_a_failed_rank_and_writes_the_others(tmp_path, monkeypatch, caplog):
+    paths = write_grid_inputs(tmp_path, n_trees=15)
+    clean_dir, failed_dir = tmp_path / "clean", tmp_path / "failed"
+    mpath = write_manifest(tmp_path, paths, clean_dir, ranks=(2, 3, 4))
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 0
+    calls = _train_diverging_at_rank_2(monkeypatch)
+    mpath.write_text(json.dumps(dict(json.loads(mpath.read_text()), out_dir=str(failed_dir))))
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 2
+    assert sorted(calls) == [2, 2, 3, 3, 4, 4]  # each layer goes on after its failed rank
+    assert "cell layer0_rank2 failed: non-finite loss in epoch 1" in caplog.text
+    assert "cell layer1_rank2 failed: non-finite loss in epoch 1" in caplog.text
+    written = {p.name for p in failed_dir.glob("*.json")}
+    assert written == {f"{kind}_layer{tag}_rank{rank}.json"
+                       for kind in ("probe", "report") for tag in (0, 1) for rank in (3, 4)}
+    for name in written:
+        assert (failed_dir / name).read_bytes() == (clean_dir / name).read_bytes(), name
+    clean_rows = [r for r in read_report_tsv(clean_dir / "report.tsv") if r["rank"] != 2]
+    assert read_report_tsv(failed_dir / "report.tsv") == clean_rows

@@ -60,7 +60,8 @@ def reference_read(path, decode=reference_decode) -> list:
                     raise TypeError("not a JSON object")
                 out.append(decode(rec))
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-                raise DataError(f"{path}:{lineno}: bad embedding record: {exc}") from exc
+                text = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+                raise DataError(f"{path}:{lineno}: bad embedding record: {text}") from exc
     return out
 
 

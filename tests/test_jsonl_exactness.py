@@ -281,7 +281,8 @@ def reference_read(path, what: str, decode):
                     raise TypeError("not a JSON object")
                 item = decode(rec)
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-                raise DataError(f"{path}:{lineno}: bad {what} record: {exc}") from exc
+                text = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+                raise DataError(f"{path}:{lineno}: bad {what} record: {text}") from exc
             yield item
 
 

@@ -290,30 +290,35 @@ def test_full_rank_probe_recovers_oracle_structure():
 
 
 def test_sweep_empty_rank_list():
-    from structprobe.grid import sweep_ranks
+    from structprobe.grid import rank_cells
 
     data = oracle_dataset(6, 4, 6, seed=14)
     pairs = data.pairs()
+    splits = {"train": pairs, "val": pairs, "eval": pairs}
     with pytest.raises(ValueError, match="non-empty"):
-        sweep_ranks([], pairs, pairs, TrainConfig(), "depth")
+        list(rank_cells("depth", splits, TrainConfig(), []))
 
 
 def test_sweep_duplicate_ranks_give_identical_rows():
-    from structprobe.grid import sweep_ranks
+    from structprobe.grid import rank_cells
 
     data = oracle_dataset(10, 4, 7, seed=15)
     pairs = data.pairs()
     cfg = TrainConfig(batch_size=4, max_epochs=2, patience=2, seed=5)
-    runs = [sweep_ranks([3], pairs[:7], pairs[7:], cfg, "distance") for _ in range(2)]
-    tables = [[(r.rank, r.aggregates, r.counters) for r in reports] for reports in runs]
+    splits = {"train": pairs[:7], "val": pairs[7:], "eval": pairs[7:]}
+    runs = [list(rank_cells("distance", splits, cfg, [3])) for _ in range(2)]
+    tables = [
+        [(rank, probe.meta, r.rank, r.aggregates, r.counters) for rank, probe, r in cells]
+        for cells in runs
+    ]
     assert tables[0] == tables[1]
-    assert [r.rank for r in runs[0]] == [3]
-    # the validation loss is counted over every validation sequence
-    assert runs[0][0].counters["n_val_loss"] == 3
-    assert runs[0][0].aggregates["val_loss"] >= 0
+    assert [r.rank for _, _, r in runs[0]] == [3]
+    # the best validation loss is the probe's, and the report scores every eval sequence
+    assert runs[0][0][1].meta["val_loss"] >= 0
+    assert len(runs[0][0][2].records) == 3
     # a rank named twice follows the rule of sweep --ranks and a manifest's ranks
     with pytest.raises(ValueError, match="distinct"):
-        sweep_ranks([3, 3], pairs[:7], pairs[7:], cfg, "distance")
+        list(rank_cells("distance", splits, cfg, [3, 3]))
 
 
 def test_probe_roundtrip(tmp_path):
