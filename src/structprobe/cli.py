@@ -61,16 +61,21 @@ class _GoesAfter(argparse.Action):
         parser.error(f"{self.option_strings[0]} goes after {self.after}, not before the subcommand")
 
 
-def _trees_by_id(path):
-    """A CoNLL file's sentences by id, ``# sent_id`` or else ``s<i>``; each id is named once."""
-    trees = read_conllu(path)
-    ids = (t.sent_id if t.sent_id is not None else f"s{i}" for i, t in enumerate(trees))
-    return index_ids(zip(ids, trees), "sentence", path)
-
-
 def cmd_build_labels(args) -> int:
-    tree_of = _trees_by_id(args.conll)
-    write_labels((tree_labels(t, sid) for sid, t in tree_of.items()), args.out)
+    trees = read_conllu(args.conll)
+    ids = (t.sent_id if t.sent_id is not None else f"s{i}" for i, t in enumerate(trees))
+    tree_of = index_ids(zip(ids, trees), "sentence", args.conll)
+    wanted = [r.strip() for r in args.exclude_deprels.split(",") if r.strip()]
+
+    def all_labels():
+        for sid, tree in tree_of.items():
+            try:
+                labels = tree_labels(tree, sid, wanted)
+            except ValueError as exc:  # a deprel that would exclude the root
+                raise ValidationError(f"{args.conll}: sentence {sid!r}: {exc}") from exc
+            yield labels
+
+    write_labels(all_labels(), args.out)
     log.info("wrote %d label records to %s", len(tree_of), args.out)
     return 0
 
@@ -211,8 +216,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.conll and not args.exclude_deprels:
-        raise ValidationError("--conll needs --exclude-deprels: it only supplies relation labels")
     probe = load_probe(args.probe)
     layer = probe.meta.get("layer")
     if layer is not None:
@@ -220,29 +223,11 @@ def cmd_eval(args) -> int:
             check_layer_tag(layer)
         except ValueError as exc:
             raise DataError(f"{args.probe}: bad probe file: {exc}") from exc
-    excluded = None
-    if args.exclude_deprels:
-        if probe.task != "distance":
-            raise ValidationError(f"--exclude-deprels needs a distance probe, not {probe.task}")
-        if not args.conll:
-            raise ValidationError("--exclude-deprels needs --conll to supply relation labels")
-        wanted = {r.strip() for r in args.exclude_deprels.split(",") if r.strip()}
-        tree_of = _trees_by_id(args.conll)
-        excluded = {
-            sid: [i for i, rel in enumerate(tree.deprels or ()) if rel in wanted]
-            for sid, tree in tree_of.items()
-        }
     (pairs,) = _load_pairs((args.labels, args.emb))
-    if excluded is not None:
-        # exclusions are token positions, so each labels id needs its own sentence
-        for labels, _ in pairs:
-            tree = tree_of.get(labels.id)
-            if tree is None or tree.n != labels.n:
-                found = "no sentence" if tree is None else f"a sentence of {tree.n} tokens"
-                raise DataError(
-                    f"{args.conll}: {found} for labels id {labels.id!r} of {labels.n} tokens"
-                )
-    report = evaluate_probe(probe, pairs, excluded_tokens=excluded)
+    m = next((seq.m for _, seq in pairs if seq.m != probe.m), probe.m)
+    if m != probe.m:
+        raise DataError(f"{args.probe}: probe width {probe.m} does not match {args.emb} width {m}")
+    report = evaluate_probe(probe, pairs)
     write_report_tsv(report.tsv_rows(), args.out)
     if args.json:
         write_report_json(report, args.json)
@@ -296,6 +281,7 @@ def build_parser() -> CliParser:
     p = sub.add_parser("build-labels", help="gold labels from CoNLL")
     p.add_argument("--conll", required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--exclude-deprels", default="", help="comma-separated DEPRELs to leave out")
     p.set_defaults(func=cmd_build_labels)
 
     p = sub.add_parser("scene-tree", help="scene trees and visual labels")
@@ -336,12 +322,6 @@ def build_parser() -> CliParser:
     p.add_argument("--emb", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--json", default=None, help="also write per-sequence detail JSON")
-    p.add_argument(
-        "--exclude-deprels",
-        default=None,
-        help="comma-separated relation labels to drop from attachment scoring",
-    )
-    p.add_argument("--conll", default=None, help="source of relation labels for exclusion")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("grid", help="run a manifest of cells")

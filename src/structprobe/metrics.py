@@ -3,7 +3,8 @@
 Correlation aggregates are computed per sequence length and then averaged
 over the lengths 5 to 50 inclusive. Attachment score decodes a minimum
 spanning tree from the predicted distance matrix and counts recovered gold
-edges; root accuracy checks the argmin of the predicted depths.
+edges; root accuracy checks the argmin of the predicted depths. Both leave
+out the labels' ``excluded`` positions; the rank correlations keep them.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -140,17 +141,13 @@ def gold_edges(labels: TreeLabels) -> set[tuple[int, int]]:
     return {(int(i), int(j)) for i, j in zip(ii, jj)}
 
 
-def uuas_counts(
-    pred_dist: np.ndarray,
-    gold: TreeLabels,
-    exclude: Sequence[int] = (),
-) -> tuple[int, int]:
-    """(recovered edges, gold edges), optionally dropping excluded tokens.
+def uuas_counts(pred_dist: np.ndarray, gold: TreeLabels) -> tuple[int, int]:
+    """(recovered edges, gold edges) over the positions ``gold`` does not exclude.
 
     A position at gold distance 0 from an earlier one (a region on the scene
     node of an earlier region) is dropped as well, so each node counts once.
     """
-    excluded = set(exclude).union(np.nonzero(np.triu(gold.distances == 0, k=1))[1].tolist())
+    excluded = set(gold.excluded).union(np.nonzero(np.triu(gold.distances == 0, k=1))[1].tolist())
     kept = [i for i in range(gold.n) if i not in excluded]
     gold_set = {(i, j) for i, j in gold_edges(gold) if i not in excluded and j not in excluded}
     if len(kept) < 2 or not gold_set:
@@ -208,18 +205,13 @@ class EvalReport:
         return rows
 
 
-def evaluate_probe(
-    probe: Probe,
-    dataset: Sequence[Pair],
-    excluded_tokens: Mapping[str, Sequence[int]] | None = None,
-) -> EvalReport:
+def evaluate_probe(probe: Probe, dataset: Sequence[Pair]) -> EvalReport:
     """Run a probe over a dataset and compute its task's metric suite.
 
     The report's layer is the probe's ``meta["layer"]`` and its rank the probe's.
     """
     if not dataset:
         raise ValueError("empty dataset")
-    excluded_tokens = excluded_tokens or {}
     report = EvalReport(task=probe.task, tag=probe.meta.get("layer"), rank=probe.rank)
     distance = probe.task == "distance"
     zero_variance = 0
@@ -227,7 +219,7 @@ def evaluate_probe(
         if distance:
             pred = predict_distances(probe, seq)
             score, undefined = distance_sequence_score(pred, labels.distances.astype(np.float64))
-            correct, total = uuas_counts(pred, labels, excluded_tokens.get(labels.id, ()))
+            correct, total = uuas_counts(pred, labels)
             record = {
                 "dspr": score,
                 "uuas": (correct / total) if total else None,
@@ -238,7 +230,8 @@ def evaluate_probe(
             pred = predict_depths(probe, seq)
             score = spearman(pred, labels.depths.astype(np.float64))
             undefined = int(score is None)
-            hit = None if labels.root is None else int(np.argmin(pred)) == labels.root
+            kept = np.delete(np.arange(labels.n), labels.excluded)  # the argmin's candidates
+            hit = None if labels.root is None else int(kept[np.argmin(pred[kept])]) == labels.root
             record = {"nspr": score, "root_correct": hit}
         zero_variance += undefined
         report.records.append({"id": labels.id, "n": labels.n, **record})

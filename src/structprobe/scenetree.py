@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DataError
-from .io_utils import read_jsonl, record_id
+from .io_utils import error_text, read_jsonl, record_id
 from .trees import ROOT, DepTree, TreeLabels, all_pairs_path_lengths, derived_labels, tree_depths
 
 log = logging.getLogger(__name__)
@@ -195,21 +195,21 @@ def _decode_caption(rec: dict) -> GroundedCaption:
     if type(rec["phrases"]) is not list:
         raise ValueError(f"phrases must be a JSON list, got {rec['phrases']!r}")
     phrases, phrase_ids = [], set()
-    for p in rec["phrases"]:
+    for i, p in enumerate(rec["phrases"]):
         if not isinstance(p, dict):
             raise ValueError(f"phrase {p!r} is not a JSON object")
+        if "phrase_id" not in p:
+            raise ValueError(f"phrases[{i}]: missing key 'phrase_id'")
         phrase_id = record_id(p["phrase_id"], "phrase_id")
-        start, end, region_ids = p["start"], p["end"], p["region_ids"]
-        # type(), not isinstance(): a bool is an int
-        if type(start) is not int or type(end) is not int:
-            raise ValueError(
-                f"phrase {phrase_id!r}: start and end must be JSON integers, "
-                f"got {start!r} and {end!r}"
-            )
-        if type(region_ids) is not list:
-            raise ValueError(
-                f"phrase {phrase_id!r}: region_ids must be a JSON list, got {region_ids!r}"
-            )
+        try:
+            start, end, region_ids = p["start"], p["end"], p["region_ids"]
+            # type(), not isinstance(): a bool is an int
+            if type(start) is not int or type(end) is not int:
+                raise ValueError(f"start and end must be JSON integers, got {start!r} and {end!r}")
+            if type(region_ids) is not list:
+                raise ValueError(f"region_ids must be a JSON list, got {region_ids!r}")
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"phrase {phrase_id!r}: {error_text(exc)}") from exc
         if not region_ids:
             continue
         ann = PhraseAnnotation(

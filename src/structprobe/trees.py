@@ -17,7 +17,7 @@ import mmap
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -94,6 +94,8 @@ class TreeLabels:
 
     ``root`` is the index with depth zero for textual sequences and None
     for visual sequences, where the root is always sequence position 0.
+    ``excluded`` holds the increasing positions, never the root, that UUAS
+    and root accuracy leave out (``tree_labels``' ``exclude_deprels``).
 
     ``TreeLabels(...)`` checks its arrays as outside input: a labels file,
     or a caller's own arrays. Labels the package derives from a tree it has
@@ -106,6 +108,7 @@ class TreeLabels:
     distances: np.ndarray
     depths: np.ndarray
     root: int | None
+    excluded: tuple[int, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "distances", _whole_numbers(self.distances, "distances"))
@@ -128,6 +131,13 @@ class TreeLabels:
                 raise ValueError(f"root index {self.root} out of range for n={n}")
             if self.depths[self.root] != 0:
                 raise ValueError("root does not have depth zero")
+        if type(self.excluded) is not tuple or self.excluded:
+            excluded = _whole_numbers(self.excluded, "excluded positions")
+            if excluded.ndim != 1 or (np.diff(excluded) <= 0).any() or (excluded >= n).any():
+                raise ValueError(f"excluded must be a strictly increasing list below n={n}")
+            object.__setattr__(self, "excluded", tuple(excluded.tolist()))
+            if self.root in self.excluded:
+                raise ValueError(f"the root {self.root} cannot be excluded")
 
     @property
     def n(self) -> int:
@@ -198,7 +208,9 @@ def tree_depths(tree: DepTree) -> np.ndarray:
     return np.array(depths, dtype=np.int64)
 
 
-def derived_labels(seq_id: str, distances: np.ndarray, root: int | None) -> TreeLabels:
+def derived_labels(
+    seq_id: str, distances: np.ndarray, root: int | None, excluded: tuple[int, ...] = ()
+) -> TreeLabels:
     """A TreeLabels of a checked tree's path lengths, without ``TreeLabels``' checks.
 
     ``distances`` is the int64 path-length matrix of a tree whose heads
@@ -207,20 +219,29 @@ def derived_labels(seq_id: str, distances: np.ndarray, root: int | None) -> Tree
     on the diagonal and non-negative by construction. A depth is the path
     length to the root, so the depths are row ``root`` of the matrix, or
     row 0 when ``root`` is None; that row must belong to the tree's root.
+    ``excluded`` must be increasing positions other than the root.
     """
     depths = distances[0 if root is None else root].copy()
     labels = object.__new__(TreeLabels)
-    labels.__dict__.update(id=seq_id, distances=distances, depths=depths, root=root)
+    vars(labels).update(id=seq_id, distances=distances, depths=depths, root=root, excluded=excluded)
     return labels
 
 
-def tree_labels(tree: DepTree, seq_id: str) -> TreeLabels:
+def tree_labels(tree: DepTree, seq_id: str, exclude_deprels: Collection[str] = ()) -> TreeLabels:
     """Bundle gold distances and depths for one sentence.
 
     Both arrays are derived from the checked ``tree`` by ``derived_labels``
-    and not checked again.
+    and not checked again. The tokens whose DEPREL is in ``exclude_deprels`` are
+    ``excluded``; a ValueError if the tree has no deprels or the root's is one.
     """
-    return derived_labels(seq_id, tree_distances(tree), tree.root)
+    excluded = ()
+    if exclude_deprels:
+        if tree.deprels is None:
+            raise ValueError("the tree has no deprels to exclude tokens by")
+        excluded = tuple(i for i, rel in enumerate(tree.deprels) if rel in exclude_deprels)
+        if tree.root in excluded:
+            raise ValueError(f"deprel {tree.deprels[tree.root]!r} would exclude the root")
+    return derived_labels(seq_id, tree_distances(tree), tree.root, excluded)
 
 
 def parse_conllu(text: str) -> list[DepTree]:
@@ -336,7 +357,7 @@ def write_labels(labels: Iterable[TreeLabels], path: str | Path) -> None:
 
 # the members labels_record writes itself; an extra member with one of these
 # keys replaces that member in place, so such a record is built as a dict
-_BASE_KEYS = frozenset(("id", "n", "depths", "distances", "root"))
+_BASE_KEYS = frozenset(("id", "n", "depths", "distances", "root", "excluded"))
 # labels_record renders the integers below _TABLE from _digits() for a
 # sequence of _TABLE_MIN_N nodes or more; json's C encoder is as fast for 6
 # nodes and faster for fewer (about 6 against 11 us for one node)
@@ -365,13 +386,13 @@ def labels_record(lab: TreeLabels, extra: dict | None = None) -> str:
     """Serialize one TreeLabels to its JSONL line (without newline).
 
     The line is ``json.dumps`` with compact separators of the record
-    ``{"id", "n", "depths", "distances", "root"}`` (no ``root`` when it is
-    None) updated with ``extra``. When every integer is below ``_TABLE``,
-    ``n`` is at least ``_TABLE_MIN_N`` and no extra key is a base key, the
-    depths and the matrix rows are rendered as rows of one index array into
-    ``_digits()``, a row's last column from the ``"i],["`` half; the cells'
-    bytes less their NUL padding are the text ``json.dumps`` gives those
-    lists.
+    ``{"id", "n", "depths", "distances", "root", "excluded"}`` (no ``root``
+    when it is None, no ``excluded`` when it is empty) updated with
+    ``extra``. When every integer is below ``_TABLE``, ``n`` is at least
+    ``_TABLE_MIN_N`` and no extra key is a base key, the depths and the
+    matrix rows are rendered as rows of one index array into ``_digits()``,
+    a row's last column from the ``"i],["`` half; the cells' bytes less
+    their NUL padding are the text ``json.dumps`` gives those lists.
     """
     extra = dict(extra) if extra else {}
     n = lab.n
@@ -389,6 +410,8 @@ def labels_record(lab: TreeLabels, extra: dict | None = None) -> str:
             ]
             if lab.root is not None:
                 parts += [',"root":', str(int(lab.root))]
+            if lab.excluded:
+                parts += [',"excluded":', _compact(lab.excluded)]
             if extra:
                 parts += [",", _compact(extra)[1:-1]]
             parts.append("}")
@@ -401,6 +424,8 @@ def labels_record(lab: TreeLabels, extra: dict | None = None) -> str:
     }
     if lab.root is not None:
         rec["root"] = int(lab.root)
+    if lab.excluded:
+        rec["excluded"] = list(lab.excluded)
     rec.update(extra)
     return _compact(rec)
 
@@ -414,6 +439,7 @@ def _decode_labels(rec: dict) -> TreeLabels:
         distances=distances,
         depths=rec["depths"],
         root=rec.get("root"),
+        excluded=rec.get("excluded", ()),
     )
     n = rec["n"]
     if isinstance(n, bool) or not isinstance(n, int):

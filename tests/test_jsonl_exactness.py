@@ -25,9 +25,9 @@ A labels line exactly as ``labels_record`` writes it is read by a fast path
 that re-renders what it parsed and keeps it only if the bytes match. On
 such lines and on near misses of them (whitespace, CRLF, ``01``, ``-0``,
 ``1.0``, ``true``, ``2**63``, ``,}``, duplicate keys, escaped and non-ASCII
-ids, extras named like a base member), mapped or read through the buffer,
-``read_labels`` must give the text-mode reference's items or its DataError,
-and never a warning.
+ids, extras named like a base member, excluded positions), mapped or read
+through the buffer, ``read_labels`` must give the text-mode reference's
+items or its DataError, and never a warning.
 """
 
 from __future__ import annotations
@@ -533,6 +533,7 @@ LABEL_EXTRAS = st.sampled_from([
     {"x": [[1, 2]], "y": "]],\"root\":"}, {"z": 1.5, "\u00e9": None},
     {"root": 0}, {"id": "z"}, {"n": 3}, {"distances": None}, {"depths": [0]},
     {"x": 1, "root": 0}, {"parents": [-1], "id": "z"}, {"x": [0], "n": 2},
+    {"excluded": [0]}, {"excluded": []},
 ])
 # a JSON number that is not part of a float or a name: a near miss writes
 # one of NUMBER_SWAPS in its place
@@ -540,7 +541,7 @@ NUMBER = re.compile(r"(?<![\w.])\d+(?![\w.])")
 NUMBER_SWAPS = ["01", "-0", "-1", "1.0", "0.0", "1e0", "true", "false", "null", "9223372036854775808",
                 str(2**63 - 1), "1 ", " 1", "1024", "1023", '"1"', "[1]"]
 MEMBERS_AT_END = [',"distances":[[0]]', ',"root":0', ',"root":1', ',"n":1', ',"id":"z"', ',"depths":[0]',
-                  ',"x":1', ","]
+                  ',"x":1', ",", ',"excluded":[0]', ',"excluded":[]']
 
 
 @st.composite
@@ -553,11 +554,15 @@ def canonical_labels(draw) -> tuple[TreeLabels, dict | None]:
         heads[perm[i]] = ROOT if p == ROOT else perm[p]
     gold = tree_labels(DepTree(tokens=("w",) * n, heads=heads), draw(LABEL_IDS))
     scale = draw(st.sampled_from([1, 1, 1, 341, 1023, 1024, 10**15]))
+    root = gold.root if draw(st.booleans()) else None
+    others = [i for i in range(n) if i != root]
+    excluded = sorted(draw(st.sets(st.sampled_from(others)))) if others and draw(st.booleans()) else ()
     lab = TreeLabels(
         id=gold.id,
         distances=gold.distances * scale,
         depths=gold.depths * scale,
-        root=gold.root if draw(st.booleans()) else None,
+        root=root,
+        excluded=excluded,
     )
     return lab, draw(LABEL_EXTRAS)
 
@@ -620,14 +625,17 @@ def test_read_labels_matches_the_full_parse_on_canonical_lines_and_near_misses(d
 def test_exact_labels_reads_back_every_plain_line_labels_record_writes(case):
     lab, extra = case
     raw = labels_record(lab, extra).encode("ascii")
-    base = {"id", "n", "depths", "distances", "root"}
+    base = {"id", "n", "depths", "distances", "root", "excluded"}
     plain = b"\\" not in raw[: raw.find(b'","n":')] and base.isdisjoint(extra or {})
+    plain = plain and not lab.excluded
     with warnings.catch_warnings(), mock.patch.object(trees_mod, "_EXACT_MIN", 0):
         warnings.simplefilter("error")
         for line in (raw, raw + b"\n", b"xx" + raw + b"\nyy"):
             start = 2 if line.startswith(b"xx") else 0
             stop = len(line) - 2 if line.endswith(b"yy") else len(line)
             got = _exact_labels(line, start, stop)
+            if lab.excluded:  # a line with exclusions is left to json.loads
+                assert got is None
             if not plain:
                 continue
             assert got is not None

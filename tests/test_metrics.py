@@ -213,15 +213,19 @@ def test_uuas_two_nodes_always_one():
 
 def test_uuas_exclusions_drop_tokens():
     # chain 0-1-2-3; excluding token 3 leaves gold edges {01,12}
-    chain = TreeLabels(
-        id="s",
-        distances=[[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]],
-        depths=[0, 1, 2, 3],
-        root=0,
-    )
-    pred = chain.distances.astype(float)
-    assert uuas_counts(pred, chain, exclude=[3]) == (2, 2)
-    assert uuas_counts(pred, chain, exclude=[0, 1, 2]) == (0, 0)
+    def chain(excluded):
+        return TreeLabels(
+            id="s",
+            distances=[[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]],
+            depths=[0, 1, 2, 3],
+            root=0,
+            excluded=excluded,
+        )
+
+    pred = chain(()).distances.astype(float)
+    assert uuas_counts(pred, chain([3])) == (2, 2)
+    # one token left: no edge to score
+    assert uuas_counts(pred, chain([1, 2, 3])) == (0, 0)
 
 
 def test_gold_edges_extraction():

@@ -26,7 +26,7 @@ from structprobe.scenetree import (
     visual_labels,
 )
 from structprobe.synth import oracle_dataset, random_tree
-from structprobe.trees import ROOT, DepTree, TreeLabels, tree_labels
+from structprobe.trees import ROOT, DepTree, TreeLabels, labels_record, tree_labels
 
 LABELS = {n: tree_labels(random_tree(n, n), f"s{n}") for n in range(1, 61)}
 SCORE = st.none() | st.floats(-1.0, 1.0)
@@ -57,7 +57,7 @@ def test_correlation_aggregate_and_count_follow_the_length_window(task, seqs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "spearman", lambda pred, gold: next(drawn))
         mp.setattr(metrics, "distance_sequence_score", lambda pred, gold: (next(drawn), 0))
-        mp.setattr(metrics, "uuas_counts", lambda pred, gold, exclude: next(edges))
+        mp.setattr(metrics, "uuas_counts", lambda pred, gold: next(edges))
         report = evaluate_probe(identity_probe(task, 1), pairs)
     corr = "dspr" if task == "distance" else "nspr"
     records = report.records
@@ -133,7 +133,14 @@ def test_visual_gold_distances_score_uuas_and_dspr_one(caption):
 
 # noisy oracle sequences of 2 to 20 tokens, some outside the 5-50 length window,
 # for relations between reports of one random probe that need no training
-NOISY = oracle_dataset(120, 2, 20, extra_dims=4, noise_sigma=0.3, seed=5).pairs()
+NOISY_DATA = oracle_dataset(120, 2, 20, extra_dims=4, noise_sigma=0.3, seed=5)
+NOISY = NOISY_DATA.pairs()
+# NOISY's trees with a deprel per token: "root" for the root, one of DEPRELS for any other
+DEPRELS = ("det", "punct", "nsubj", "obj")
+NOISY_TREES = [
+    dataclasses.replace(t, deprels=["root" if i == t.root else DEPRELS[i % 4] for i in range(t.n)])
+    for t in NOISY_DATA.trees
+]
 PROBES = st.tuples(
     st.sampled_from(["distance", "depth"]), st.integers(1, 8), st.integers(0, 2**32 - 1)
 )
@@ -217,3 +224,57 @@ def test_average_ranks_are_scipy_rankdata_average(values):
     got = metrics.average_ranks(values)
     assert got.dtype == np.float64
     assert got.tolist() == rankdata(values, method="average").tolist()
+
+
+def same_report(a, b) -> bool:
+    return (a.records, a.aggregates, a.counters) == (b.records, b.aggregates, b.counters)
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=PROBES, unmatched=st.lists(st.sampled_from(["amod", "PUNCT", "det ", ""]), max_size=3))
+def test_excluding_nothing_changes_no_labels_byte_and_no_report(spec, unmatched):
+    task, rank, seed = spec
+    probe = Probe(task, np.random.default_rng(seed).normal(size=(rank, NOISY[0][1].m)))
+    # deprels that no token has, and an empty list as a labels file may hold it
+    derived = [tree_labels(t, lab.id, unmatched) for t, (lab, _) in zip(NOISY_TREES, NOISY)]
+    read = [dataclasses.replace(lab, excluded=[]) for lab, _ in NOISY]
+    report = evaluate_probe(probe, NOISY)
+    for labels in (derived, read):
+        assert all(lab.excluded == () for lab in labels)
+        assert [labels_record(lab) for lab in labels] == [labels_record(lab) for lab, _ in NOISY]
+        other = evaluate_probe(probe, [(lab, seq) for lab, (_, seq) in zip(labels, NOISY)])
+        assert same_report(other, report)
+        assert other.tsv_rows() == report.tsv_rows()
+
+
+@settings(max_examples=100, deadline=None)
+@given(at=st.integers(0, len(NOISY) - 1), data=st.data())
+def test_excluding_every_token_but_the_root_gives_root_accuracy_one_for_any_prediction(at, data):
+    tree = NOISY_TREES[at]
+    labels = tree_labels(tree, "s", DEPRELS)
+    assert labels.excluded == tuple(i for i in range(tree.n) if i != tree.root)
+    # predicted depths with ties and with the root's the largest; a one-column
+    # identity depth probe predicts h**2 for a row h
+    predicted = data.draw(st.lists(st.sampled_from([0.0, 1.0, 4.0, 9.0]) | st.floats(0, 1e6),
+                                   min_size=tree.n, max_size=tree.n))
+    seq = EmbeddingSequence(id="s", layer=0, values=np.sqrt(np.array(predicted))[:, None])
+    report = evaluate_probe(identity_probe("depth", 1), [(labels, seq)])
+    assert report.aggregates["root_acc"] == 1.0 and report.counters["n_root_acc"] == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 14), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_uuas_with_exclusions_is_uuas_of_the_matrices_restricted_to_the_kept_tokens(n, seed, data):
+    full = tree_labels(random_tree(n, seed), "s")
+    others = [i for i in range(n) if i != full.root]
+    excluded = sorted(data.draw(st.sets(st.sampled_from(others)))) if others else []
+    labels = dataclasses.replace(full, excluded=excluded)
+    # small integer weights, so the spanning tree meets ties
+    weights = np.random.default_rng(seed).integers(0, 4, size=(n, n)).astype(np.float64)
+    pred = weights + weights.T
+    np.fill_diagonal(pred, 0.0)
+    kept = [i for i in range(n) if i not in excluded]
+    restricted = TreeLabels(
+        "s", full.distances[np.ix_(kept, kept)], full.depths[kept], kept.index(full.root)
+    )
+    assert uuas_counts(pred, labels) == uuas_counts(pred[np.ix_(kept, kept)], restricted)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
@@ -16,6 +17,7 @@ from structprobe.trees import (
     DepTree,
     TreeLabels,
     all_pairs_path_lengths,
+    labels_record,
     parse_conllu,
     read_conllu,
     read_labels,
@@ -274,6 +276,86 @@ def test_labels_validation():
         TreeLabels(id="x", distances=[[0, 1], [2, 0]], depths=[0, 1], root=0)
     with pytest.raises(ValueError):
         TreeLabels(id="x", distances=[[0, 1], [1, 0]], depths=[0, 1], root=1)
+
+
+def test_tree_labels_exclude_the_tokens_of_the_named_deprels():
+    tree, _ = parse_conllu(CONLLU_TWO_SENTENCES)
+    assert tree_labels(tree, "a").excluded == ()
+    assert tree_labels(tree, "a", ["obj", "punct"]).excluded == (2,)
+    assert tree_labels(tree, "a", ["nsubj", "obj"]).excluded == (0, 2)
+    # the positions ride along with unchanged matrices
+    plain, excluded = tree_labels(tree, "a"), tree_labels(tree, "a", ["obj"])
+    assert np.array_equal(plain.distances, excluded.distances)
+    assert np.array_equal(plain.depths, excluded.depths)
+
+
+def test_tree_labels_refuse_to_exclude_the_root_or_to_exclude_without_deprels():
+    tree, _ = parse_conllu(CONLLU_TWO_SENTENCES)
+    with pytest.raises(ValueError, match="deprel 'root' would exclude the root"):
+        tree_labels(tree, "a", ["obj", "root"])
+    bare = DepTree(tokens=("a", "b"), heads=(ROOT, 0))
+    with pytest.raises(ValueError, match="no deprels"):
+        tree_labels(bare, "b", ["obj"])
+    assert tree_labels(bare, "b", []).excluded == ()
+
+
+CHAIN = {"id": "x", "distances": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "depths": [0, 1, 2]}
+
+
+@pytest.mark.parametrize(
+    "root, excluded, message",
+    [
+        (0, [True], "must be numbers, not true or false"),
+        (0, [1, True], "must be numbers, not true or false"),
+        (0, [1.5], "must be whole numbers"),
+        (0, [-1], "must not be negative"),
+        (0, [2, 1], "strictly increasing list"),
+        (0, [1, 1], "strictly increasing list"),
+        (0, [3], "list below n=3"),
+        (0, [[1]], "strictly increasing list"),
+        (0, 1, "strictly increasing list"),
+        (0, [0, 2], "the root 0 cannot be excluded"),
+        (2, [2], "root does not have depth zero"),
+    ],
+)
+def test_labels_check_their_excluded_positions(root, excluded, message):
+    with pytest.raises(ValueError, match=message):
+        TreeLabels(**CHAIN, root=root, excluded=excluded)
+
+
+def test_labels_keep_excluded_positions_as_a_tuple_of_ints():
+    assert TreeLabels(**CHAIN, root=0, excluded=np.array([1, 2])).excluded == (1, 2)
+    assert TreeLabels(**CHAIN, root=0, excluded=[]).excluded == ()
+    # a visual sequence has no root index, so any position may be excluded
+    assert TreeLabels(**CHAIN, root=None, excluded=(0, 2)).excluded == (0, 2)
+
+
+@pytest.mark.parametrize("exact_min", [0, 1 << 20], ids=["exact-path-tried", "json-only"])
+def test_labels_record_writes_excluded_after_root_and_both_readers_read_it(
+    tmp_path, monkeypatch, exact_min
+):
+    monkeypatch.setattr(trees_mod, "_EXACT_MIN", exact_min)
+    plain = tree_labels(random_tree(12, np.random.default_rng(2)), "plain")
+    kept_out = [i for i in range(12) if i != plain.root][::3]
+    labels = [
+        TreeLabels("long", plain.distances, plain.depths, plain.root, excluded=kept_out),
+        TreeLabels(**CHAIN, root=None, excluded=[0]),
+        plain,
+    ]
+    lines = [labels_record(lab) for lab in labels]
+    # the member comes after root, as json.dumps writes such a record
+    assert lines[0] == json.dumps(
+        {"id": "long", "n": 12, "depths": plain.depths.tolist(),
+         "distances": plain.distances.tolist(), "root": plain.root, "excluded": kept_out},
+        separators=(",", ":"),
+    )
+    assert lines[1].endswith('"depths":[0,1,2],"distances":[[0,1,2],[1,0,1],[2,1,0]],"excluded":[0]}')
+    assert "excluded" not in lines[2]
+    path = tmp_path / "labels.jsonl"
+    write_labels(labels, path)
+    back = read_labels(path)
+    assert [lab.excluded for lab in back] == [lab.excluded for lab in labels]
+    assert [labels_record(lab) for lab in back] == lines
 
 
 def test_a_tree_is_walked_once_when_built(monkeypatch):
