@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 
 from . import chart as chart_mod
 from . import grid as grid_mod
-from .embed_io import read_embeddings, write_embeddings
+from .embed_io import read_embeddings, scan_embedding_headers, write_embeddings
 from .errors import DataError, StructProbeError, ValidationError
 from .io_utils import atomic_write_text, index_ids
 from .metrics import (
@@ -153,11 +154,15 @@ def _train_config(args) -> TrainConfig:
         raise ValidationError(f"bad training options: {exc}") from exc
 
 
-def _load_pairs(*files):
+def _load_pairs(*files, check=None):
     """The pairs of each ``(labels_path, emb_path)``, in order.
 
     Every labels file is read and checked before any embeddings file is
     decoded, so a bad labels file is reported before the costly decode.
+    ``check(emb_path, pairs)``, if given, sees each regular file's labels
+    paired with its headers (``scan_embedding_headers``) before that file
+    is decoded, and a pipe's, which can be read only once, paired with its
+    decoded sequences.
     """
     split_labels = []
     for labels_path, _ in files:
@@ -167,8 +172,14 @@ def _load_pairs(*files):
         split_labels.append(labels)
     split_pairs = []
     for labels, (_, emb_path) in zip(split_labels, files):
+        regular = os.path.isfile(emb_path)
+        if check is not None and regular:
+            check(emb_path, pair_records(labels, scan_embedding_headers(emb_path), emb_path))
         embeddings = list(read_embeddings(emb_path))  # every line is checked before pairing
-        split_pairs.append(pair_records(labels, embeddings, emb_path))
+        pairs = pair_records(labels, embeddings, emb_path)
+        if check is not None and not regular:
+            check(emb_path, pairs)
+        split_pairs.append(pairs)
     return split_pairs
 
 
@@ -223,10 +234,15 @@ def cmd_eval(args) -> int:
             check_layer_tag(layer)
         except ValueError as exc:
             raise DataError(f"{args.probe}: bad probe file: {exc}") from exc
-    (pairs,) = _load_pairs((args.labels, args.emb))
-    m = next((seq.m for _, seq in pairs if seq.m != probe.m), probe.m)
-    if m != probe.m:
-        raise DataError(f"{args.probe}: probe width {probe.m} does not match {args.emb} width {m}")
+
+    def check_width(emb_path, pairs):
+        m = next((head.m for _, head in pairs if head.m != probe.m), probe.m)
+        if m != probe.m:
+            raise DataError(
+                f"{args.probe}: probe width {probe.m} does not match {emb_path} width {m}"
+            )
+
+    (pairs,) = _load_pairs((args.labels, args.emb), check=check_width)
     report = evaluate_probe(probe, pairs)
     write_report_tsv(report.tsv_rows(), args.out)
     if args.json:

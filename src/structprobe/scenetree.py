@@ -39,10 +39,10 @@ class PhraseAnnotation:
         object.__setattr__(self, "region_ids", tuple(self.region_ids))
         if self.start < 0 or self.start >= self.end:
             raise ValueError(
-                f"phrase {self.phrase_id}: empty or negative span [{self.start},{self.end})"
+                f"phrase {self.phrase_id!r}: empty or negative span [{self.start},{self.end})"
             )
         if not self.region_ids:
-            raise ValueError(f"phrase {self.phrase_id}: no region ids")
+            raise ValueError(f"phrase {self.phrase_id!r}: no region ids")
 
 
 @dataclass(frozen=True)
@@ -67,14 +67,15 @@ class GroundedCaption:
     phrases: tuple[PhraseAnnotation, ...]
 
 
-def _anchor(phrase: PhraseAnnotation, tree: DepTree, token_depths: Sequence[int]) -> int:
-    if phrase.end > tree.n:
-        raise ValueError(
-            f"phrase {phrase.phrase_id}: span end {phrase.end} beyond sentence "
-            f"length {tree.n}"
-        )
-    span = range(phrase.start, phrase.end)
-    return min(span, key=lambda i: (token_depths[i], i))
+def _check_spans(phrases: Sequence[PhraseAnnotation], n: int) -> None:
+    """Every span ends within the caption's ``n`` tokens, and no two phrases share an id."""
+    seen = set()
+    for p in phrases:
+        if p.end > n:
+            raise ValueError(f"phrase {p.phrase_id!r}: span end {p.end} beyond {n} tokens")
+        if p.phrase_id in seen:
+            raise ValueError(f"phrase {p.phrase_id!r}: duplicate phrase id")
+        seen.add(p.phrase_id)
 
 
 def construct_scene_tree(
@@ -87,14 +88,10 @@ def construct_scene_tree(
     earliest-attached one. Input order of phrases fixes the node order in
     the result (image first).
     """
-    seen_ids = set()
-    for p in phrases:
-        if p.phrase_id in seen_ids:
-            raise ValueError(f"duplicate phrase id {p.phrase_id}")
-        seen_ids.add(p.phrase_id)
-
+    _check_spans(phrases, tree.n)
     token_depths = tree_depths(tree)
-    anchors = [_anchor(p, tree, token_depths) for p in phrases]
+    # a phrase anchors on its shallowest token, the earlier one on a tie
+    anchors = [min(range(p.start, p.end), key=lambda i: (token_depths[i], i)) for p in phrases]
     order = sorted(range(len(phrases)), key=lambda i: (token_depths[anchors[i]], i))
 
     # node i + 1 is phrase i; a dependency token maps to the scene node of
@@ -189,18 +186,22 @@ def overlapping_phrase_pairs(phrases: Sequence[PhraseAnnotation]) -> list[tuple[
 
 
 def _decode_caption(rec: dict) -> GroundedCaption:
-    if type(rec["tokens"]) is not list:
-        raise ValueError(f"tokens must be a JSON list, got {rec['tokens']!r}")
-    tokens = tuple(str(t) for t in rec["tokens"])
+    tokens = rec["tokens"]
+    if type(tokens) is not list:
+        raise ValueError(f"tokens must be a JSON list, got {tokens!r}")
+    for i, t in enumerate(tokens):
+        if type(t) is not str:
+            raise ValueError(f"tokens[{i}]: {t!r} is not a JSON string")
     if type(rec["phrases"]) is not list:
         raise ValueError(f"phrases must be a JSON list, got {rec['phrases']!r}")
-    phrases, phrase_ids = [], set()
+    phrases = []
     for i, p in enumerate(rec["phrases"]):
-        if not isinstance(p, dict):
-            raise ValueError(f"phrase {p!r} is not a JSON object")
-        if "phrase_id" not in p:
-            raise ValueError(f"phrases[{i}]: missing key 'phrase_id'")
-        phrase_id = record_id(p["phrase_id"], "phrase_id")
+        try:
+            if not isinstance(p, dict):
+                raise ValueError(f"{p!r} is not a JSON object")
+            phrase_id = record_id(p["phrase_id"], "phrase_id")
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"phrases[{i}]: {error_text(exc)}") from exc
         try:
             start, end, region_ids = p["start"], p["end"], p["region_ids"]
             # type(), not isinstance(): a bool is an int
@@ -208,28 +209,16 @@ def _decode_caption(rec: dict) -> GroundedCaption:
                 raise ValueError(f"start and end must be JSON integers, got {start!r} and {end!r}")
             if type(region_ids) is not list:
                 raise ValueError(f"region_ids must be a JSON list, got {region_ids!r}")
+            region_ids = tuple(record_id(r, "region id") for r in region_ids)
         except (KeyError, ValueError) as exc:
             raise ValueError(f"phrase {phrase_id!r}: {error_text(exc)}") from exc
-        if not region_ids:
-            continue
-        ann = PhraseAnnotation(
-            phrase_id=phrase_id,
-            start=start,
-            end=end,
-            region_ids=tuple(record_id(r, "region id") for r in region_ids),
-        )
-        if ann.end > len(tokens):
-            raise ValueError(
-                f"phrase {ann.phrase_id} span end {ann.end} beyond {len(tokens)} tokens"
-            )
-        if ann.phrase_id in phrase_ids:
-            raise ValueError(f"duplicate phrase id {ann.phrase_id}")
-        phrase_ids.add(ann.phrase_id)
-        phrases.append(ann)
+        if region_ids:
+            phrases.append(PhraseAnnotation(phrase_id, start, end, region_ids))
+    _check_spans(phrases, len(tokens))
     return GroundedCaption(
         image_id=record_id(rec["image_id"], "image_id"),
         sentence_id=record_id(rec["sentence_id"], "sentence_id"),
-        tokens=tokens,
+        tokens=tuple(tokens),
         phrases=tuple(phrases),
     )
 
@@ -239,10 +228,12 @@ def read_grounding(path: str | Path) -> Iterator[GroundedCaption]:
 
     Record shape: {"image_id", "sentence_id", "tokens", "phrases":
     [{"phrase_id", "start", "end", "region_ids"}]}, where ``tokens``,
-    ``phrases`` and each ``region_ids`` are JSON lists, every ``start`` and
-    ``end`` a JSON integer, and every id a JSON string or integer
-    (``io_utils.record_id``). Phrases without region ids are then dropped,
-    before any tree construction, and the phrase ids kept must be distinct.
+    ``phrases`` and each ``region_ids`` are JSON lists, every token a JSON
+    string, every ``start`` and ``end`` a JSON integer, and every id a JSON
+    string or integer (``io_utils.record_id``). Phrases without region ids
+    are then dropped, and the kept ones must end within the tokens and have
+    distinct ids. A phrase's error reads ``phrase '<id>': ...``, or
+    ``phrases[<i>]: ...`` while it has no usable id.
     """
     return read_jsonl(path, "grounding", _decode_caption)
 

@@ -195,7 +195,7 @@ def test_scene_tree_on_a_repeated_phrase_id_names_the_grounding_line_and_writes_
             "--out", str(out), "--report", str(report)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"{grounding}:2: bad grounding record: duplicate phrase id p1" in err
+    assert f"{grounding}:2: bad grounding record: phrase 'p1': duplicate phrase id" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.jsonl", "x.conll"]
     # a dropped phrase (no region ids) shares its id with a kept one, as before
@@ -203,6 +203,51 @@ def test_scene_tree_on_a_repeated_phrase_id_names_the_grounding_line_and_writes_
     grounding.write_text(json.dumps(dict(GROUNDING, phrases=phrases)) + "\n")
     assert main(argv) == 0
     assert json.loads(out.read_text())["phrase_to_text"] == {"p1": 1}
+
+
+P1, P2 = GROUNDING["phrases"]
+
+# (phrases, tokens, message): one case per way a phrase breaks a grounding
+# rule, each phrase named the one way, and a token that is no JSON string
+PHRASE_ERRORS = {
+    "empty-span": (
+        [P1, dict(P2, start=4, end=4)], None, "phrase 'p2': empty or negative span [4,4)"
+    ),
+    "span-end": ([P1, dict(P2, end=9)], None, "phrase 'p2': span end 9 beyond 5 tokens"),
+    "duplicate-id": ([P1, dict(P2, phrase_id="p1")], None, "phrase 'p1': duplicate phrase id"),
+    "region-id": (
+        [dict(P1, region_ids=["r1", 1.5]), P2], None,
+        "phrase 'p1': region id 1.5 is not a JSON string or integer",
+    ),
+    "phrase_id": (
+        [dict(P1, phrase_id=1.5), P2], None,
+        "phrases[0]: phrase_id 1.5 is not a JSON string or integer",
+    ),
+    "non-object": ([P1, "x"], None, "phrases[1]: 'x' is not a JSON object"),
+    "token": (
+        [P1, P2], ["a", None, "on", "a", "bench"], "tokens[1]: None is not a JSON string"
+    ),
+}
+
+
+@pytest.mark.parametrize("phrases, tokens, message", PHRASE_ERRORS.values(), ids=PHRASE_ERRORS)
+def test_scene_tree_on_a_bad_phrase_or_token_names_it_one_way_and_writes_nothing(
+    tmp_path, capsys, phrases, tokens, message
+):
+    conll = tmp_path / "x.conll"
+    # FORM "None" is str(None): a null token read as text would pair with it
+    conll.write_text(CONLL.replace("\tman\t", "\tNone\t"))
+    grounding = tmp_path / "g.jsonl"
+    tokens = tokens or ["a", "None", "on", "a", "bench"]
+    grounding.write_text(json.dumps(dict(GROUNDING, tokens=tokens, phrases=phrases)) + "\n")
+    out, report = tmp_path / "scene.jsonl", tmp_path / "overlaps.json"
+    argv = ["--quiet", "scene-tree", "--conll", str(conll), "--grounding", str(grounding),
+            "--out", str(out), "--report", str(report)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"structprobe: {grounding}:1: bad grounding record: {message}\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.jsonl", "x.conll"]
 
 
 def test_scene_tree_token_mismatch_is_data_error(tmp_path):
@@ -1572,6 +1617,31 @@ def test_eval_with_a_probe_of_another_width_exits_two_naming_both_files(tmp_path
     assert f"structprobe: {probe}: probe width {m + 13} does not match {emb} width {m}\n" in err
     assert "Traceback" not in err
     assert not out.exists() and not detail.exists()
+
+
+@pytest.mark.parametrize("source", ["file", "pipe"])
+def test_eval_checks_the_probe_width_before_it_decodes_a_regular_file(
+    tmp_path, monkeypatch, capsys, source
+):
+    labels, emb = write_synth(tmp_path)
+    m = next(read_embeddings(emb)).m
+    probe, out = tmp_path / "probe.json", tmp_path / "r.tsv"
+    save_probe(identity_probe("depth", m + 1), probe)
+    if source == "pipe":  # a pipe can be read only once: its widths are checked after the decode
+        pipe = tmp_path / "emb.pipe"
+        os.mkfifo(pipe)
+        threading.Thread(target=pipe.write_bytes, args=(emb.read_bytes(),), daemon=True).start()
+        emb = pipe
+    decoded: list = []
+    monkeypatch.setattr(cli_mod, "read_embeddings",
+                        lambda path: decoded.append(path) or read_embeddings(path))
+    code = main(["--quiet", "eval", "--probe", str(probe), "--labels", str(labels),
+                 "--emb", str(emb), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"structprobe: {probe}: probe width {m + 1} does not match {emb} width {m}\n"
+    assert decoded == ([] if source == "file" else [str(emb)])
+    assert not out.exists()
 
 
 def test_synth_labels_do_not_depend_on_noise_or_layer(tmp_path):

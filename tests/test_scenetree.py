@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -94,14 +95,14 @@ def test_construct_scene_tree_computes_token_depths_once(monkeypatch):
 
 
 def test_anchor_span_out_of_bounds():
-    with pytest.raises(ValueError, match="span end 5 beyond sentence length 2"):
+    with pytest.raises(ValueError, match=re.escape("phrase 'p': span end 5 beyond 2 tokens")):
         anchor_of((0, 5), [ROOT, 0])
 
 
 def test_phrase_annotation_rejects_empty_span_or_regions():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("phrase 'p': empty or negative span [2,2)")):
         PhraseAnnotation("p", 2, 2, ("r",))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("phrase 'p': no region ids")):
         PhraseAnnotation("p", 0, 1, ())
 
 
@@ -263,6 +264,38 @@ def test_derived_depths_are_the_root_row_of_the_distances(seed, data):
         assert labels.depths.dtype == np.int64
         assert np.array_equal(labels.depths, labels.distances[root])
         TreeLabels(id=labels.id, distances=labels.distances, depths=labels.depths, root=labels.root)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_reader_and_construction_break_a_span_rule_with_one_text(data):
+    n = data.draw(st.integers(1, 8))
+    heads = [ROOT] + [data.draw(st.integers(0, i - 1)) for i in range(1, n)]
+    k = data.draw(st.integers(1, 4))
+    ids = data.draw(st.lists(st.text(max_size=3), min_size=k, max_size=k, unique=True))
+    phrases = []
+    for j, pid in enumerate(ids):
+        start = data.draw(st.integers(0, n - 1))
+        end = data.draw(st.integers(start + 1, n))
+        phrases.append({"phrase_id": pid, "start": start, "end": end, "region_ids": [f"r{j}"]})
+    # one phrase breaks one rule: its span ends past the tokens, or it repeats an earlier id
+    j = data.draw(st.integers(0, k - 1))
+    if j and data.draw(st.booleans()):
+        phrases[j]["phrase_id"] = ids[data.draw(st.integers(0, j - 1))]
+    else:
+        phrases[j]["end"] = n + data.draw(st.integers(1, 3))
+    tokens = [f"w{i}" for i in range(n)]
+    anns = [PhraseAnnotation(p["phrase_id"], p["start"], p["end"], tuple(p["region_ids"]))
+            for p in phrases]
+    with pytest.raises(ValueError) as built:
+        construct_scene_tree(DepTree(tokens=tuple(tokens), heads=tuple(heads)), anns, "img")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.jsonl"
+        rec = {"image_id": "img", "sentence_id": "s", "tokens": tokens, "phrases": phrases}
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(DataError) as read:
+            list(read_grounding(path))
+    assert str(read.value) == f"{path}:1: bad grounding record: {built.value}"
 
 
 @pytest.mark.parametrize("depths", [(0, -1), (0, 1.5), (0, True), ([0], [1]), (0, 7)])
