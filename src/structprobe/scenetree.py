@@ -37,10 +37,7 @@ class PhraseAnnotation:
 
     def __post_init__(self):
         object.__setattr__(self, "region_ids", tuple(self.region_ids))
-        if self.start < 0 or self.start >= self.end:
-            raise ValueError(
-                f"phrase {self.phrase_id!r}: empty or negative span [{self.start},{self.end})"
-            )
+        _check_span(self.phrase_id, self.start, self.end)
         if not self.region_ids:
             raise ValueError(f"phrase {self.phrase_id!r}: no region ids")
 
@@ -67,12 +64,19 @@ class GroundedCaption:
     phrases: tuple[PhraseAnnotation, ...]
 
 
+def _check_span(phrase_id: str, start: int, end: int, n: int | None = None) -> None:
+    """The span rule, ``0 <= start < end``, and ``end <= n`` for a caption of ``n`` tokens."""
+    if start < 0 or start >= end:
+        raise ValueError(f"phrase {phrase_id!r}: empty or negative span [{start},{end})")
+    if n is not None and end > n:
+        raise ValueError(f"phrase {phrase_id!r}: span end {end} beyond {n} tokens")
+
+
 def _check_spans(phrases: Sequence[PhraseAnnotation], n: int) -> None:
     """Every span ends within the caption's ``n`` tokens, and no two phrases share an id."""
     seen = set()
     for p in phrases:
-        if p.end > n:
-            raise ValueError(f"phrase {p.phrase_id!r}: span end {p.end} beyond {n} tokens")
+        _check_span(p.phrase_id, p.start, p.end, n)
         if p.phrase_id in seen:
             raise ValueError(f"phrase {p.phrase_id!r}: duplicate phrase id")
         seen.add(p.phrase_id)
@@ -214,6 +218,8 @@ def _decode_caption(rec: dict) -> GroundedCaption:
             raise ValueError(f"phrase {phrase_id!r}: {error_text(exc)}") from exc
         if region_ids:
             phrases.append(PhraseAnnotation(phrase_id, start, end, region_ids))
+        else:  # dropped, once its span is shown to be one the caption can hold
+            _check_span(phrase_id, start, end, len(tokens))
     _check_spans(phrases, len(tokens))
     return GroundedCaption(
         image_id=record_id(rec["image_id"], "image_id"),
@@ -230,10 +236,11 @@ def read_grounding(path: str | Path) -> Iterator[GroundedCaption]:
     [{"phrase_id", "start", "end", "region_ids"}]}, where ``tokens``,
     ``phrases`` and each ``region_ids`` are JSON lists, every token a JSON
     string, every ``start`` and ``end`` a JSON integer, and every id a JSON
-    string or integer (``io_utils.record_id``). Phrases without region ids
-    are then dropped, and the kept ones must end within the tokens and have
-    distinct ids. A phrase's error reads ``phrase '<id>': ...``, or
-    ``phrases[<i>]: ...`` while it has no usable id.
+    string or integer (``io_utils.record_id``). Every phrase must have
+    ``0 <= start < end <= len(tokens)``; phrases without region ids are then
+    dropped, and the kept ones must have distinct ids. A phrase's error
+    reads ``phrase '<id>': ...``, or ``phrases[<i>]: ...`` while it has no
+    usable id.
     """
     return read_jsonl(path, "grounding", _decode_caption)
 

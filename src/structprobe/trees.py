@@ -67,14 +67,21 @@ class DepTree:
 def _whole_numbers(values, what: str) -> np.ndarray:
     """``values`` as an int64 array; ValueError if any is not a whole number >= 0.
 
-    ``True`` and ``False`` are not numbers here, although numpy reads them as 1 and 0.
+    ``True`` and ``False`` are not numbers here, although numpy reads them as 1 and 0,
+    and nor are ``None``, strings and mappings; nested lists must be of equal length.
     """
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # numpy's message for ragged lists names no member
+        raise ValueError(f"{what} must be whole numbers in lists of equal length") from None
     if arr.dtype == np.bool_:
         raise ValueError(f"{what} must be numbers, not true or false")
     if arr.dtype != np.int64:
-        with np.errstate(invalid="ignore"):  # NaN and infinities fail the comparison
-            ints = arr.astype(np.int64)
+        try:
+            with np.errstate(invalid="ignore"):  # NaN and infinities fail the comparison
+                ints = arr.astype(np.int64)
+        except (TypeError, ValueError):  # None, a mapping or text that int() refuses
+            raise ValueError(f"{what} must be whole numbers") from None
         if not np.array_equal(ints, arr):
             raise ValueError(f"{what} must be whole numbers")
         arr = ints
@@ -452,52 +459,41 @@ def _decode_labels(rec: dict) -> TreeLabels:
 def _exact_labels(buf: bytes | mmap.mmap, start: int, stop: int) -> TreeLabels | None:
     """The labels of the line ``buf[start:stop]`` if ``labels_record`` writes it so, else None.
 
-    A line of fewer than ``_EXACT_MIN`` bytes is left to the full parse. The
-    line, less its ``\\n``, is split at ``,"depths":[``,
-    ``],"distances":[[``, ``]]``, ``,"root":`` and the extras. The depths
-    and the matrix, if they hold nothing but digits, commas and brackets,
-    are read by one ``np.fromstring`` with the three as spaces, which it
-    takes as separators in any number; the extras by ``json.loads``. The
-    result is kept only if it passes TreeLabels' checks, no extra key is a
-    base key, and ``labels_record`` gives back the line exactly. Such a line
-    is the ``json.dumps`` of a record with no duplicate key, so ``json.loads``
-    and ``_decode_labels`` give the same TreeLabels. Never raises, and never
-    warns: a line that fails any step is left to the full parse.
+    A line of fewer than ``_EXACT_MIN`` bytes is left to the full parse. Its
+    ``"depths":[...]`` and ``"distances":[[...]]`` members, if they hold
+    nothing but digits, commas and brackets, are read by one
+    ``np.fromstring`` with the three as spaces, which it takes as
+    separators in any number. The rest of the line, less its ``\\n``, is
+    read as the full parse reads a line, by ``json.loads`` of its UTF-8
+    text, and the labels by ``_decode_labels`` with the two arrays in
+    place of those members. The result is kept only if ``labels_record``
+    gives back the line exactly from it and the members that are not base
+    members. Such a line is the ``json.dumps`` of a record with no
+    duplicate key, so ``json.loads`` and ``_decode_labels`` give the same
+    TreeLabels. Never raises, and never warns: a line that fails any step
+    is left to the full parse.
     """
     if stop - start < _EXACT_MIN:
         return None
     if buf[stop - 1] == 0x0A:
         stop -= 1
     line = buf[start:stop]
-    if not line.startswith(b'{"id":"'):
-        return None
-    q = line.find(b'"', 7)
-    d0 = line.find(b',"depths":[', q) + 11
+    d0 = line.find(b',"depths":[') + 11
     d1 = line.find(b'],"distances":[[', d0)
     m1 = line.find(b"]]", d1)
-    if min(q, d0 - 11, d1, m1) < 0:
+    if min(d0 - 11, d1, m1) < 0:
         return None
     numbers = line[d0:d1] + b"," + line[d1 + 16 : m1]
     if numbers.translate(None, b"0123456789,[]"):
         return None
-    n = line.count(b",", d0, d1) + 1
     values = np.fromstring(numbers.translate(_SPACED), np.int64, sep=" ")
-    try:
-        tail, root, extra = line[m1 + 2 : -1].decode("ascii"), None, None
-        if tail.startswith(',"root":'):
-            end = tail.find(",", 8)
-            if end < 0:
-                end = len(tail)
-            root, tail = int(tail[8:end]), tail[end:]
-        if tail:
-            extra = json.loads("{" + tail[1:] + "}")
-            if not _BASE_KEYS.isdisjoint(extra):
-                return None
-        lab = TreeLabels(
-            id=line[7:q].decode("ascii"), distances=values[n:].reshape(n, n), depths=values[:n], root=root
-        )
-    except (ValueError, RecursionError):  # RecursionError: extras nested too deep for json
+    try:  # RecursionError: members nested too deep for json
+        rec = json.loads((line[: d0 - 11] + line[m1 + 2 :]).decode("utf-8"))
+        n = rec["n"]
+        lab = _decode_labels({**rec, "depths": values[:n], "distances": values[n:].reshape(n, n)})
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
         return None
+    extra = {k: v for k, v in rec.items() if k not in _BASE_KEYS}
     return lab if labels_record(lab, extra).encode() == line else None
 
 

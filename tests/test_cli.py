@@ -214,6 +214,17 @@ PHRASE_ERRORS = {
         [P1, dict(P2, start=4, end=4)], None, "phrase 'p2': empty or negative span [4,4)"
     ),
     "span-end": ([P1, dict(P2, end=9)], None, "phrase 'p2': span end 9 beyond 5 tokens"),
+    # a phrase without regions is dropped, but only once its span is possible
+    "dropped-negative-start": (
+        [P1, dict(P2, start=-1, region_ids=[])], None, "phrase 'p2': empty or negative span [-1,5)"
+    ),
+    "dropped-empty-span": (
+        [P1, dict(P2, start=5, end=-2, region_ids=[])], None,
+        "phrase 'p2': empty or negative span [5,-2)",
+    ),
+    "dropped-span-end": (
+        [P1, dict(P2, end=9, region_ids=[])], None, "phrase 'p2': span end 9 beyond 5 tokens"
+    ),
     "duplicate-id": ([P1, dict(P2, phrase_id="p1")], None, "phrase 'p1': duplicate phrase id"),
     "region-id": (
         [dict(P1, region_ids=["r1", 1.5]), P2], None,

@@ -623,29 +623,39 @@ def test_read_labels_matches_the_full_parse_on_canonical_lines_and_near_misses(d
 @settings(max_examples=300, deadline=None)
 @given(canonical_labels())
 def test_exact_labels_reads_back_every_plain_line_labels_record_writes(case):
+    # plain: no extra is named like a base member, whatever the id (escaped,
+    # non-ASCII) and whether the line has exclusions
     lab, extra = case
     raw = labels_record(lab, extra).encode("ascii")
-    base = {"id", "n", "depths", "distances", "root", "excluded"}
-    plain = b"\\" not in raw[: raw.find(b'","n":')] and base.isdisjoint(extra or {})
-    plain = plain and not lab.excluded
+    plain = {"id", "n", "depths", "distances", "root", "excluded"}.isdisjoint(extra or {})
+    try:
+        want = summary(_decode_labels(json.loads(raw)))
+    except (KeyError, TypeError, ValueError):  # an extra replaced a base member with junk
+        want = None
     with warnings.catch_warnings(), mock.patch.object(trees_mod, "_EXACT_MIN", 0):
         warnings.simplefilter("error")
         for line in (raw, raw + b"\n", b"xx" + raw + b"\nyy"):
             start = 2 if line.startswith(b"xx") else 0
             stop = len(line) - 2 if line.endswith(b"yy") else len(line)
             got = _exact_labels(line, start, stop)
-            if lab.excluded:  # a line with exclusions is left to json.loads
-                assert got is None
-            if not plain:
-                continue
-            assert got is not None
-            assert summary(got) == summary(_decode_labels(json.loads(raw)))
+            if plain or got is not None:  # what the exact path reads, it reads as json.loads
+                assert got is not None and summary(got) == want
 
 
-@pytest.mark.parametrize("n, exact", [(1, False), (9, False), (10, True), (40, True)])
-def test_read_labels_parses_a_plain_line_as_json_only_if_it_is_short(tmp_path, monkeypatch, n, exact):
+@pytest.mark.parametrize(
+    "n, exact, seq_id, excluded",
+    [(1, False, "s", ()), (9, False, "s", ()), (10, True, "s", ()), (40, True, "s", ()),
+     (40, True, "s", (2, 7)), (40, True, "\u00e9\u2028", ())],
+    ids=["1", "9", "10", "40", "40-excluded", "40-non-ascii-id"],
+)
+def test_read_labels_parses_a_plain_line_as_json_only_if_it_is_short(
+    tmp_path, monkeypatch, n, exact, seq_id, excluded
+):
     tree = DepTree(tokens=("w",) * n, heads=[ROOT] + list(range(n - 1)))
-    labs = [tree_labels(tree, f"s{n}{side}") for side in "ab"]
+    labs = []
+    for side in "ab":
+        gold = tree_labels(tree, f"{seq_id}{n}{side}")
+        labs.append(TreeLabels(gold.id, gold.distances, gold.depths, gold.root, excluded))
     path = tmp_path / "labels.jsonl"
     write_labels(labs, path)
     assert (path.stat().st_size // 2 >= trees_mod._EXACT_MIN) == exact
@@ -666,10 +676,22 @@ def test_read_labels_parses_a_plain_line_as_json_only_if_it_is_short(tmp_path, m
         ('{"id":"a","n":true,"depths":[0],"distances":[[0]],"root":0}', "n True is not an integer"),
         ('{"id":"a","n":2.0,"depths":[0,1],"distances":[[0,1],[1,0]],"root":0}', "n 2.0 is not an integer"),
         ('{"id":"a","n":"2","depths":[0,1],"distances":[[0,1],[1,0]],"root":0}', "n '2' is not an integer"),
+        # a member of the wrong shape is named, not left to numpy's message
+        ('{"id":"a","n":2,"depths":null,"distances":[[0,1],[1,0]],"root":0}', "depths must be whole numbers"),
+        ('{"id":"a","n":2,"depths":[0,null],"distances":[[0,1],[1,0]],"root":0}', "depths must be whole numbers"),
+        ('{"id":"a","n":2,"depths":[0,1],"distances":{"x":1},"root":0}', "distances must be whole numbers"),
+        ('{"id":"a","n":2,"depths":[0,1],"distances":[[0,1],[1]],"root":0}',
+         "distances must be whole numbers in lists of equal length"),
+        ('{"id":"a","n":2,"depths":[0,1],"distances":[[0,1],[1,0]],"root":0,"excluded":null}',
+         "excluded positions must be whole numbers"),
+        ('{"id":"a","n":2,"depths":[0,1],"distances":[[0,1],[1,0]],"root":0,"excluded":{"1":1}}',
+         "excluded positions must be whole numbers"),
     ],
-    ids=["true-depth", "true-distance", "false-everywhere", "n-true", "n-float", "n-string"],
+    ids=["true-depth", "true-distance", "false-everywhere", "n-true", "n-float", "n-string",
+         "null-depths", "null-depth", "object-distances", "ragged-distances", "null-excluded",
+         "object-excluded"],
 )
-def test_booleans_and_a_non_integer_n_are_data_errors(tmp_path, line, message):
+def test_labels_members_of_the_wrong_type_or_shape_are_data_errors(tmp_path, line, message):
     path = tmp_path / "labels.jsonl"
     path.write_text("\n" + line + "\n")
     with pytest.raises(DataError) as info:
