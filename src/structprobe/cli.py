@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 
 from . import chart as chart_mod
 from . import grid as grid_mod
-from .embed_io import read_embeddings, scan_embedding_headers, write_embeddings
+from .embed_io import write_embeddings
 from .errors import DataError, StructProbeError, ValidationError
 from .io_utils import atomic_write_text, index_ids
 from .metrics import (
@@ -25,7 +24,7 @@ from .metrics import (
     write_report_json,
     write_report_tsv,
 )
-from .probe import TASKS, TrainConfig, load_probe, pair_records, save_probe, train_probe
+from .probe import TASKS, TrainConfig, embedding_width, load_probe, save_probe, train_probe
 from .scenetree import (
     construct_scene_tree,
     overlapping_phrase_pairs,
@@ -35,7 +34,7 @@ from .scenetree import (
     visual_labels,
 )
 from .synth import oracle_dataset
-from .trees import labels_record, read_conllu, read_labels, tree_labels, write_labels
+from .trees import labels_record, read_conllu, tree_labels, write_labels
 
 log = logging.getLogger("structprobe")
 
@@ -86,8 +85,8 @@ def cmd_scene_tree(args) -> int:
     captions = list(read_grounding(args.grounding))
     if len(trees) != len(captions):
         raise DataError(
-            f"{args.conll} has {len(trees)} sentences but {args.grounding} has "
-            f"{len(captions)} caption records (the files pair by order)"
+            f"{args.conll} has {len(trees)} sentence(s) but {args.grounding} has "
+            f"{len(captions)} caption record(s) (the files pair by order)"
         )
     index_ids(((cap.sentence_id, cap) for cap in captions), "sentence", args.grounding)
     flagged = []
@@ -154,44 +153,16 @@ def _train_config(args) -> TrainConfig:
         raise ValidationError(f"bad training options: {exc}") from exc
 
 
-def _load_pairs(*files, check=None):
-    """The pairs of each ``(labels_path, emb_path)``, in order.
-
-    Every labels file is read and checked before any embeddings file is
-    decoded, so a bad labels file is reported before the costly decode.
-    ``check(emb_path, pairs)``, if given, sees each regular file's labels
-    paired with its headers (``scan_embedding_headers``) before that file
-    is decoded, and a pipe's, which can be read only once, paired with its
-    decoded sequences.
-    """
-    split_labels = []
-    for labels_path, _ in files:
-        labels = read_labels(labels_path)
-        if not labels:
-            raise DataError(f"{labels_path}: no label records")
-        split_labels.append(labels)
-    split_pairs = []
-    for labels, (_, emb_path) in zip(split_labels, files):
-        regular = os.path.isfile(emb_path)
-        if check is not None and regular:
-            check(emb_path, pair_records(labels, scan_embedding_headers(emb_path), emb_path))
-        embeddings = list(read_embeddings(emb_path))  # every line is checked before pairing
-        pairs = pair_records(labels, embeddings, emb_path)
-        if check is not None and not regular:
-            check(emb_path, pairs)
-        split_pairs.append(pairs)
-    return split_pairs
-
-
-def _emb_layer_tag(pairs):
-    layers = {seq.layer for _, seq in pairs}
+def _emb_layer_tag(splits):
+    layers = {seq.layer for _, seq in splits["train"]}
     return layers.pop() if len(layers) == 1 else None
 
 
 def cmd_train(args) -> int:
     cfg = _train_config(args)
-    train_pairs, val_pairs = _load_pairs((args.labels, args.emb), (args.val_labels, args.val_emb))
-    probe = train_probe(args.task, train_pairs, val_pairs, cfg, layer=_emb_layer_tag(train_pairs))
+    labels = grid_mod.read_split_labels({"train": args.labels, "val": args.val_labels})
+    splits = grid_mod.load_splits(labels, {"train": args.emb, "val": args.val_emb}, embedding_width)
+    probe = train_probe(args.task, splits["train"], splits["val"], cfg, _emb_layer_tag(splits))
     save_probe(probe, args.out)
     log.info(
         "trained %s probe (rank %d) for %d epochs; best val loss %.6f -> %s",
@@ -211,15 +182,16 @@ def cmd_sweep(args) -> int:
         ranks = grid_mod.rank_list(json.loads(f"[{args.ranks}]"))
     except ValueError as exc:
         raise ValidationError(f"bad --ranks {args.ranks!r}: {exc}") from exc
-    train_pairs, val_pairs = _load_pairs((args.labels, args.emb), (args.val_labels, args.val_emb))
-    layer = _emb_layer_tag(train_pairs)
-    splits = {"train": train_pairs, "val": val_pairs, "eval": val_pairs}
+    labels = grid_mod.read_split_labels({"train": args.labels, "val": args.val_labels})
+    splits = grid_mod.load_splits(labels, {"train": args.emb, "val": args.val_emb}, embedding_width)
+    splits["eval"] = splits["val"]
+    layer = _emb_layer_tag(splits)
     rows = []
     for _, probe, outcome in grid_mod.rank_cells(args.task, splits, cfg, ranks, layer):
         if probe is None:  # the first error ends the sweep: later ranks never train
             raise outcome
         outcome.aggregates["val_loss"] = probe.meta["val_loss"]
-        outcome.counters["n_val_loss"] = len(val_pairs)
+        outcome.counters["n_val_loss"] = len(splits["val"])
         rows += outcome.tsv_rows()
     write_report_tsv(rows, args.out)
     log.info("swept ranks %s -> %s", ranks, args.out)
@@ -235,15 +207,16 @@ def cmd_eval(args) -> int:
         except ValueError as exc:
             raise DataError(f"{args.probe}: bad probe file: {exc}") from exc
 
-    def check_width(emb_path, pairs):
-        m = next((head.m for _, head in pairs if head.m != probe.m), probe.m)
+    def check_width(splits):
+        m = next((head.m for _, head in splits["eval"] if head.m != probe.m), probe.m)
         if m != probe.m:
             raise DataError(
-                f"{args.probe}: probe width {probe.m} does not match {emb_path} width {m}"
+                f"{args.probe}: probe width {probe.m} does not match {args.emb} width {m}"
             )
 
-    (pairs,) = _load_pairs((args.labels, args.emb), check=check_width)
-    report = evaluate_probe(probe, pairs)
+    labels = grid_mod.read_split_labels({"eval": args.labels})
+    splits = grid_mod.load_splits(labels, {"eval": args.emb}, check_width)
+    report = evaluate_probe(probe, splits["eval"])
     write_report_tsv(report.tsv_rows(), args.out)
     if args.json:
         write_report_json(report, args.json)

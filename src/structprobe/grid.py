@@ -1,5 +1,7 @@
 """Rank sweeps and layer grids: compose ``probe`` training with ``metrics`` scoring.
 
+``read_split_labels``, ``check_splits`` and ``load_splits`` load the (labels, embeddings)
+splits of ``train``, ``sweep``, ``eval`` and each grid layer: labels, headers, then payloads.
 ``rank_cells`` trains and scores one probe per rank and yields each cell's outcome, its
 error included: ``sweep`` stops at the first error, a grid records it and goes on. A grid's
 manifest names a labels file per split, an embedding file per split for each layer or
@@ -15,11 +17,12 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .chart import emit_chart
 from .embed_io import read_embeddings, scan_embedding_headers
@@ -161,40 +164,51 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
         raise ValidationError(f"{path}: bad manifest: {error_text(exc)}") from exc
 
 
-def validate_manifest_data(
-    manifest: ExperimentManifest,
-) -> tuple[dict[str, list[TreeLabels]], dict[int | str, str]]:
-    """Check every file and every (labels, embeddings) pairing up front.
-
-    Returns the labels of each split and, for each layer whose splits do
-    not share one width m, why its cells will fail.
-    """
+def read_split_labels(paths: Mapping[str, str | Path]) -> dict[str, list[TreeLabels]]:
+    """Loading, step 1: each split's labels, every file read and checked in order; none is empty."""
     split_labels = {}
-    width_errors = {}
-    for split, lpath in manifest.labels.items():
-        if not lpath.is_file():
-            raise ValidationError(f"labels file {lpath} is missing or not a file")
-        split_labels[split] = read_labels(lpath)
+    for split, path in paths.items():
+        split_labels[split] = read_labels(path)
         if not split_labels[split]:
-            raise DataError(f"{lpath}: no label records")
-    for cell in manifest.cells:
-        split_pairs = {}
-        for split, epath in cell.emb.items():
-            if not epath.is_file():
-                raise ValidationError(
-                    f"layer {cell.tag}: embeddings file {epath} is missing or not a file"
-                )
-            # a malformed line stays a DataError; only the pairing is a manifest problem
-            headers = scan_embedding_headers(epath)
-            try:
-                split_pairs[split] = pair_records(split_labels[split], headers, epath)
-            except DataError as exc:
-                raise ValidationError(str(exc)) from exc
-        try:
-            embedding_width(split_pairs)
-        except DataError as exc:
-            width_errors[cell.tag] = f"layer {cell.tag}: {exc}"
-    return split_labels, width_errors
+            raise DataError(f"{path}: no label records")
+    return split_labels
+
+
+def check_splits(
+    split_labels: Mapping[str, list[TreeLabels]], emb: Mapping[str, str | Path]
+) -> dict[str, list[Pair]]:
+    """Loading, step 2: each regular embeddings file's headers, paired with its split's labels.
+
+    A pairing fault is found before any payload is decoded. A pipe can be read only once, so it
+    is left out here: ``load_splits`` pairs it as it decodes it.
+    """
+    return {
+        split: pair_records(split_labels[split], scan_embedding_headers(path), path)
+        for split, path in emb.items()
+        if os.path.isfile(path)
+    }
+
+
+def load_splits(
+    split_labels: Mapping[str, list[TreeLabels]],
+    emb: Mapping[str, str | Path],
+    check: Callable[[dict[str, list[Pair]]], object] | None = None,
+) -> dict[str, list[Pair]]:
+    """Loading, step 3: decode each split's embeddings file once and pair it with its labels.
+
+    A ``check`` sees the ``check_splits`` pairs of the regular files before any decode and, if a
+    file is a pipe, every split's pairs after it.
+    """
+    headers = {} if check is None else check_splits(split_labels, emb)
+    if headers:
+        check(headers)
+    splits = {  # every line is decoded, and so checked, before any is paired
+        split: pair_records(split_labels[split], list(read_embeddings(path)), path)
+        for split, path in emb.items()
+    }
+    if check is not None and len(headers) < len(emb):  # a pipe, left out of the headers
+        check(splits)
+    return splits
 
 
 def _tag_sort_key(tag: int | str):
@@ -233,11 +247,12 @@ def run_layer_grid(
     """Train and evaluate every (layer, rank) cell by ``rank_cells``; emit the aggregate table.
 
     ``out_dir`` holds one run: one that exists and is not an empty directory is a
-    ValidationError before any input is read. Up to ``jobs`` layers run at once. A failed
-    cell is recorded and the others go on; a cell's probe and report are written once it is
-    scored, so a cell whose training or scoring fails leaves no file. Raises only if every
-    cell fails. Returns the successful reports in manifest order and the (cell, error)
-    failures.
+    ValidationError before any input is read. Every path must be a file, and every cell's
+    pairing is checked, before ``out_dir`` is made. Up to ``jobs`` layers run at once. A
+    failed cell is recorded and the others go on; a cell's probe and report are written once
+    it is scored, and a cell whose training, scoring or writing fails leaves no file. Raises
+    only if every cell fails. Returns the successful reports in manifest order and the (cell,
+    error) failures.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -247,25 +262,38 @@ def run_layer_grid(
             f"out_dir {out_dir} exists and is not an empty directory; "
             "a grid writes one run into a new or empty directory"
         )
-    split_labels, width_errors = validate_manifest_data(manifest)
+    inputs = {f"labels file {path}": path for path in manifest.labels.values()}
+    for cell in manifest.cells:
+        inputs.update((f"layer {cell.tag}: embeddings file {p}", p) for p in cell.emb.values())
+    for what, path in inputs.items():
+        if not path.is_file():
+            raise ValidationError(f"{what} is missing or not a file")
+    split_labels = read_split_labels(manifest.labels)
+    width_errors = {}  # why each layer whose splits differ in width fails its cells
+    for cell in manifest.cells:
+        headers = check_splits(split_labels, cell.emb)
+        try:
+            embedding_width(headers)
+        except DataError as exc:
+            width_errors[cell.tag] = f"layer {cell.tag}: {exc}"
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def run_layer(cell: GridCell) -> list[EvalReport | Exception]:
         if cell.tag in width_errors:
             raise DataError(width_errors[cell.tag])
-        pairs = {
-            split: pair_records(split_labels[split], read_embeddings(epath), epath)
-            for split, epath in cell.emb.items()
-        }
-        cells = rank_cells(manifest.task, pairs, manifest.train, manifest.ranks, cell.tag)
+        splits = load_splits(split_labels, cell.emb)
+        cells = rank_cells(manifest.task, splits, manifest.train, manifest.ranks, cell.tag)
         outcomes: list[EvalReport | Exception] = []
         for rank, probe, outcome in cells:
             if probe is not None:  # scored: write its files; a failed write fails the cell
                 name = _cell_name(cell.tag, rank)
+                written = (out_dir / f"probe_{name}.json", out_dir / f"report_{name}.json")
                 try:
-                    save_probe(probe, out_dir / f"probe_{name}.json")
-                    write_report_json(outcome, out_dir / f"report_{name}.json")
+                    save_probe(probe, written[0])
+                    write_report_json(outcome, written[1])
                 except Exception as exc:
+                    for path in written:  # a failed cell leaves no file
+                        path.unlink(missing_ok=True)
                     outcome = exc
             outcomes.append(outcome)
         return outcomes

@@ -80,7 +80,7 @@ def _whole_numbers(values, what: str) -> np.ndarray:
         try:
             with np.errstate(invalid="ignore"):  # NaN and infinities fail the comparison
                 ints = arr.astype(np.int64)
-        except (TypeError, ValueError):  # None, a mapping or text that int() refuses
+        except (TypeError, ValueError, OverflowError):  # None, a mapping, text, beyond int64
             raise ValueError(f"{what} must be whole numbers") from None
         if not np.array_equal(ints, arr):
             raise ValueError(f"{what} must be whole numbers")

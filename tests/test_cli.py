@@ -205,6 +205,26 @@ def test_scene_tree_on_a_repeated_phrase_id_names_the_grounding_line_and_writes_
     assert json.loads(out.read_text())["phrase_to_text"] == {"p1": 1}
 
 
+@pytest.mark.parametrize("n_sentences, n_captions", [(1, 2), (2, 1)])
+def test_scene_tree_on_files_of_different_lengths_names_both_and_writes_nothing(
+    tmp_path, capsys, n_sentences, n_captions
+):
+    conll, grounding = tmp_path / "x.conll", tmp_path / "g.jsonl"
+    conll.write_text("\n".join([CONLL.replace("c1", f"c{i}") for i in range(n_sentences)]))
+    grounding.write_text(
+        "".join(json.dumps(dict(GROUNDING, sentence_id=f"c{i}")) + "\n" for i in range(n_captions))
+    )
+    out, report = tmp_path / "scene.jsonl", tmp_path / "overlaps.json"
+    argv = ["--quiet", "scene-tree", "--conll", str(conll), "--grounding", str(grounding),
+            "--out", str(out), "--report", str(report)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"structprobe: {conll} has {n_sentences} sentence(s) but {grounding} has "
+        f"{n_captions} caption record(s) (the files pair by order)\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.jsonl", "x.conll"]
+
+
 P1, P2 = GROUNDING["phrases"]
 
 # (phrases, tokens, message): one case per way a phrase breaks a grounding
@@ -560,11 +580,9 @@ def test_sweep_command(tmp_path):
     ["0,2", "2.5", ",", " ", "2,-3", "4,x", "1_0", "\u0663", "1e2", "true", "4,1.0", "2,2"],
 )
 def test_sweep_bad_ranks_rejected_before_any_read(tmp_path, monkeypatch, capsys, ranks):
-    from structprobe import cli
-
     read: list[str] = []
-    monkeypatch.setattr(cli, "read_embeddings", lambda path: read.append(path) or [])
-    monkeypatch.setattr(cli, "read_labels", lambda path: read.append(path) or [])
+    for name in ("read_labels", "scan_embedding_headers", "read_embeddings"):
+        monkeypatch.setattr(grid_mod, name, lambda path: read.append(path) or [])
     out = tmp_path / "sweep.tsv"
     code = main(["--quiet", "sweep", "--task", "distance", "--labels", "l.jsonl",
                  "--emb", "e.jsonl", "--val-labels", "vl.jsonl", "--val-emb", "ve.jsonl",
@@ -792,6 +810,20 @@ def test_grid_runs_and_charts(tmp_path):
     assert (out_dir / "chart_uuas.svg").exists()
     assert (out_dir / "probe_layer0_rank6.json").exists()
     assert (out_dir / "report_layer1_rank6.json").exists()
+
+
+def test_grid_whose_eval_sentences_are_all_shorter_than_five_skips_the_dspr_chart(
+    tmp_path, caplog
+):
+    # DSpr scores sentences of 5 to 50 tokens only: no row for it, so no chart
+    paths = write_grid_inputs(tmp_path, n_trees=15, min_n=3, max_n=4)
+    out_dir = tmp_path / "run"
+    mpath = write_manifest(tmp_path, paths, out_dir)
+    assert main(["grid", "--manifest", str(mpath)]) == 0
+    assert "no rows for chart metric dspr; skipping chart" in caplog.text
+    assert {r["metric"] for r in read_report_tsv(out_dir / "report.tsv")} == {"uuas"}
+    assert (out_dir / "chart_uuas.svg").exists()
+    assert not (out_dir / "chart_dspr.svg").exists()
 
 
 def test_grid_determinism_and_out_dir_override(tmp_path):
@@ -1035,7 +1067,7 @@ def test_grid_mismatched_ids_rejected_before_training(tmp_path):
     lines = target.read_text().splitlines()
     target.write_text("\n".join(lines[1:]) + "\n")
     mpath = write_manifest(tmp_path, paths, tmp_path / "run")
-    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 1
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 2
     assert not (tmp_path / "run" / "report.tsv").exists()
 
 
@@ -1155,6 +1187,31 @@ def test_grid_cell_that_fails_scoring_leaves_no_file(tmp_path, monkeypatch):
     monkeypatch.setattr(grid_mod, "evaluate_probe", evaluate_failing_rank_3)
     mpath.write_text(json.dumps(dict(json.loads(mpath.read_text()), out_dir=str(failed_dir))))
     assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 2
+    assert not list(failed_dir.glob("*rank3*"))
+    for name in ("probe_layer0_rank2.json", "report_layer0_rank2.json",
+                 "probe_layer1_rank2.json", "report_layer1_rank2.json"):
+        assert (failed_dir / name).read_bytes() == (clean_dir / name).read_bytes()
+    clean_rows = [r for r in read_report_tsv(clean_dir / "report.tsv") if r["rank"] == 2]
+    assert read_report_tsv(failed_dir / "report.tsv") == clean_rows
+
+
+def test_grid_cell_whose_report_write_fails_leaves_no_file(tmp_path, monkeypatch, caplog):
+    paths = write_grid_inputs(tmp_path, n_trees=15)
+    clean_dir, failed_dir = tmp_path / "clean", tmp_path / "failed"
+    mpath = write_manifest(tmp_path, paths, clean_dir, ranks=(2, 3))
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 0
+    real_write = grid_mod.write_report_json
+
+    def write_failing_rank_3(report, path):
+        if "rank3" in path.name:
+            raise OSError(28, "No space left on device")
+        real_write(report, path)
+
+    monkeypatch.setattr(grid_mod, "write_report_json", write_failing_rank_3)
+    mpath.write_text(json.dumps(dict(json.loads(mpath.read_text()), out_dir=str(failed_dir))))
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 2
+    assert "cell layer0_rank3 failed: [Errno 28] No space left on device" in caplog.text
+    # the probe written before the failed report is removed with it
     assert not list(failed_dir.glob("*rank3*"))
     for name in ("probe_layer0_rank2.json", "report_layer0_rank2.json",
                  "probe_layer1_rank2.json", "report_layer1_rank2.json"):
@@ -1343,7 +1400,38 @@ def test_diverging_training_exits_three_without_traceback(tmp_path, capsys, comm
     assert not out.exists()
 
 
-def test_grid_duplicate_embedding_id_is_validation_error_before_any_decode(
+def test_train_whose_validation_loss_is_not_finite_exits_three(tmp_path, capsys):
+    labels, emb = write_synth(tmp_path)
+    out = tmp_path / "out"
+    code = main(["--quiet", "train", "--task", "depth", "--labels", str(labels),
+                 "--emb", str(emb), "--val-labels", str(labels), "--val-emb", str(emb),
+                 "--lr", "1e300", "--batch", "10", "--epochs", "2", "--patience", "2",
+                 "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == "structprobe: non-finite validation loss in epoch 1\n"
+    assert not out.exists()
+
+
+def test_grid_malformed_embedding_line_is_data_error_naming_it_before_out_dir_is_made(
+    tmp_path, monkeypatch, capsys
+):
+    paths = write_grid_inputs(tmp_path, n_trees=10)
+    target = paths["eval_emb_l1"]
+    with target.open("a") as fh:
+        fh.write('{"id": "broken", "layer": 1\n')
+    decoded: list = []
+    monkeypatch.setattr(grid_mod, "read_embeddings", lambda path: decoded.append(path) or [])
+    out_dir = tmp_path / "run"
+    mpath = write_manifest(tmp_path, paths, out_dir)
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"structprobe: {target}:3: bad embedding record: ")
+    assert "Traceback" not in err
+    assert decoded == []
+    assert not out_dir.exists()
+
+
+def test_grid_duplicate_embedding_id_is_data_error_before_any_decode(
     tmp_path, monkeypatch, capsys
 ):
     paths = write_grid_inputs(tmp_path, n_trees=10)
@@ -1355,7 +1443,7 @@ def test_grid_duplicate_embedding_id_is_validation_error_before_any_decode(
     monkeypatch.setattr(grid_mod, "read_embeddings", lambda path: decoded.append(path) or [])
     out_dir = tmp_path / "run"
     mpath = write_manifest(tmp_path, paths, out_dir)
-    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 1
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 2
     err = capsys.readouterr().err
     named = f"{target}: embedding id {json.loads(first)['id']!r} is named by more than one record"
     assert named in err and "Traceback" not in err
@@ -1419,7 +1507,7 @@ def test_an_empty_labels_file_exits_two_naming_it_before_its_embeddings_are_deco
     for key, path in list(files.items())[: 2 if command == "eval" else 4]:
         argv += [key, str(path)]
     decoded: list = []
-    monkeypatch.setattr(cli_mod, "read_embeddings",
+    monkeypatch.setattr(grid_mod, "read_embeddings",
                         lambda path: decoded.append(path) or read_embeddings(path))
     assert main(["--quiet", command] + argv) == 2
     err = capsys.readouterr().err
@@ -1644,7 +1732,7 @@ def test_eval_checks_the_probe_width_before_it_decodes_a_regular_file(
         threading.Thread(target=pipe.write_bytes, args=(emb.read_bytes(),), daemon=True).start()
         emb = pipe
     decoded: list = []
-    monkeypatch.setattr(cli_mod, "read_embeddings",
+    monkeypatch.setattr(grid_mod, "read_embeddings",
                         lambda path: decoded.append(path) or read_embeddings(path))
     code = main(["--quiet", "eval", "--probe", str(probe), "--labels", str(labels),
                  "--emb", str(emb), "--out", str(out)])
@@ -1786,7 +1874,7 @@ def test_a_replaced_manifest_follows_the_manifest_rules_before_any_training(
     paths = write_grid_inputs(tmp_path, n_trees=10)
     out_dir = tmp_path / "run"
     manifest = grid_mod.load_manifest(write_manifest(tmp_path, paths, out_dir))
-    monkeypatch.setattr(grid_mod, "validate_manifest_data", lambda m: pytest.fail("grid entered"))
+    monkeypatch.setattr(grid_mod, "read_split_labels", lambda paths: pytest.fail("grid entered"))
     monkeypatch.setattr(grid_mod, "train_probe", lambda *a, **k: pytest.fail("a cell trained"))
     with pytest.raises(ValueError):
         grid_mod.run_layer_grid(REPLACEMENTS[case](manifest))

@@ -88,6 +88,17 @@ def test_no_module_imports_another_modules_private_name():
     assert private == []
 
 
+def test_only_grid_reads_labels_and_embeddings_for_the_commands():
+    # grid.read_split_labels, check_splits and load_splits are the one loader; the
+    # package root only re-exports the readers
+    readers = {"read_labels", "read_embeddings", "scan_embedding_headers"}
+    importers = {
+        (importer, name) for importer, _, name in package_imports()
+        if name in readers and importer not in ("grid", "__init__")
+    }
+    assert importers == set()
+
+
 def readme_library_api() -> list[str]:
     """The names in backticks in the README's "Library API" section."""
     text = (SRC.parent / "README.md").read_text(encoding="utf-8")

@@ -686,10 +686,24 @@ def test_read_labels_parses_a_plain_line_as_json_only_if_it_is_short(
          "excluded positions must be whole numbers"),
         ('{"id":"a","n":2,"depths":[0,1],"distances":[[0,1],[1,0]],"root":0,"excluded":{"1":1}}',
          "excluded positions must be whole numbers"),
+        # an integer beyond int64: one that fits uint64, and one beyond any numpy integer
+        *(
+            (line.replace("@", big), message)
+            for big in ("10000000000000000000", "100000000000000000000000000000")
+            for line, message in (
+                ('{"id":"a","n":2,"depths":[0,@],"distances":[[0,1],[1,0]],"root":0}',
+                 "depths must be whole numbers"),
+                ('{"id":"a","n":2,"depths":[0,1],"distances":[[0,@],[1,0]],"root":0}',
+                 "distances must be whole numbers"),
+                ('{"id":"a","n":2,"depths":[0,1],"distances":[[0,1],[1,0]],"root":0,"excluded":[@]}',
+                 "excluded positions must be whole numbers"),
+            )
+        ),
     ],
     ids=["true-depth", "true-distance", "false-everywhere", "n-true", "n-float", "n-string",
          "null-depths", "null-depth", "object-distances", "ragged-distances", "null-excluded",
-         "object-excluded"],
+         "object-excluded", "uint64-depth", "uint64-distance", "uint64-excluded",
+         "beyond-int-depth", "beyond-int-distance", "beyond-int-excluded"],
 )
 def test_labels_members_of_the_wrong_type_or_shape_are_data_errors(tmp_path, line, message):
     path = tmp_path / "labels.jsonl"

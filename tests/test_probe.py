@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from structprobe.embed_io import EmbeddingSequence
-from structprobe.errors import DataError
+from structprobe.errors import DataError, TrainingDiverged
 from structprobe.probe import (
     Probe,
     TrainConfig,
@@ -249,6 +249,15 @@ def test_best_so_far_is_monotone():
         bests.append(best)
     assert bests == sorted(bests, reverse=True)
     assert probe.meta["val_loss"] == pytest.approx(min(probe.meta["val_history"]))
+
+
+@pytest.mark.parametrize("task", ["distance", "depth"])
+def test_a_non_finite_validation_loss_is_training_divergence(task):
+    # one batch per epoch: the step overflows the transform, not the gradient before it
+    pairs = oracle_dataset(8, 3, 6, seed=1).pairs()
+    cfg = TrainConfig(batch_size=len(pairs), max_epochs=2, patience=2, lr=1e300)
+    with pytest.raises(TrainingDiverged, match=r"^non-finite validation loss in epoch 1$"):
+        train_probe(task, pairs, pairs, cfg)
 
 
 def test_train_rejects_empty_and_mixed_width():
