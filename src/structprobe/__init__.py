@@ -1,7 +1,7 @@
 """Structural probing toolkit: gold tree labels, scene trees, linear
 probes, and their metric suite, over externally supplied embeddings."""
 
-from .embed_io import AlignmentMap, EmbeddingSequence, align_wordpieces, read_embeddings, write_embeddings
+from .embed_io import EmbeddingSequence, read_embeddings, write_embeddings
 from .errors import DataError, StructProbeError, TrainingDiverged, ValidationError
 from .metrics import EvalReport, evaluate_probe, length_binned_spearman, spearman
 from .probe import (

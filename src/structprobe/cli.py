@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import sys
+from pathlib import Path
 
 from . import chart as chart_mod
 from . import grid as grid_mod
@@ -48,17 +49,18 @@ class CliParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-class _GoesAfter(argparse.Action):
-    """A hidden flag before the subcommand: a usage error naming the subcommands it goes after."""
-
-    def __init__(self, option_strings, dest, after):
-        super().__init__(
-            option_strings, dest, nargs="?", default=argparse.SUPPRESS, help=argparse.SUPPRESS
-        )
-        self.after = after
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        parser.error(f"{self.option_strings[0]} goes after {self.after}, not before the subcommand")
+def _write_outputs(*outputs) -> None:
+    """``write(path)`` for each ``(path, write)`` given a path; a failure removes those written."""
+    written = []
+    try:
+        for path, write in outputs:
+            if path:
+                write(path)
+                written.append(path)
+    except BaseException:
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 def cmd_build_labels(args) -> int:
@@ -103,14 +105,14 @@ def cmd_scene_tree(args) -> int:
         scene = construct_scene_tree(tree, cap.phrases, cap.image_id)
         labels = visual_labels(scene, region_sequence(cap.phrases), cap.sentence_id)
         lines.append(labels_record(labels, extra=scene_record_extra(scene)))
-    atomic_write_text(args.out, "".join(line + "\n" for line in lines))
+    records = "".join(line + "\n" for line in lines)
+    report = json.dumps({"overlapping_spans": flagged}, separators=(",", ":")) + "\n"
+    _write_outputs(
+        (args.out, lambda path: atomic_write_text(path, records)),
+        (args.report, lambda path: atomic_write_text(path, report)),
+    )
     if flagged:
         log.warning("%d caption(s) have overlapping phrase spans", len(flagged))
-    if args.report:
-        atomic_write_text(
-            args.report,
-            json.dumps({"overlapping_spans": flagged}, separators=(",", ":")) + "\n",
-        )
     log.info("wrote %d scene records to %s", len(lines), args.out)
     return 0
 
@@ -217,9 +219,10 @@ def cmd_eval(args) -> int:
     labels = grid_mod.read_split_labels({"eval": args.labels})
     splits = grid_mod.load_splits(labels, {"eval": args.emb}, check_width)
     report = evaluate_probe(probe, splits["eval"])
-    write_report_tsv(report.tsv_rows(), args.out)
-    if args.json:
-        write_report_json(report, args.json)
+    _write_outputs(
+        (args.out, lambda path: write_report_tsv(report.tsv_rows(), path)),
+        (args.json, lambda path: write_report_json(report, path)),
+    )
     for metric in sorted(report.aggregates):
         value = report.aggregates[metric]
         log.info("%s = %s", metric, "absent" if value is None else f"{value:.4f}")
@@ -263,8 +266,6 @@ def _add_train_flags(p: CliParser) -> None:
 def build_parser() -> CliParser:
     parser = CliParser(prog="structprobe", description=__doc__)
     parser.add_argument("--quiet", action="store_true", help="only warnings and errors")
-    for flag, after in (("--seed", "synth, train or sweep"), ("--jobs", "grid")):
-        parser.add_argument(flag, action=_GoesAfter, after=after)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=CliParser)
 
     p = sub.add_parser("build-labels", help="gold labels from CoNLL")

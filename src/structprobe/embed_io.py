@@ -1,4 +1,4 @@
-"""Embedding sequences: container format and subword-to-word averaging.
+"""Embedding sequences: the container format.
 
 The on-disk container (EMB-JSONL) is one JSON object per line with a
 base64 payload of little-endian float32 values in row-major order:
@@ -69,39 +69,6 @@ class EmbeddingSequence:
     @property
     def m(self) -> int:
         return int(self.values.shape[1])
-
-
-@dataclass(frozen=True)
-class AlignmentMap:
-    """Ordered subword index groups, one group per word."""
-
-    id: str
-    groups: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        groups = tuple(tuple(int(i) for i in g) for g in self.groups)
-        object.__setattr__(self, "groups", groups)
-        for g in groups:
-            if not g:
-                raise ValueError(f"alignment {self.id}: empty group")
-            if list(g) != sorted(g):
-                raise ValueError(f"alignment {self.id}: group indices not ascending")
-
-
-def align_wordpieces(seq: EmbeddingSequence, amap: AlignmentMap) -> EmbeddingSequence:
-    """Average each group of subword rows into one word row.
-
-    The groups must partition the sequence's rows exactly.
-    """
-    flat = sorted(i for g in amap.groups for i in g)
-    if flat != list(range(seq.n)):
-        raise ValueError(
-            f"sequence {seq.id}: alignment groups do not partition {seq.n} rows"
-        )
-    rows = np.vstack(
-        [seq.values[list(g)].mean(axis=0, dtype=np.float64) for g in amap.groups]
-    )
-    return EmbeddingSequence(id=seq.id, layer=seq.layer, values=rows.astype(np.float32))
 
 
 class EmbeddingHeader(NamedTuple):

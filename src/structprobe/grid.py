@@ -174,6 +174,20 @@ def read_split_labels(paths: Mapping[str, str | Path]) -> dict[str, list[TreeLab
     return split_labels
 
 
+def _pair_splits(
+    split_labels: Mapping[str, list[TreeLabels]], emb: Mapping[str, str | Path], read: Callable
+) -> dict[str, list[Pair]]:
+    """Pair each split's labels, in order, with ``read(path)``, run once per distinct path."""
+    records = {}
+    pairs = {}
+    for split, path in emb.items():
+        key = os.fspath(path)
+        if key not in records:
+            records[key] = read(path)
+        pairs[split] = pair_records(split_labels[split], records[key], path)
+    return pairs
+
+
 def check_splits(
     split_labels: Mapping[str, list[TreeLabels]], emb: Mapping[str, str | Path]
 ) -> dict[str, list[Pair]]:
@@ -182,11 +196,8 @@ def check_splits(
     A pairing fault is found before any payload is decoded. A pipe can be read only once, so it
     is left out here: ``load_splits`` pairs it as it decodes it.
     """
-    return {
-        split: pair_records(split_labels[split], scan_embedding_headers(path), path)
-        for split, path in emb.items()
-        if os.path.isfile(path)
-    }
+    regular = {split: path for split, path in emb.items() if os.path.isfile(path)}
+    return _pair_splits(split_labels, regular, scan_embedding_headers)
 
 
 def load_splits(
@@ -194,7 +205,7 @@ def load_splits(
     emb: Mapping[str, str | Path],
     check: Callable[[dict[str, list[Pair]]], object] | None = None,
 ) -> dict[str, list[Pair]]:
-    """Loading, step 3: decode each split's embeddings file once and pair it with its labels.
+    """Loading, step 3: decode each embeddings file once and pair it with each split's labels.
 
     A ``check`` sees the ``check_splits`` pairs of the regular files before any decode and, if a
     file is a pipe, every split's pairs after it.
@@ -202,10 +213,8 @@ def load_splits(
     headers = {} if check is None else check_splits(split_labels, emb)
     if headers:
         check(headers)
-    splits = {  # every line is decoded, and so checked, before any is paired
-        split: pair_records(split_labels[split], list(read_embeddings(path)), path)
-        for split, path in emb.items()
-    }
+    # every line of a file is decoded, and so checked, before any is paired
+    splits = _pair_splits(split_labels, emb, lambda path: list(read_embeddings(path)))
     if check is not None and len(headers) < len(emb):  # a pipe, left out of the headers
         check(splits)
     return splits

@@ -1,4 +1,4 @@
-"""Embedding container round-trips and wordpiece averaging."""
+"""Embedding container round-trips."""
 
 from __future__ import annotations
 
@@ -11,9 +11,7 @@ import pytest
 
 from structprobe import embed_io
 from structprobe.embed_io import (
-    AlignmentMap,
     EmbeddingSequence,
-    align_wordpieces,
     read_embeddings,
     scan_embedding_headers,
     write_embeddings,
@@ -222,44 +220,6 @@ def test_spaced_canonical_lines_reach_the_kernel_as_views(tmp_path, monkeypatch,
     assert [b.values.tobytes() for b in back] == [s.values.tobytes() for s in seqs]
     assert [type(a) for a in kernel_args] == [memoryview] * 3 and b64_args == []
     assert all(a.readonly for a in kernel_args)
-
-
-def test_align_identity_groups():
-    seq = EmbeddingSequence(id="a", layer=0, values=np.arange(6, dtype=np.float32).reshape(2, 3))
-    out = align_wordpieces(seq, AlignmentMap(id="a", groups=((0,), (1,))))
-    assert np.array_equal(out.values, seq.values)
-
-
-def test_align_mean_of_two_rows():
-    seq = EmbeddingSequence(
-        id="a", layer=0, values=np.array([[0, 0, 0], [2, 2, 2]], dtype=np.float32)
-    )
-    out = align_wordpieces(seq, AlignmentMap(id="a", groups=((0, 1),)))
-    assert out.values.shape == (1, 3)
-    assert np.array_equal(out.values, np.ones((1, 3), dtype=np.float32))
-
-
-def test_align_mean_of_identical_rows_is_exact():
-    rng = np.random.default_rng(3)
-    row = rng.standard_normal(7).astype(np.float32)
-    seq = EmbeddingSequence(id="a", layer=0, values=np.stack([row, row, row]))
-    out = align_wordpieces(seq, AlignmentMap(id="a", groups=((0, 1, 2),)))
-    assert np.array_equal(out.values[0], row)
-
-
-def test_align_rejects_non_partition():
-    seq = EmbeddingSequence(id="a", layer=0, values=np.zeros((3, 2), dtype=np.float32))
-    with pytest.raises(ValueError, match="partition"):
-        align_wordpieces(seq, AlignmentMap(id="a", groups=((0, 1),)))
-    with pytest.raises(ValueError, match="partition"):
-        align_wordpieces(seq, AlignmentMap(id="a", groups=((0, 1), (1, 2))))
-
-
-def test_alignment_map_validation():
-    with pytest.raises(ValueError):
-        AlignmentMap(id="a", groups=((),))
-    with pytest.raises(ValueError):
-        AlignmentMap(id="a", groups=((1, 0),))
 
 
 def test_sequence_rejects_nan_and_empty():

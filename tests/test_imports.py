@@ -116,7 +116,9 @@ def test_the_package_exports_exactly_the_readme_library_api():
     listed = readme_library_api()
     assert len(listed) == len(set(listed))
     assert set(listed) == exported
-    # removed copies of what evaluate_probe and construct_scene_tree compute
+    # removed copies of what evaluate_probe and construct_scene_tree compute, and the
+    # wordpiece alignment no command used
     for module, name in (("metrics", "uuas"), ("metrics", "root_accuracy"),
-                         ("scenetree", "find_highest_node")):
+                         ("scenetree", "find_highest_node"), ("embed_io", "AlignmentMap"),
+                         ("embed_io", "align_wordpieces")):
         assert not hasattr(importlib.import_module(f"structprobe.{module}"), name)
