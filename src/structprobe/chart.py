@@ -8,6 +8,7 @@ tags (baselines) are drawn as flat dashed reference lines.
 
 from __future__ import annotations
 
+import itertools
 import re
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -23,6 +24,7 @@ MARGIN_TOP = 34.0
 MARGIN_BOTTOM = 46.0
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
+DASH = ' stroke-dasharray="5,3"'  # the baselines' line style
 
 # what XML 1.0 cannot hold: C0 controls but tab, LF and CR, lone surrogates
 # (a command-line byte that is not UTF-8 arrives as one), U+FFFE and U+FFFF
@@ -70,6 +72,24 @@ def _series_from_rows(rows: Sequence[dict], metric: str) -> tuple[list, list]:
     return curve_list, base_list
 
 
+def _text(x: str, y: str, size: int, body: str, anchor: str = "middle", tail: str = "") -> str:
+    """An SVG text element; ``anchor=""`` leaves text-anchor out, ``tail`` follows font-size."""
+    at = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{x}" y="{y}"{at} font-family="sans-serif" font-size="{size}"{tail}>'
+        f"{body}</text>"
+    )
+
+
+def _line(x1: float, x2: float, y: float, stroke: str, width: str = "1.5", dash: str = "") -> str:
+    """A horizontal SVG line element at height ``y``."""
+    y_ = _fmt(y)
+    return (
+        f'<line x1="{_fmt(x1)}" y1="{y_}" x2="{_fmt(x2)}" y2="{y_}" stroke="{stroke}" '
+        f'stroke-width="{width}"{dash}/>'
+    )
+
+
 def render_line_chart(rows: Sequence[dict], metric: str, title: str | None = None) -> str:
     """Build the SVG document for one metric across layers."""
     curves, baselines = _series_from_rows(rows, metric)
@@ -92,6 +112,7 @@ def render_line_chart(rows: Sequence[dict], metric: str, title: str | None = Non
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    plot_r = MARGIN_LEFT + plot_w
 
     def px(x: float) -> float:
         return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -99,91 +120,51 @@ def render_line_chart(rows: Sequence[dict], metric: str, title: str | None = Non
     def py(v: float) -> float:
         return MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
 
-    out = []
-    out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:.0f}" '
-        f'height="{HEIGHT:.0f}" viewBox="0 0 {WIDTH:.0f} {HEIGHT:.0f}">'
-    )
-    out.append(f'<rect width="{WIDTH:.0f}" height="{HEIGHT:.0f}" fill="#ffffff"/>')
     heading = title if title is not None else metric
-    out.append(
-        f'<text x="{_fmt(WIDTH / 2)}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{_escape(heading)}</text>'
-    )
-
-    # frame and ticks
-    out.append(
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:.0f}" '
+        f'height="{HEIGHT:.0f}" viewBox="0 0 {WIDTH:.0f} {HEIGHT:.0f}">',
+        f'<rect width="{WIDTH:.0f}" height="{HEIGHT:.0f}" fill="#ffffff"/>',
+        _text(_fmt(WIDTH / 2), "20", 14, _escape(heading)),
+        # the frame, then the ticks
         f'<rect x="{_fmt(MARGIN_LEFT)}" y="{_fmt(MARGIN_TOP)}" width="{_fmt(plot_w)}" '
-        f'height="{_fmt(plot_h)}" fill="none" stroke="#000000" stroke-width="1"/>'
-    )
+        f'height="{_fmt(plot_h)}" fill="none" stroke="#000000" stroke-width="1"/>',
+    ]
     for i in range(6):
         v = y_lo + (y_hi - y_lo) * i / 5.0
         y = py(v)
-        out.append(
-            f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(y)}" x2="{_fmt(MARGIN_LEFT + plot_w)}" '
-            f'y2="{_fmt(y)}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(MARGIN_LEFT - 6)}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(v)}</text>'
-        )
+        out.append(_line(MARGIN_LEFT, plot_r, y, "#dddddd", "1"))
+        out.append(_text(_fmt(MARGIN_LEFT - 6), _fmt(y + 4), 11, _fmt(v), "end"))
     for x in xs:
-        out.append(
-            f'<text x="{_fmt(px(x))}" y="{_fmt(MARGIN_TOP + plot_h + 16)}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="11">{x}</text>'
-        )
-    out.append(
-        f'<text x="{_fmt(MARGIN_LEFT + plot_w / 2)}" y="{_fmt(HEIGHT - 10)}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="12">layer</text>'
-    )
-    out.append(
-        f'<text x="16" y="{_fmt(MARGIN_TOP + plot_h / 2)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" transform="rotate(-90 16 '
-        f'{_fmt(MARGIN_TOP + plot_h / 2)})">{_escape(metric)}</text>'
-    )
+        out.append(_text(_fmt(px(x)), _fmt(MARGIN_TOP + plot_h + 16), 11, str(x)))
+    out.append(_text(_fmt(MARGIN_LEFT + plot_w / 2), _fmt(HEIGHT - 10), 12, "layer"))
+    mid = _fmt(MARGIN_TOP + plot_h / 2)
+    out.append(_text("16", mid, 12, _escape(metric), tail=f' transform="rotate(-90 16 {mid})"'))
 
-    legend: list[tuple[str, str, bool]] = []
-    color_idx = 0
-    for name, pts in curves:
-        color = PALETTE[color_idx % len(PALETTE)]
-        color_idx += 1
-        coords = " ".join(f"{_fmt(px(x))},{_fmt(py(v))}" for x, v in pts)
-        out.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
-        for x, v in pts:
-            out.append(
-                f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(v))}" r="3" fill="{color}"/>'
-            )
-        legend.append((name, color, False))
-    for name, value in baselines:
-        color = PALETTE[color_idx % len(PALETTE)]
-        color_idx += 1
-        y = py(value)
-        out.append(
-            f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(y)}" x2="{_fmt(MARGIN_LEFT + plot_w)}" '
-            f'y2="{_fmt(y)}" stroke="{color}" stroke-width="1.5" stroke-dasharray="5,3"/>'
-        )
-        legend.append((name, color, True))
+    # one palette walk: the curves take its first colours, the baselines the next
+    colors = itertools.cycle(PALETTE)
+    legend: list[tuple[str, str, str]] = []  # (name, colour, dash attribute)
+    for (name, pts), color in zip(curves, colors):
+        points = [(_fmt(px(x)), _fmt(py(v))) for x, v in pts]  # for the polyline and circles
+        coords = " ".join(f"{cx},{cy}" for cx, cy in points)
+        out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        out.extend(f'<circle cx="{cx}" cy="{cy}" r="3" fill="{color}"/>' for cx, cy in points)
+        legend.append((name, color, ""))
+    for (name, value), color in zip(baselines, colors):
+        out.append(_line(MARGIN_LEFT, plot_r, py(value), color, dash=DASH))
+        legend.append((name, color, DASH))
 
-    lx = MARGIN_LEFT + plot_w - 150.0
+    lx = plot_r - 150.0
     ly = MARGIN_TOP + 8.0
     out.append(
         f'<rect x="{_fmt(lx - 6)}" y="{_fmt(ly - 4)}" width="150" '
         f'height="{_fmt(16.0 * len(legend) + 8)}" fill="#ffffff" stroke="#999999" '
         f'stroke-width="0.5"/>'
     )
-    for i, (name, color, dashed) in enumerate(legend):
+    for i, (name, color, dash) in enumerate(legend):
         y = ly + 8 + 16.0 * i
-        dash = ' stroke-dasharray="5,3"' if dashed else ""
-        out.append(
-            f'<line x1="{_fmt(lx)}" y1="{_fmt(y)}" x2="{_fmt(lx + 22)}" y2="{_fmt(y)}" '
-            f'stroke="{color}" stroke-width="1.5"{dash}/>'
-        )
-        out.append(
-            f'<text x="{_fmt(lx + 28)}" y="{_fmt(y + 4)}" font-family="sans-serif" '
-            f'font-size="11">{_escape(name)}</text>'
-        )
+        out.append(_line(lx, lx + 22, y, color, dash=dash))
+        out.append(_text(_fmt(lx + 28), _fmt(y + 4), 11, _escape(name), anchor=""))
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

@@ -11,13 +11,12 @@ import argparse
 import json
 import logging
 import sys
-from pathlib import Path
 
 from . import chart as chart_mod
 from . import grid as grid_mod
 from .embed_io import write_embeddings
 from .errors import DataError, StructProbeError, ValidationError
-from .io_utils import atomic_write_text, index_ids
+from .io_utils import atomic_write_text, index_ids, write_outputs
 from .metrics import (
     check_layer_tag,
     evaluate_probe,
@@ -47,20 +46,6 @@ class CliParser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _write_outputs(*outputs) -> None:
-    """``write(path)`` for each ``(path, write)`` given a path; a failure removes those written."""
-    written = []
-    try:
-        for path, write in outputs:
-            if path:
-                write(path)
-                written.append(path)
-    except BaseException:
-        for path in written:
-            Path(path).unlink(missing_ok=True)
-        raise
 
 
 def cmd_build_labels(args) -> int:
@@ -107,7 +92,7 @@ def cmd_scene_tree(args) -> int:
         lines.append(labels_record(labels, extra=scene_record_extra(scene)))
     records = "".join(line + "\n" for line in lines)
     report = json.dumps({"overlapping_spans": flagged}, separators=(",", ":")) + "\n"
-    _write_outputs(
+    write_outputs(
         (args.out, lambda path: atomic_write_text(path, records)),
         (args.report, lambda path: atomic_write_text(path, report)),
     )
@@ -130,8 +115,10 @@ def cmd_synth(args) -> int:
         )
     except ValueError as exc:
         raise ValidationError(f"bad synth options: {exc}") from exc
-    write_labels(data.labels, args.out_labels)
-    write_embeddings(data.embeddings, args.out_emb)
+    write_outputs(
+        (args.out_labels, lambda path: write_labels(data.labels, path)),
+        (args.out_emb, lambda path: write_embeddings(data.embeddings, path)),
+    )
     log.info(
         "wrote %d synthetic trees (labels: %s, embeddings: %s)",
         args.n_trees,
@@ -219,7 +206,7 @@ def cmd_eval(args) -> int:
     labels = grid_mod.read_split_labels({"eval": args.labels})
     splits = grid_mod.load_splits(labels, {"eval": args.emb}, check_width)
     report = evaluate_probe(probe, splits["eval"])
-    _write_outputs(
+    write_outputs(
         (args.out, lambda path: write_report_tsv(report.tsv_rows(), path)),
         (args.json, lambda path: write_report_json(report, path)),
     )

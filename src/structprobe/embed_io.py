@@ -233,7 +233,7 @@ def _payload(buf, start: int, stop: int) -> tuple[EmbeddingHeader, int, int] | N
 
 
 def _read_canonical(buf, start: int, stop: int) -> EmbeddingSequence | None:
-    """The sequence of the line ``buf[start:stop]`` if ``_payload`` finds a canonical payload, else None.
+    """The sequence of the line ``buf[start:stop]`` if its payload is canonical, else None.
 
     The kernel accepting the payload proves the slice (``_payload``): all
     it accepts is base64 alphabet and ``=``. The payload is read in place,
@@ -250,7 +250,7 @@ def _read_canonical(buf, start: int, stop: int) -> EmbeddingSequence | None:
 
 
 def _scan_header(buf, start: int, stop: int) -> EmbeddingHeader | None:
-    """The header of the line ``buf[start:stop]`` if ``_payload`` finds its payload and the slice holds, else None.
+    """The line's header if ``_payload`` finds its payload and the slice holds, else None.
 
     Two scans prove the slice (``_payload``): every payload byte is in
     0x2B–0x7F, which leaves out quote, control and non-ASCII bytes, and

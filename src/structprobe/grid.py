@@ -20,6 +20,7 @@ import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -27,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .chart import emit_chart
 from .embed_io import read_embeddings, scan_embedding_headers
 from .errors import DataError, StructProbeError, ValidationError
-from .io_utils import error_text
+from .io_utils import error_text, write_outputs
 from .metrics import (
     TASK_METRICS,
     EvalReport,
@@ -36,18 +37,30 @@ from .metrics import (
     write_report_json,
     write_report_tsv,
 )
-from .probe import TASKS, Pair, Probe, TrainConfig, embedding_width, pair_records, save_probe, train_probe
+from .probe import (
+    TASKS,
+    Pair,
+    Probe,
+    TrainConfig,
+    embedding_width,
+    pair_records,
+    save_probe,
+    train_probe,
+)
 from .trees import TreeLabels, read_labels
 
 log = logging.getLogger(__name__)
 
 SPLITS = ("train", "val", "eval")
-# the keys a manifest file holds, and the keys of each of its layers and baselines
-MANIFEST_KEYS = (
-    *(f"{s}_labels" for s in SPLITS),
-    *("task", "layers", "baselines", "ranks", "train", "out_dir", "chart_metrics"),
-)
-CELL_KEYS = ("tag", *(f"{s}_emb" for s in SPLITS))
+# the keys a manifest file holds, and the keys of each of its layers and baselines, each with
+# the JSON type its value must have (object: any, checked where it is used)
+MANIFEST_KEYS = {
+    **dict.fromkeys((f"{s}_labels" for s in SPLITS), str),
+    **dict.fromkeys(("layers", "baselines", "ranks", "chart_metrics"), list),
+    **dict.fromkeys(("task", "train"), object),
+    "out_dir": str,
+}
+CELL_KEYS = {"tag": object, **dict.fromkeys((f"{s}_emb" for s in SPLITS), str)}
 
 
 def _by_split(paths: Mapping[str, Path]) -> Mapping[str, Path]:
@@ -111,13 +124,16 @@ def rank_list(ranks: Iterable[int]) -> tuple[int, ...]:
     return ranks
 
 
-def _known_keys(entry, keys: Sequence[str], where: str) -> dict:
-    """A manifest object that holds only the given keys; an unknown key is named."""
+def _known_keys(entry, keys: Mapping[str, type], where: str) -> dict:
+    """A manifest object that holds only the given keys, each of its type; a fault is named."""
     if not isinstance(entry, dict):
         raise TypeError(f"{where} must be a JSON object, not {type(entry).__name__}")
-    for key in entry:
+    for key, value in entry.items():
         if key not in keys:
             raise ValueError(f"unknown key {key!r} in {where}")
+        if not isinstance(value, keys[key]):
+            kind = "list" if keys[key] is list else "string"
+            raise TypeError(f"{key} in {where} must be a JSON {kind}, got {value!r}")
     return entry
 
 
@@ -141,16 +157,12 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
                 entry = _known_keys(entry, CELL_KEYS, f"{key}[{i}]")
                 cells.append(GridCell(entry["tag"], {s: base / entry[f"{s}_emb"] for s in SPLITS}))
         ranks = doc.get("ranks", [TrainConfig.rank])
-        if not isinstance(ranks, list):
-            raise ValueError(f"ranks must be a list, got {ranks!r}")
-        train_keys = [f.name for f in fields(TrainConfig)]
+        train_keys = dict.fromkeys((f.name for f in fields(TrainConfig)), object)
         train_doc = _known_keys(doc.get("train", {}), train_keys, '"train"')
         if "rank" in train_doc:  # every cell trains at a rank from ranks
             raise ValueError('"train" has no "rank"; list the ranks in the top-level "ranks"')
         # an unknown task is the manifest's to reject; it has no default metrics
         chart_metrics = doc.get("chart_metrics", list(TASK_METRICS[task]) if task in TASKS else [])
-        if not isinstance(chart_metrics, list):
-            raise ValueError(f"chart_metrics must be a list, got {chart_metrics!r}")
         return ExperimentManifest(
             task=task,
             labels={s: base / doc[f"{s}_labels"] for s in SPLITS},
@@ -243,7 +255,8 @@ def rank_cells(
     """
     for rank in rank_list(ranks):
         try:
-            probe = train_probe(task, splits["train"], splits["val"], replace(cfg, rank=rank), layer)
+            cell_cfg = replace(cfg, rank=rank)
+            probe = train_probe(task, splits["train"], splits["val"], cell_cfg, layer)
             outcome = (rank, probe, evaluate_probe(probe, splits["eval"]))
         except Exception as exc:
             outcome = (rank, None, exc)
@@ -296,13 +309,12 @@ def run_layer_grid(
         for rank, probe, outcome in cells:
             if probe is not None:  # scored: write its files; a failed write fails the cell
                 name = _cell_name(cell.tag, rank)
-                written = (out_dir / f"probe_{name}.json", out_dir / f"report_{name}.json")
-                try:
-                    save_probe(probe, written[0])
-                    write_report_json(outcome, written[1])
+                try:  # a failed cell leaves no file
+                    write_outputs(
+                        (out_dir / f"probe_{name}.json", partial(save_probe, probe)),
+                        (out_dir / f"report_{name}.json", partial(write_report_json, outcome)),
+                    )
                 except Exception as exc:
-                    for path in written:  # a failed cell leaves no file
-                        path.unlink(missing_ok=True)
                     outcome = exc
             outcomes.append(outcome)
         return outcomes

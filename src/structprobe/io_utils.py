@@ -182,3 +182,17 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     """Write ``text`` to ``path`` atomically."""
     with atomic_open(path) as fh:
         fh.write(text)
+
+
+def write_outputs(*outputs: tuple[str | Path | None, Callable[[str | Path], object]]) -> None:
+    """``write(path)`` for each ``(path, write)`` unless path is None; a failure leaves none."""
+    written = []
+    try:
+        for path, write in outputs:
+            if path is not None:
+                write(path)
+                written.append(path)
+    except BaseException:
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise

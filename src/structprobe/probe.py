@@ -365,6 +365,9 @@ def load_probe(path: str | Path) -> Probe:
         if len(blob) != k * m * 8:
             raise ValueError(f"payload is {len(blob)} bytes, expected {k * m * 8}")
         transform = np.frombuffer(blob, dtype="<f8").reshape(k, m)
-        return Probe(task=rec["task"], transform=transform, meta=dict(rec.get("meta", {})))
+        meta = rec.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError(f"meta must be a JSON object, got {meta!r}")
+        return Probe(task=rec["task"], transform=transform, meta=meta)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, binascii.Error) as exc:
         raise DataError(f"{path}: bad probe file: {error_text(exc)}") from exc

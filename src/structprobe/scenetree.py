@@ -159,7 +159,8 @@ def visual_labels(scene: SceneTree, region_order: Sequence[str], seq_id: str) ->
         # type(True) is bool, not int: a bool is no node, though it indexes like one
         if (type(node) is not int and not isinstance(node, np.integer)) or not 0 <= node < n:
             raise ValueError(
-                f"scene {scene.image_id}: region {rid} is on node {node!r}, not one of its {n} nodes"
+                f"scene {scene.image_id}: region {rid} is on node {node!r}, "
+                f"not one of its {n} nodes"
             )
         seq_nodes.append(node)
     idx = np.array(seq_nodes)

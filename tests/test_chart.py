@@ -9,7 +9,8 @@ import pytest
 from structprobe.chart import emit_chart, render_line_chart
 from structprobe.errors import ValidationError
 
-GOLDEN = Path(__file__).parent / "data" / "golden_chart.svg"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden_chart.svg"
 
 FIXTURE_ROWS = [
     {"layer": 0, "rank": 128, "task": "distance", "metric": "dspr", "value": 0.52, "n_sequences": 100},
@@ -83,3 +84,49 @@ def test_labels_are_escaped():
     svg = render_line_chart(rows, "nspr")
     assert "base&lt;&amp;line" in svg
     assert "base<&line" not in svg
+
+
+def row(layer, rank, value, metric="dspr"):
+    return {"layer": layer, "rank": rank, "task": "distance", "metric": metric, "value": value,
+            "n_sequences": 10}
+
+
+# (rows, metric, title) of each branch the golden_chart.svg fixture does not reach; the files
+# tests/data/golden_chart_<case>.svg were written by the renderer these tests first pinned
+GOLDEN_CASES = {
+    # curves named "rank k" and baselines named "tag (rank k)"
+    "ranks": (
+        [row(layer, rank, 0.1 * layer + rank / 100) for rank in (8, 64) for layer in range(3)]
+        + [row("rand", 8, 0.05), row("rand", 64, 0.15)],
+        "dspr",
+        None,
+    ),
+    # values outside [0, 1]: the axis is padded by 5% of their range
+    "padded": (
+        [row(i, 4, v, "val_loss") for i, v in enumerate((-0.25, 1.5, 3.75, 2.0))]
+        + [row("zero", 4, 0.0, "val_loss")],
+        "val_loss",
+        None,
+    ),
+    # equal values outside [0, 1]: a pad of 0.5
+    "flat": ([row(i, 4, 2.5, "val_loss") for i in range(3)], "val_loss", None),
+    # one layer: the x axis spans it by half a layer each side
+    "one_layer": ([row(6, 16, 0.625), row("rand", 16, 0.25)], "dspr", None),
+    # baselines only: the x axis is [0, 1]
+    "baselines_only": ([row("rand", 16, 0.3), row("rcnn", 16, 0.45)], "dspr", None),
+    # ten series: the palette of seven wraps
+    "palette_wrap": (
+        [row(layer, rank, 0.1 * rank + 0.05 * layer) for rank in range(1, 6) for layer in (0, 1)]
+        + [row("rand", rank, 0.02 * rank) for rank in range(1, 6)],
+        "dspr",
+        None,
+    ),
+    "title": (two_point_rows(), "nspr", "a & <b> > c"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_chart_branch_golden_file_byte_identical(case):
+    rows, metric, title = GOLDEN_CASES[case]
+    golden = (DATA / f"golden_chart_{case}.svg").read_text(encoding="utf-8")
+    assert render_line_chart(rows, metric, title=title) == golden

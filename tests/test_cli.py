@@ -1674,6 +1674,36 @@ def test_grid_rank_inside_train_is_validation_error_before_any_decode(
 
 
 @pytest.mark.parametrize(
+    "where, key, raw, message",
+    [
+        (None, "layers", "5", "layers in the manifest must be a JSON list, got 5"),
+        (None, "baselines", '"ab"', "baselines in the manifest must be a JSON list, got 'ab'"),
+        (None, "ranks", '"12"', "ranks in the manifest must be a JSON list, got '12'"),
+        (None, "train_labels", "5", "train_labels in the manifest must be a JSON string, got 5"),
+        (None, "out_dir", "null", "out_dir in the manifest must be a JSON string, got None"),
+        ("layers", "train_emb", "5", "train_emb in layers[1] must be a JSON string, got 5"),
+        ("layers", "eval_emb", "[]", "eval_emb in layers[1] must be a JSON string, got []"),
+    ],
+)
+def test_grid_manifest_member_of_the_wrong_type_is_named_before_any_file_is_read(
+    tmp_path, monkeypatch, capsys, where, key, raw, message
+):
+    paths = write_grid_inputs(tmp_path, n_trees=10)
+    mpath = write_manifest(tmp_path, paths, tmp_path / "run")
+    doc = json.loads(mpath.read_text())
+    target = {None: doc, "layers": doc["layers"][1]}[where]
+    target[key] = "@VALUE@"
+    mpath.write_text(json.dumps(doc).replace('"@VALUE@"', raw))
+    read: list = []
+    for name in ("read_labels", "scan_embedding_headers", "read_embeddings"):
+        monkeypatch.setattr(grid_mod, name, lambda path, name=name: read.append((name, path)))
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 1
+    assert capsys.readouterr().err == f"structprobe: {mpath}: bad manifest: {message}\n"
+    assert read == []
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
     "where, key",
     [(None, "rank"), (None, "chart_metric"), ("layers", "evel_emb"), ("train", "optimizer")],
 )
@@ -1783,10 +1813,13 @@ def test_a_pipe_named_for_both_splits_is_read_once(tmp_path):
     assert probes[1] == probes[0]
 
 
-@pytest.mark.parametrize("command", ["eval", "scene-tree"])
+@pytest.mark.parametrize("command", ["eval", "scene-tree", "synth"])
 def test_a_failed_second_write_leaves_neither_output(tmp_path, capsys, command):
     out, second = tmp_path / "out", tmp_path / "nodir" / "second.json"
-    if command == "eval":
+    out_flag = "--out-labels" if command == "synth" else "--out"
+    if command == "synth":  # the labels, then the embeddings
+        argv = ["--n-trees", "3", "--out-emb", str(second)]
+    elif command == "eval":
         labels, emb = write_synth(tmp_path)
         probe = tmp_path / "probe.json"
         save_probe(identity_probe("depth", next(read_embeddings(emb)).m), probe)
@@ -1798,14 +1831,34 @@ def test_a_failed_second_write_leaves_neither_output(tmp_path, capsys, command):
         grounding.write_text(json.dumps(GROUNDING) + "\n")
         argv = ["--conll", str(conll), "--grounding", str(grounding), "--report", str(second)]
     before = set(tmp_path.iterdir())
-    assert main(["--quiet", command, *argv, "--out", str(out)]) == 2
+    assert main(["--quiet", command, *argv, out_flag, str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("structprobe: ") and "Traceback" not in err
     assert set(tmp_path.iterdir()) == before
     # the same command with a second output it can write writes both
     second = tmp_path / "second.json"
-    assert main(["--quiet", command, *argv[:-1], str(second), "--out", str(out)]) == 0
+    assert main(["--quiet", command, *argv[:-1], str(second), out_flag, str(out)]) == 0
     assert out.exists() and second.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "scene-tree", "synth"])
+def test_an_empty_output_path_exits_two_and_writes_nothing(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    if command == "synth":
+        argv = ["--n-trees", "3", "--out-emb", "e.jsonl", "--out-labels", ""]
+    elif command == "eval":
+        labels, emb = write_synth(tmp_path)
+        save_probe(identity_probe("depth", next(read_embeddings(emb)).m), tmp_path / "p.json")
+        argv = ["--probe", "p.json", "--labels", str(labels), "--emb", str(emb), "--out", ""]
+    else:
+        (tmp_path / "x.conll").write_text(CONLL)
+        (tmp_path / "g.jsonl").write_text(json.dumps(GROUNDING) + "\n")
+        argv = ["--conll", "x.conll", "--grounding", "g.jsonl", "--out", ""]
+    before = set(tmp_path.iterdir())
+    assert main(["--quiet", command, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("structprobe: ") and "Traceback" not in err
+    assert set(tmp_path.iterdir()) == before
 
 
 def test_synth_labels_do_not_depend_on_noise_or_layer(tmp_path):
@@ -1839,6 +1892,29 @@ def test_eval_probe_whose_stored_layer_is_not_a_tag_exits_two_naming_it(
     err = capsys.readouterr().err
     assert f"{probe}: bad probe file: layer tag" in err and "Traceback" not in err
     assert not out.exists() and not detail.exists()
+
+
+@pytest.mark.parametrize("meta", [None, '[["layer", 0]]', '"ab"', "5", "null"])
+def test_eval_reads_an_absent_probe_meta_as_empty_and_exits_two_on_one_not_an_object(
+    tmp_path, capsys, meta
+):
+    labels, emb = write_synth(tmp_path)
+    probe = tmp_path / "probe.json"
+    save_probe(identity_probe("depth", next(read_embeddings(emb)).m), probe)
+    rec = json.loads(probe.read_text())
+    del rec["meta"]
+    text = json.dumps(rec)
+    probe.write_text(text if meta is None else f'{text[:-1]}, "meta": {meta}}}')
+    out = tmp_path / "r.tsv"
+    code = main(["--quiet", "eval", "--probe", str(probe), "--labels", str(labels),
+                 "--emb", str(emb), "--out", str(out)])
+    err = capsys.readouterr().err
+    if meta is None:
+        assert code == 0 and out.exists()
+        return
+    assert code == 2 and not out.exists()
+    got = repr(json.loads(meta))
+    assert err == f"structprobe: {probe}: bad probe file: meta must be a JSON object, got {got}\n"
 
 
 # one command line per subcommand, and the flags among --seed and --jobs it reads
