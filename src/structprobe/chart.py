@@ -120,11 +120,17 @@ def render_line_chart(rows: Sequence[dict], metric: str, title: str | None = Non
     def py(v: float) -> float:
         return MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
 
+    lx = plot_r - 150.0
+    ly = MARGIN_TOP + 8.0
+    legend_h = 16.0 * (len(curves) + len(baselines)) + 8
+    # over 21 legend rows grow the canvas to 4 px below the box, which sits 4 px inside the frame
+    height = max(HEIGHT, ly + legend_h)
+
     heading = title if title is not None else metric
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:.0f}" '
-        f'height="{HEIGHT:.0f}" viewBox="0 0 {WIDTH:.0f} {HEIGHT:.0f}">',
-        f'<rect width="{WIDTH:.0f}" height="{HEIGHT:.0f}" fill="#ffffff"/>',
+        f'height="{height:.0f}" viewBox="0 0 {WIDTH:.0f} {height:.0f}">',
+        f'<rect width="{WIDTH:.0f}" height="{height:.0f}" fill="#ffffff"/>',
         _text(_fmt(WIDTH / 2), "20", 14, _escape(heading)),
         # the frame, then the ticks
         f'<rect x="{_fmt(MARGIN_LEFT)}" y="{_fmt(MARGIN_TOP)}" width="{_fmt(plot_w)}" '
@@ -154,11 +160,9 @@ def render_line_chart(rows: Sequence[dict], metric: str, title: str | None = Non
         out.append(_line(MARGIN_LEFT, plot_r, py(value), color, dash=DASH))
         legend.append((name, color, DASH))
 
-    lx = plot_r - 150.0
-    ly = MARGIN_TOP + 8.0
     out.append(
         f'<rect x="{_fmt(lx - 6)}" y="{_fmt(ly - 4)}" width="150" '
-        f'height="{_fmt(16.0 * len(legend) + 8)}" fill="#ffffff" stroke="#999999" '
+        f'height="{_fmt(legend_h)}" fill="#ffffff" stroke="#999999" '
         f'stroke-width="0.5"/>'
     )
     for i, (name, color, dash) in enumerate(legend):

@@ -158,10 +158,14 @@ def atomic_open(path: str | Path) -> Iterator[TextIO]:
 
     An OSError that names the temp file, as a failed create or rename does,
     is raised again of the same kind naming ``path`` alone: the temp name is
-    none the caller knows.
+    none the caller knows. A path with no file name, such as ``""``, ``.``
+    or ``/``, is a DataError that names it, and nothing is written.
     """
+    name = Path(path).name
+    if not name:
+        raise DataError(f"output path {os.fspath(path)!r} names no file")
     # a plain exclusive create keeps the umask's file mode (mkstemp gives 0600)
-    tmp = Path(path).with_name(f".{Path(path).name}.{os.urandom(8).hex()}")
+    tmp = Path(path).with_name(f".{name}.{os.urandom(8).hex()}")
     try:
         fh = open(tmp, "x", encoding="utf-8")
         try:

@@ -5,10 +5,12 @@ probe predicts the squared norm of the transformed difference of two node
 vectors; the depth probe predicts the squared norm of a single transformed
 vector. Both are trained by minimizing an L1 loss against integer gold
 labels with mini-batch Adam updates and early stopping on the
-validation loss. One forward z = H Bᵀ per sequence serves prediction, loss
-and gradient: the subgradient is Zᵀ(L H), with L built from the signs of the
-errors, so no m-by-m matrix is built. ``metrics`` scores probes, and ``grid``
-runs the rank sweeps and layer grids that train and score them.
+validation loss. One forward serves loss and gradient: a minibatch's rows
+are stacked into one H, Z = H Bᵀ is one GEMM, and the subgradient is the one
+GEMM (L Z)ᵀ H, with L built from the signs of the errors, so no m-by-m matrix
+is built. Validation stacks its split once and skips the gradient. ``metrics``
+scores probes, and ``grid`` runs the rank sweeps and layer grids that train
+and score them.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .trees import TreeLabels
 TASKS = ("distance", "depth")
 
 Pair = tuple[TreeLabels, EmbeddingSequence]
-# one sequence's float64 embeddings and float64 gold labels
-Features = tuple[np.ndarray, np.ndarray]
+# a batch's float64 embedding rows, stacked in sequence order, and each sequence's float64 gold
+Batch = tuple[np.ndarray, list[np.ndarray]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,12 +144,12 @@ def l1_loss(pred: np.ndarray, gold: np.ndarray, task: str) -> float:
     raise ValueError(f"unknown task {task!r}")
 
 
-def _gold_array(labels: TreeLabels, task: str) -> np.ndarray:
-    return (labels.distances if task == "distance" else labels.depths).astype(np.float64)
-
-
-def _features(pairs: Sequence[Pair], task: str) -> list[Features]:
-    return [(seq.values.astype(np.float64), _gold_array(labels, task)) for labels, seq in pairs]
+def _stack(pairs: Sequence[Pair], task: str) -> Batch:
+    if not pairs:
+        raise ValueError("empty batch")
+    rows = np.concatenate([seq.values for _, seq in pairs], dtype=np.float64)
+    golds = [lab.distances if task == "distance" else lab.depths for lab, _ in pairs]
+    return rows, [gold.astype(np.float64) for gold in golds]
 
 
 def _prediction(z: np.ndarray, task: str) -> np.ndarray:
@@ -166,44 +168,43 @@ def _prediction(z: np.ndarray, task: str) -> np.ndarray:
     return dist
 
 
-def _batch_gradient(transform: np.ndarray, items: Sequence[Features], task: str) -> np.ndarray:
-    """Analytic subgradient of the mean per-sequence L1 loss w.r.t. the transform B.
+def _forward(
+    transform: np.ndarray, batch: Batch, task: str, gradient: bool = True
+) -> tuple[float, np.ndarray | None]:
+    """Mean per-sequence L1 loss of a stacked batch and, if ``gradient``, its subgradient.
 
-    For a pair difference u the squared prediction differentiates to
-    2(Bu)uᵀ; summing sign-weighted pair terms gives (2/n²) B Hᵀ L H, with L
-    the Laplacian of the sign matrix, and a depth gives (2/n) B Hᵀ (s ⊙ H).
-    Both are read off the forward's own z = H Bᵀ as Zᵀ(L H), so no m-by-m
-    matrix is built. Ties (prediction equal to gold) get subgradient zero.
+    Z = H Bᵀ is one GEMM. A pair difference u's squared prediction differentiates to 2(Bu)uᵀ,
+    so a sequence adds (2/n²) Zᵀ(L H), L the Laplacian of its sign matrix, or (2/n) Zᵀ(s ⊙ H)
+    for depths. L is symmetric, so that is Yᵀ H for Y = L Z (n-by-k); one GEMM Yᵀ H sums the
+    batch, so m appears in the two GEMMs alone. A tie (prediction equals gold) gets zero.
     """
-    grad = np.zeros_like(transform)
-    for h, gold in items:
-        n = h.shape[0]
-        z = h @ transform.T
-        signs = np.sign(_prediction(z, task) - gold)
-        if task == "distance":  # L = diag(signs·1) - signs
-            grad += (2.0 / (n * n)) * (z.T @ (signs.sum(axis=1)[:, None] * h - signs @ h))
-        else:
-            grad += (2.0 / n) * (z.T @ (signs[:, None] * h))
-    return grad / len(items)
-
-
-def _mean_loss(transform: np.ndarray, items: Sequence[Features], task: str) -> float:
-    total = 0.0
-    for h, gold in items:
-        total += l1_loss(_prediction(h @ transform.T, task), gold, task)
-    return total / len(items)
+    rows, golds = batch
+    z = rows @ transform.T
+    y = np.empty_like(z) if gradient else None
+    total, lo = 0.0, 0
+    for gold in golds:
+        n = gold.shape[0]
+        zs = z[lo : lo + n]
+        pred = _prediction(zs, task)
+        total += l1_loss(pred, gold, task)
+        if y is not None:
+            signs = np.sign(pred - gold)
+            if task == "distance":  # L = diag(signs·1) - signs
+                y[lo : lo + n] = (2.0 / (n * n)) * (signs.sum(axis=1)[:, None] * zs - signs @ zs)
+            else:
+                y[lo : lo + n] = (2.0 / n) * (signs[:, None] * zs)
+        lo += n
+    return total / len(golds), None if y is None else y.T @ rows / len(golds)
 
 
 def loss_gradient(probe: Probe, batch: Sequence[Pair]) -> np.ndarray:
     """Gradient of the batch loss (mean per-sequence loss) w.r.t. the transform."""
-    if not batch:
-        raise ValueError("empty batch")
-    return _batch_gradient(probe.transform, _features(batch, probe.task), probe.task)
+    return _forward(probe.transform, _stack(batch, probe.task), probe.task)[1]
 
 
 def dataset_loss(transform: np.ndarray, pairs: Sequence[Pair], task: str) -> float:
     """Mean per-sequence L1 loss over a dataset."""
-    return _mean_loss(transform, _features(pairs, task), task)
+    return _forward(transform, _stack(pairs, task), task, gradient=False)[0]
 
 
 def pair_records(
@@ -297,9 +298,7 @@ def train_probe(
     scale = np.sqrt(6.0 / (k + m))
     transform = rng.uniform(-scale, scale, size=(k, m))
 
-    train_items = _features(train, task)
-    val_items = _features(val, task)
-
+    val_batch = _stack(val, task)
     opt = _Adam((k, m), cfg.lr)
     best_loss = np.inf
     best_transform = transform.copy()
@@ -313,11 +312,11 @@ def train_probe(
             order = rng.permutation(len(train))
             for lo in range(0, len(order), cfg.batch_size):
                 chunk = order[lo : lo + cfg.batch_size]
-                grad = _batch_gradient(transform, [train_items[i] for i in chunk], task)
+                _, grad = _forward(transform, _stack([train[i] for i in chunk], task), task)
                 if not np.all(np.isfinite(grad)):
                     raise TrainingDiverged(f"non-finite gradient in epoch {epoch}")
                 opt.step(transform, grad)
-            val_loss = _mean_loss(transform, val_items, task)
+            val_loss, _ = _forward(transform, val_batch, task, gradient=False)
             if not np.isfinite(val_loss):
                 raise TrainingDiverged(f"non-finite validation loss in epoch {epoch}")
             history.append(val_loss)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -130,3 +131,23 @@ def test_chart_branch_golden_file_byte_identical(case):
     rows, metric, title = GOLDEN_CASES[case]
     golden = (DATA / f"golden_chart_{case}.svg").read_text(encoding="utf-8")
     assert render_line_chart(rows, metric, title=title) == golden
+
+
+def test_a_legend_of_24_series_grows_the_canvas_and_not_the_plot():
+    # 20 rank curves and 4 baselines: a legend too tall for the 400-px canvas
+    rows = [row(layer, rank, 0.01 * rank) for rank in range(1, 21) for layer in (0, 1)]
+    rows += [row(f"base{i}", 1, 0.1 * i) for i in range(4)]
+    ns = "{http://www.w3.org/2000/svg}"
+    svg = ET.fromstring(render_line_chart(rows, "dspr"))
+    height = float(svg.get("height"))
+    assert height > 400 and svg.get("viewBox") == f"0 0 640 {svg.get('height')}"
+    assert svg.find(f"{ns}rect").get("height") == svg.get("height")  # the background
+    box = svg.find(f"{ns}rect[@stroke='#999999']")
+    assert float(box.get("y")) + float(box.get("height")) <= height
+    names = [t for t in svg.iter(f"{ns}text") if t.get("text-anchor") is None]
+    assert len(names) == 24
+    assert all(float(t.get("y")) + 4 <= height for t in names)
+    # the plot frame is where a short legend leaves it
+    small = ET.fromstring(render_line_chart(two_point_rows(), "nspr"))
+    assert svg.find(f"{ns}rect[@stroke='#000000']").attrib == small.find(
+        f"{ns}rect[@stroke='#000000']").attrib

@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -26,7 +28,11 @@ def run(args, cwd, threads):
     assert done.returncode == 0, done.stderr.decode()
 
 
-def test_train_reruns_are_byte_identical_and_thread_counts_agree_within_1e9(tmp_path):
+@pytest.mark.parametrize("task, correlation, aggregates",
+                         [("distance", "dspr", {"dspr", "uuas"}),
+                          ("depth", "nspr", {"nspr", "root_acc"})], ids=["distance", "depth"])
+def test_train_reruns_are_byte_identical_and_thread_counts_agree_within_1e9(
+        tmp_path, task, correlation, aggregates):
     # m = (max_n - 1) + extra_dims = 749, a width at which the BLAS thread count
     # changes the bytes of a trained probe
     run(["synth", "--n-trees", "24", "--min-n", "5", "--max-n", "20", "--extra-dims", "730",
@@ -39,7 +45,7 @@ def test_train_reruns_are_byte_identical_and_thread_counts_agree_within_1e9(tmp_
             out = tmp_path / f"threads{threads}_run{rerun}"
             out.mkdir()
             # patience 40: all 40 epochs run
-            run(["train", "--task", "distance", *data, "--val-labels", "labels.jsonl",
+            run(["train", "--task", task, *data, "--val-labels", "labels.jsonl",
                  "--val-emb", "emb.jsonl", "--epochs", "40", "--patience", "40",
                  "--out", out / "probe.json"], tmp_path, threads)
             run(["eval", "--probe", out / "probe.json", *data, "--out", out / "report.tsv",
@@ -50,11 +56,11 @@ def test_train_reruns_are_byte_identical_and_thread_counts_agree_within_1e9(tmp_
         assert outputs[threads, 0] == outputs[threads, 1], f"OPENBLAS_NUM_THREADS={threads}"
     assert json.loads(outputs[1, 0]["probe.json"])["meta"]["epochs_run"] == 40
     one, two = (json.loads(outputs[threads, 0]["detail.json"]) for threads in (1, 2))
-    assert one["aggregates"].keys() == two["aggregates"].keys() == {"dspr", "uuas"}
+    assert one["aggregates"].keys() == two["aggregates"].keys() == aggregates
     for metric, value in one["aggregates"].items():
         assert abs(value - two["aggregates"][metric]) <= 1e-9, metric
     for a, b in zip(one["sequences"], two["sequences"], strict=True):
-        assert abs(a["dspr"] - b["dspr"]) <= 1e-9, a["id"]
+        assert abs(a[correlation] - b[correlation]) <= 1e-9, a["id"]
 
 
 def test_a_two_layer_grid_writes_the_same_files_at_one_job_and_at_two(tmp_path):

@@ -162,6 +162,15 @@ def test_atomic_writes_keep_the_default_file_mode(tmp_path):
     assert stat.S_IMODE(atomic.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
+@pytest.mark.parametrize("path", ["", ".", "/"])
+def test_an_output_path_without_a_file_name_is_a_data_error(tmp_path, monkeypatch, path):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(DataError) as info:
+        atomic_write_text(path, "x")
+    assert str(info.value) == f"output path {path!r} names no file"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "reader, what, text",
     [

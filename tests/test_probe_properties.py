@@ -12,6 +12,7 @@ from structprobe.probe import (
     TrainConfig,
     dataset_loss,
     identity_probe,
+    l1_loss,
     loss_gradient,
     predict_depths,
     predict_distances,
@@ -72,15 +73,7 @@ def reference_gradient(probe, batch):
     return grad / len(batch)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    task=st.sampled_from(["distance", "depth"]),
-    k=st.integers(1, 8),
-    m=st.integers(1, 8),
-    sizes=st.lists(st.integers(1, 8), min_size=1, max_size=3),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_gradient_matches_the_m_by_m_reference(task, k, m, sizes, seed):
+def random_batch(task, k, m, sizes, seed):
     rng = np.random.default_rng(seed)
     probe = Probe(task=task, transform=rng.normal(size=(k, m)))
     batch = [
@@ -90,9 +83,44 @@ def test_gradient_matches_the_m_by_m_reference(task, k, m, sizes, seed):
         )
         for i, n in enumerate(sizes)
     ]
+    return probe, batch
+
+
+# up to 8 sequences of unequal lengths, so that each starts at its own row of the stacked batch
+BATCHES = dict(
+    task=st.sampled_from(["distance", "depth"]),
+    k=st.integers(1, 8),
+    m=st.integers(1, 8),
+    sizes=st.lists(st.integers(1, 8), min_size=1, max_size=8, unique=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**BATCHES)
+def test_gradient_matches_the_m_by_m_reference(task, k, m, sizes, seed):
+    probe, batch = random_batch(task, k, m, sizes, seed)
     expected = reference_gradient(probe, batch)
     got = loss_gradient(probe, batch)
     assert got.shape == (k, m)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**BATCHES)
+def test_a_stacked_batch_gives_the_mean_of_its_sequences_loss_and_gradient(
+    task, k, m, sizes, seed
+):
+    probe, batch = random_batch(task, k, m, sizes, seed)
+    predict = predict_distances if task == "distance" else predict_depths
+    losses = [
+        l1_loss(predict(probe, seq), labels.distances if task == "distance" else labels.depths, task)
+        for labels, seq in batch
+    ]
+    expected = np.mean(losses)
+    assert abs(dataset_loss(probe.transform, batch, task) - expected) <= 1e-12 * expected
+    expected = np.mean([loss_gradient(probe, [pair]) for pair in batch], axis=0)
+    got = loss_gradient(probe, batch)
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
