@@ -217,10 +217,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    if args.jobs < 1:
-        raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
     manifest = grid_mod.load_manifest(args.manifest)
-    reports, failures = grid_mod.run_layer_grid(manifest, jobs=args.jobs)
+    reports, failures = grid_mod.run_layer_grid(manifest)
     log.info(
         "grid finished: %d cell(s) succeeded, %d failed; outputs in %s",
         len(reports),
@@ -303,7 +301,6 @@ def build_parser() -> CliParser:
 
     p = sub.add_parser("grid", help="run a manifest of cells")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--jobs", type=int, default=1, help="number of grid layers trained at once")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("chart", help="SVG chart from a report TSV")

@@ -8,9 +8,9 @@ manifest names a labels file per split, an embedding file per split for each lay
 baseline tag, the ranks, and the training config; the types check their own rules, however
 they are built. Every path must be a file, and each (labels, embeddings) pair must agree on
 ids and lengths, before any cell trains; a layer whose splits differ in width fails its
-cells without being decoded. Layers run in a bounded worker pool, each decoding its files
-once. The aggregate TSV and charts are written once, atomically, in a deterministic order,
-into an ``out_dir`` that was new or empty.
+cells without being decoded. Layers run one at a time, in manifest order, each decoding its
+files once. The aggregate TSV and charts are written once, atomically, in a deterministic
+order, into an ``out_dir`` that was new or empty.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -263,21 +262,17 @@ def rank_cells(
         yield outcome  # outside the try: what the caller does here is not this cell's error
 
 
-def run_layer_grid(
-    manifest: ExperimentManifest, jobs: int = 1
-) -> tuple[list[EvalReport], list[tuple[str, str]]]:
+def run_layer_grid(manifest: ExperimentManifest) -> tuple[list[EvalReport], list[tuple[str, str]]]:
     """Train and evaluate every (layer, rank) cell by ``rank_cells``; emit the aggregate table.
 
     ``out_dir`` holds one run: one that exists and is not an empty directory is a
     ValidationError before any input is read. Every path must be a file, and every cell's
-    pairing is checked, before ``out_dir`` is made. Up to ``jobs`` layers run at once. A
-    failed cell is recorded and the others go on; a cell's probe and report are written once
-    it is scored, and a cell whose training, scoring or writing fails leaves no file. Raises
-    only if every cell fails. Returns the successful reports in manifest order and the (cell,
-    error) failures.
+    pairing is checked, before ``out_dir`` is made. Layers run one at a time, in manifest
+    order. A failed cell is recorded and the others go on; a cell's probe and report are
+    written once it is scored, and a cell whose training, scoring or writing fails leaves no
+    file. Raises only if every cell fails. Returns the successful reports in manifest order
+    and the (cell, error) failures.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     out_dir = manifest.out_dir
     if out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):
         raise ValidationError(
@@ -321,20 +316,18 @@ def run_layer_grid(
 
     reports: list[EvalReport] = []
     failures: list[tuple[str, str]] = []
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run_layer, cell) for cell in manifest.cells]
-        for cell, future in zip(manifest.cells, futures):
-            try:
-                outcomes = future.result()
-            except Exception as exc:
-                outcomes = [exc] * len(manifest.ranks)
-            for rank, outcome in zip(manifest.ranks, outcomes):
-                if isinstance(outcome, Exception):
-                    name = _cell_name(cell.tag, rank)
-                    log.error("cell %s failed: %s", name, outcome)
-                    failures.append((name, str(outcome)))
-                else:
-                    reports.append(outcome)
+    for cell in manifest.cells:
+        try:
+            outcomes = run_layer(cell)
+        except Exception as exc:
+            outcomes = [exc] * len(manifest.ranks)
+        for rank, outcome in zip(manifest.ranks, outcomes):
+            if isinstance(outcome, Exception):
+                name = _cell_name(cell.tag, rank)
+                log.error("cell %s failed: %s", name, outcome)
+                failures.append((name, str(outcome)))
+            else:
+                reports.append(outcome)
 
     if not reports:
         raise StructProbeError(

@@ -8,9 +8,9 @@ labels with mini-batch Adam updates and early stopping on the
 validation loss. One forward serves loss and gradient: a minibatch's rows
 are stacked into one H, Z = H Bᵀ is one GEMM, and the subgradient is the one
 GEMM (L Z)ᵀ H, with L built from the signs of the errors, so no m-by-m matrix
-is built. Validation stacks its split once and skips the gradient. ``metrics``
-scores probes, and ``grid`` runs the rank sweeps and layer grids that train
-and score them.
+is built. Validation stacks its split once and skips the gradient; training
+skips the loss. ``metrics`` scores probes, and ``grid`` runs the rank sweeps
+and layer grids that train and score them.
 """
 
 from __future__ import annotations
@@ -170,8 +170,8 @@ def _prediction(z: np.ndarray, task: str) -> np.ndarray:
 
 def _forward(
     transform: np.ndarray, batch: Batch, task: str, gradient: bool = True
-) -> tuple[float, np.ndarray | None]:
-    """Mean per-sequence L1 loss of a stacked batch and, if ``gradient``, its subgradient.
+) -> np.ndarray | float:
+    """Subgradient of a stacked batch's mean per-sequence L1 loss; if not ``gradient``, the loss.
 
     Z = H Bᵀ is one GEMM. A pair difference u's squared prediction differentiates to 2(Bu)uᵀ,
     so a sequence adds (2/n²) Zᵀ(L H), L the Laplacian of its sign matrix, or (2/n) Zᵀ(s ⊙ H)
@@ -186,25 +186,26 @@ def _forward(
         n = gold.shape[0]
         zs = z[lo : lo + n]
         pred = _prediction(zs, task)
-        total += l1_loss(pred, gold, task)
-        if y is not None:
+        if y is None:
+            total += l1_loss(pred, gold, task)
+        else:
             signs = np.sign(pred - gold)
             if task == "distance":  # L = diag(signs·1) - signs
                 y[lo : lo + n] = (2.0 / (n * n)) * (signs.sum(axis=1)[:, None] * zs - signs @ zs)
             else:
                 y[lo : lo + n] = (2.0 / n) * (signs[:, None] * zs)
         lo += n
-    return total / len(golds), None if y is None else y.T @ rows / len(golds)
+    return total / len(golds) if y is None else y.T @ rows / len(golds)
 
 
 def loss_gradient(probe: Probe, batch: Sequence[Pair]) -> np.ndarray:
     """Gradient of the batch loss (mean per-sequence loss) w.r.t. the transform."""
-    return _forward(probe.transform, _stack(batch, probe.task), probe.task)[1]
+    return _forward(probe.transform, _stack(batch, probe.task), probe.task)
 
 
 def dataset_loss(transform: np.ndarray, pairs: Sequence[Pair], task: str) -> float:
     """Mean per-sequence L1 loss over a dataset."""
-    return _forward(transform, _stack(pairs, task), task, gradient=False)[0]
+    return _forward(transform, _stack(pairs, task), task, gradient=False)
 
 
 def pair_records(
@@ -312,11 +313,11 @@ def train_probe(
             order = rng.permutation(len(train))
             for lo in range(0, len(order), cfg.batch_size):
                 chunk = order[lo : lo + cfg.batch_size]
-                _, grad = _forward(transform, _stack([train[i] for i in chunk], task), task)
+                grad = _forward(transform, _stack([train[i] for i in chunk], task), task)
                 if not np.all(np.isfinite(grad)):
                     raise TrainingDiverged(f"non-finite gradient in epoch {epoch}")
                 opt.step(transform, grad)
-            val_loss, _ = _forward(transform, val_batch, task, gradient=False)
+            val_loss = _forward(transform, val_batch, task, gradient=False)
             if not np.isfinite(val_loss):
                 raise TrainingDiverged(f"non-finite validation loss in epoch {epoch}")
             history.append(val_loss)

@@ -830,7 +830,7 @@ def test_grid_determinism_and_out_dir_override(tmp_path):
     out_b = tmp_path / "run_b"
     copy = tmp_path / "copy.json"
     copy.write_text(json.dumps(dict(json.loads(mpath.read_text()), out_dir=str(out_b))))
-    assert main(["--quiet", "grid", "--manifest", str(copy), "--jobs", "2"]) == 0
+    assert main(["--quiet", "grid", "--manifest", str(copy)]) == 0
     assert (out_a / "report.tsv").read_bytes() == (out_b / "report.tsv").read_bytes()
     assert (out_a / "chart_dspr.svg").read_bytes() == (out_b / "chart_dspr.svg").read_bytes()
     # the manifest's train.seed is the one seed of every cell
@@ -1215,23 +1215,41 @@ def test_grid_cell_whose_report_write_fails_leaves_no_file(tmp_path, monkeypatch
     assert read_report_tsv(failed_dir / "report.tsv") == clean_rows
 
 
-@pytest.mark.parametrize("jobs", ["0", "-5"])
-def test_grid_jobs_below_one_rejected_before_the_manifest_is_read(
-    tmp_path, monkeypatch, capsys, jobs
-):
-    paths = write_grid_inputs(tmp_path)
+def test_a_grid_loads_each_layer_after_the_layer_before_wrote_its_files(tmp_path, monkeypatch):
+    # one layer's splits are held at a time: layers load in manifest order (here not the tag
+    # order), each once every cell of the layer before it has written its probe and report
+    paths = write_grid_inputs(tmp_path, n_trees=15)
     out_dir = tmp_path / "run"
-    mpath = write_manifest(tmp_path, paths, out_dir)
-    read: list = []
-    load = grid_mod.load_manifest
-    monkeypatch.setattr(grid_mod, "load_manifest", lambda *a, **k: read.append(a) or load(*a, **k))
-    assert main(["--quiet", "grid", "--manifest", str(mpath), "--jobs", jobs]) == 1
-    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
-    assert read == []
-    assert not out_dir.exists()
-    with pytest.raises(ValueError, match="jobs must be at least 1"):
-        grid_mod.run_layer_grid(load(mpath), jobs=int(jobs))
-    assert not out_dir.exists()
+    mpath = write_manifest(tmp_path, paths, out_dir, ranks=(2, 3),
+                           train={"max_epochs": 1, "patience": 1})
+    doc = json.loads(mpath.read_text())
+    mpath.write_text(json.dumps(dict(doc, layers=doc["layers"][::-1])))
+    events: list = []
+    load, save, write = grid_mod.load_splits, grid_mod.save_probe, grid_mod.write_report_json
+
+    def load_recorded(split_labels, emb, *args):
+        events.append(("load", emb["train"].name, sorted(p.name for p in out_dir.iterdir())))
+        return load(split_labels, emb, *args)
+
+    def recorded(real):
+        def write_recorded(obj, path):
+            real(obj, path)
+            events.append(("wrote", path.name))
+        return write_recorded
+
+    monkeypatch.setattr(grid_mod, "load_splits", load_recorded)
+    monkeypatch.setattr(grid_mod, "save_probe", recorded(save))
+    monkeypatch.setattr(grid_mod, "write_report_json", recorded(write))
+    assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 0
+    expected: list = []
+    written: list[str] = []
+    for tag in (1, 0):
+        expected.append(("load", paths[f"train_emb_l{tag}"].name, sorted(written)))
+        for rank in (2, 3):
+            for kind in ("probe", "report"):
+                written.append(f"{kind}_layer{tag}_rank{rank}.json")
+                expected.append(("wrote", written[-1]))
+    assert events == expected
 
 
 def test_grid_rank_below_one_rejected_before_any_decode(tmp_path, monkeypatch):
@@ -1916,14 +1934,15 @@ def test_eval_reads_an_absent_probe_meta_as_empty_and_exits_two_on_one_not_an_ob
     assert err == f"structprobe: {probe}: bad probe file: meta must be a JSON object, got {got}\n"
 
 
-# one command line per subcommand, and the flags among --seed and --jobs it reads
+# one command line per subcommand, and the flags among --seed and --jobs it reads (none
+# reads --jobs)
 SUBCOMMANDS = {
     "train": (["--task", "depth", "--labels", "l", "--emb", "e", "--val-labels", "l",
                "--val-emb", "e", "--out", "o"], {"--seed"}),
     "sweep": (["--task", "depth", "--labels", "l", "--emb", "e", "--val-labels", "l",
                "--val-emb", "e", "--ranks", "2", "--out", "o"], {"--seed"}),
     "synth": (["--n-trees", "2", "--out-labels", "l", "--out-emb", "e"], {"--seed"}),
-    "grid": (["--manifest", "m"], {"--jobs"}),
+    "grid": (["--manifest", "m"], set()),
     "eval": (["--probe", "p", "--labels", "l", "--emb", "e", "--out", "o"], set()),
     "build-labels": (["--conll", "c", "--out", "o"], set()),
     "scene-tree": (["--conll", "c", "--grounding", "g", "--out", "o"], set()),
@@ -1968,7 +1987,7 @@ def test_help_lists_each_flag_under_the_subcommand_that_reads_it(capsys):
             assert set(action.option_strings) <= shown, (each.prog, action.option_strings)
 
 
-@pytest.mark.parametrize("command", ["eval", "chart", "build-labels", "scene-tree"])
+@pytest.mark.parametrize("command", ["eval", "chart", "build-labels", "scene-tree", "grid"])
 def test_seed_or_jobs_given_to_a_subcommand_that_reads_neither_writes_nothing(
     tmp_path, capsys, command
 ):
@@ -1980,12 +1999,17 @@ def test_seed_or_jobs_given_to_a_subcommand_that_reads_neither_writes_nothing(
     conll.write_text(CONLL)
     grounding.write_text(json.dumps(GROUNDING) + "\n")
     out = tmp_path / "out"
+    # grid writes into its manifest's out_dir; the others take --out
+    manifest = write_manifest(tmp_path, write_grid_inputs(tmp_path, n_trees=15), out,
+                              ranks=(2,), train={"max_epochs": 1, "patience": 1})
     argv = {
-        "eval": ["--probe", str(probe), "--labels", str(labels), "--emb", str(emb)],
-        "chart": ["--report", str(report), "--metric", "nspr"],
-        "build-labels": ["--conll", str(conll)],
-        "scene-tree": ["--conll", str(conll), "--grounding", str(grounding)],
-    }[command] + ["--out", str(out)]
+        "eval": ["--probe", str(probe), "--labels", str(labels), "--emb", str(emb),
+                 "--out", str(out)],
+        "chart": ["--report", str(report), "--metric", "nspr", "--out", str(out)],
+        "build-labels": ["--conll", str(conll), "--out", str(out)],
+        "scene-tree": ["--conll", str(conll), "--grounding", str(grounding), "--out", str(out)],
+        "grid": ["--manifest", str(manifest)],
+    }[command]
     for line in (["--seed", "1", command] + argv, ["--jobs", "2", command] + argv,
                  [command] + argv + ["--seed", "1"], [command] + argv + ["--jobs", "2"]):
         with pytest.raises(SystemExit) as err:

@@ -63,24 +63,24 @@ def test_train_reruns_are_byte_identical_and_thread_counts_agree_within_1e9(
         assert abs(a[correlation] - b[correlation]) <= 1e-9, a["id"]
 
 
-def test_a_two_layer_grid_writes_the_same_files_at_one_job_and_at_two(tmp_path):
+def test_a_two_layer_grid_rerun_writes_the_same_files(tmp_path):
     # one seed gives one set of trees whatever the noise and layer, so the
     # noisy layer-1 file pairs with the layer-0 labels
     for layer, noise in ((0, 0), (1, 0.1)):
         run(["synth", "--n-trees", "20", "--seed", "3", "--noise", noise, "--layer", layer,
              "--out-labels", f"labels{layer}.jsonl", "--out-emb", f"emb{layer}.jsonl"],
             tmp_path, 1)
-    layers = [{"tag": tag, **{f"{split}_emb": f"emb{tag}.jsonl" for split in ("train", "val", "eval")}}
-              for tag in (0, 1)]
-    outputs = {}
-    for jobs in (1, 2):
+    layers = [{"tag": tag, **{f"{split}_emb": f"emb{tag}.jsonl"
+                              for split in ("train", "val", "eval")}} for tag in (0, 1)]
+    outputs = []
+    for name in ("run_a", "run_b"):
         manifest = {"task": "depth", "train_labels": "labels0.jsonl", "val_labels": "labels0.jsonl",
                     "eval_labels": "labels0.jsonl", "layers": layers, "ranks": [2],
-                    "train": {"max_epochs": 2, "patience": 2}, "out_dir": f"jobs{jobs}"}
-        (tmp_path / f"jobs{jobs}.json").write_text(json.dumps(manifest))
-        run(["grid", "--manifest", f"jobs{jobs}.json", "--jobs", jobs], tmp_path, 1)
-        out = tmp_path / f"jobs{jobs}"
-        outputs[jobs] = {str(f.relative_to(out)): f.read_bytes() for f in out.rglob("*")
-                         if f.is_file()}
-    assert {"probe_layer0_rank2.json", "probe_layer1_rank2.json"} <= outputs[1].keys()
-    assert outputs[1] == outputs[2]
+                    "train": {"max_epochs": 2, "patience": 2}, "out_dir": name}
+        (tmp_path / f"{name}.json").write_text(json.dumps(manifest))
+        run(["grid", "--manifest", f"{name}.json"], tmp_path, 1)
+        out = tmp_path / name
+        outputs.append({str(f.relative_to(out)): f.read_bytes() for f in out.rglob("*")
+                        if f.is_file()})
+    assert {"probe_layer0_rank2.json", "probe_layer1_rank2.json"} <= outputs[0].keys()
+    assert outputs[0] == outputs[1]
