@@ -9,6 +9,7 @@ tags (baselines) are drawn as flat dashed reference lines.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -96,9 +97,14 @@ def render_line_chart(rows: Sequence[dict], metric: str, title: str | None = Non
 
     xs = sorted({x for _, pts in curves for x, _ in pts})
     values = [v for _, pts in curves for _, v in pts] + [v for _, v in baselines]
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"cannot chart {metric!r}: a value is not a finite number")
     if not xs:
         xs = [0, 1]
-    x_lo, x_hi = float(min(xs)), float(max(xs))
+    try:
+        x_lo, x_hi = float(min(xs)), float(max(xs))
+    except OverflowError:  # a layer beyond float64
+        x_lo, x_hi = -math.inf, math.inf
     if x_lo == x_hi:
         x_lo -= 0.5
         x_hi += 0.5
@@ -109,6 +115,13 @@ def render_line_chart(rows: Sequence[dict], metric: str, title: str | None = Non
         pad = 0.05 * (y_hi - y_lo) if y_hi > y_lo else 0.5
         y_lo -= pad
         y_hi += pad
+    # a coordinate divides by its axis' span: a span of 0 or one not finite would write nan
+    for axis, lo, hi in (("layer", x_lo, x_hi), ("value", y_lo, y_hi)):
+        if not 0.0 < hi - lo < math.inf:
+            raise ValidationError(
+                f"cannot chart {metric!r}: the {axis} axis from {lo!r} to {hi!r} "
+                "has no finite, non-zero span"
+            )
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM

@@ -260,6 +260,7 @@ def rank_cells(
         except Exception as exc:
             outcome = (rank, None, exc)
         yield outcome  # outside the try: what the caller does here is not this cell's error
+        del outcome  # a yielded error's traceback holds this frame, and so ``splits``
 
 
 def run_layer_grid(manifest: ExperimentManifest) -> tuple[list[EvalReport], list[tuple[str, str]]]:
@@ -295,14 +296,17 @@ def run_layer_grid(manifest: ExperimentManifest) -> tuple[list[EvalReport], list
             width_errors[cell.tag] = f"layer {cell.tag}: {exc}"
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def run_layer(cell: GridCell) -> list[EvalReport | Exception]:
+    def run_layer(cell: GridCell) -> list[EvalReport | str]:
+        """Each rank's report, or its failure as text: an error's traceback holds ``splits``."""
         if cell.tag in width_errors:
             raise DataError(width_errors[cell.tag])
         splits = load_splits(split_labels, cell.emb)
         cells = rank_cells(manifest.task, splits, manifest.train, manifest.ranks, cell.tag)
-        outcomes: list[EvalReport | Exception] = []
+        outcomes: list[EvalReport | str] = []
         for rank, probe, outcome in cells:
-            if probe is not None:  # scored: write its files; a failed write fails the cell
+            if probe is None:
+                outcome = str(outcome)
+            else:  # scored: write its files; a failed write fails the cell
                 name = _cell_name(cell.tag, rank)
                 try:  # a failed cell leaves no file
                     write_outputs(
@@ -310,7 +314,7 @@ def run_layer_grid(manifest: ExperimentManifest) -> tuple[list[EvalReport], list
                         (out_dir / f"report_{name}.json", partial(write_report_json, outcome)),
                     )
                 except Exception as exc:
-                    outcome = exc
+                    outcome = str(exc)
             outcomes.append(outcome)
         return outcomes
 
@@ -320,12 +324,12 @@ def run_layer_grid(manifest: ExperimentManifest) -> tuple[list[EvalReport], list
         try:
             outcomes = run_layer(cell)
         except Exception as exc:
-            outcomes = [exc] * len(manifest.ranks)
+            outcomes = [str(exc)] * len(manifest.ranks)
         for rank, outcome in zip(manifest.ranks, outcomes):
-            if isinstance(outcome, Exception):
+            if isinstance(outcome, str):
                 name = _cell_name(cell.tag, rank)
                 log.error("cell %s failed: %s", name, outcome)
-                failures.append((name, str(outcome)))
+                failures.append((name, outcome))
             else:
                 reports.append(outcome)
 

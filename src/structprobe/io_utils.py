@@ -189,13 +189,24 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def write_outputs(*outputs: tuple[str | Path | None, Callable[[str | Path], object]]) -> None:
-    """``write(path)`` for each ``(path, write)`` unless path is None; a failure leaves none."""
+    """``write(path)`` for each ``(path, write)`` unless path is None; a failure leaves none.
+
+    Two paths that resolve to one file are a DataError that names them, before any is written.
+    """
+    outputs = tuple((path, write) for path, write in outputs if path is not None)
+    named: dict[Path, str | Path] = {}
+    for path, _ in outputs:
+        key = Path(path).resolve()
+        if key in named:
+            raise DataError(
+                f"output path {os.fspath(path)!r} names the same file as {os.fspath(named[key])!r}"
+            )
+        named[key] = path
     written = []
     try:
         for path, write in outputs:
-            if path is not None:
-                write(path)
-                written.append(path)
+            write(path)
+            written.append(path)
     except BaseException:
         for path in written:
             Path(path).unlink(missing_ok=True)

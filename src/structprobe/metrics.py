@@ -10,6 +10,7 @@ out the labels' ``excluded`` positions; the rank correlations keep them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -299,8 +300,9 @@ def read_report_tsv(path: str | Path) -> list[dict]:
     decimal text; any other field stays a string. A row is a DataError at its
     line unless ``task`` is ``distance`` or ``depth``, ``rank`` and
     ``n_sequences`` are canonical decimal integers, ``value`` is ASCII text
-    with no whitespace or ``_`` that ``float`` reads, and the layer and metric
-    hold no character a chart's XML cannot hold (``chart.NOT_XML``).
+    with no whitespace or ``_`` that ``float`` reads as a finite number, and
+    the layer and metric hold no character a chart's XML cannot hold
+    (``chart.NOT_XML``).
     """
     # "\r\n" and a lone "\r" end a line as "\n" does; a layer tag may hold
     # U+2028 and the other separators at which splitlines() would also break
@@ -330,13 +332,16 @@ def read_report_tsv(path: str | Path) -> list[dict]:
             value = parts[4]
             if not value.isascii() or "_" in value or value.strip() != value:
                 raise ValueError(f"value {value!r} is not plain ASCII number text")
+            number = float(value)
+            if not math.isfinite(number):
+                raise ValueError(f"value {value!r} is not a finite number")
             rows.append(
                 {
                     "layer": parts[0] if layer is None else layer,
                     "rank": rank,
                     "task": parts[2],
                     "metric": parts[3],
-                    "value": float(value),
+                    "value": number,
                     "n_sequences": n_sequences,
                 }
             )

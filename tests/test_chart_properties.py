@@ -1,4 +1,5 @@
-"""Properties: chart text is escaped as ``xml.sax.saxutils.escape`` does, or rejected.
+"""Properties: chart text is escaped as ``xml.sax.saxutils.escape`` does, or rejected, and
+every coordinate is a number.
 
 The chart escapes its own text so that drawing one does not import the XML
 package; the standard library's escape and parser are the references here.
@@ -6,6 +7,7 @@ package; the standard library's escape and parser are the references here.
 
 from __future__ import annotations
 
+import re
 from xml.etree import ElementTree
 from xml.sax import saxutils
 
@@ -55,3 +57,19 @@ def test_chart_text_xml_cannot_hold_is_rejected(before, bad, after):
         render_line_chart(rows, "nspr")
     with pytest.raises(ValidationError, match="XML cannot hold"):
         render_line_chart(rows[1:], "nspr", title=before + bad + after)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers() | st.integers(-(10**400), 10**400), st.floats()),
+                min_size=1, max_size=6))
+def test_a_chart_holds_no_nan_or_inf_or_is_rejected(points):
+    # layers of any size, and values of any float: finite ones too far apart or too close in
+    # float64 for an axis, nan and the infinities
+    rows = [{"layer": layer, "rank": 1, "task": "distance", "metric": "dspr", "value": value,
+             "n_sequences": 1} for layer, value in points]
+    try:
+        svg = render_line_chart(rows, "dspr")
+    except ValidationError as exc:
+        assert str(exc).startswith("cannot chart 'dspr': ")
+    else:
+        assert not re.search(r"nan|inf", svg)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -1128,6 +1129,47 @@ def test_chart_report_row_xml_cannot_hold_is_data_error_at_its_line(tmp_path, ca
     assert not chart.exists()
 
 
+def write_two_row_report(path: Path, layers=("0", "1"), values=("0.4", "0.6")) -> None:
+    header = "layer\trank\ttask\tmetric\tvalue\tn_sequences\n"
+    rows = "".join(f"{layer}\t2\tdistance\tdspr\t{value}\t5\n"
+                   for layer, value in zip(layers, values))
+    path.write_text(header + rows)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_chart_report_value_that_is_not_finite_is_data_error_at_its_line(
+    tmp_path, capsys, value
+):
+    report, chart = tmp_path / "r.tsv", tmp_path / "c.svg"
+    write_two_row_report(report, values=(value, "0.5"))
+    code = main(["--quiet", "chart", "--report", str(report), "--metric", "dspr",
+                 "--out", str(chart)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"structprobe: {report}:2: bad report row: value {value!r} is not a finite number\n"
+    assert not chart.exists()
+
+
+@pytest.mark.parametrize(
+    "layers, values, axis",
+    [(("0", "1"), ("1e308", "-1e308"), "value"), (("0", "1"), ("1e300", "1e300"), "value"),
+     (("100000000000000000", "100000000000000001"), ("0.4", "0.6"), "layer")],
+    ids=["overflowing-values", "equal-huge-values", "layers-equal-in-float64"],
+)
+def test_chart_whose_axis_has_no_finite_span_is_validation_error(
+    tmp_path, capsys, layers, values, axis
+):
+    report, chart = tmp_path / "r.tsv", tmp_path / "c.svg"
+    write_two_row_report(report, layers, values)
+    code = main(["--quiet", "chart", "--report", str(report), "--metric", "dspr",
+                 "--out", str(chart)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"structprobe: cannot chart 'dspr': the {axis} axis from ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not chart.exists()
+
+
 def test_grid_with_failed_cells_exits_two_and_keeps_survivors(tmp_path):
     paths = write_grid_inputs(tmp_path, n_trees=20)
     # layer 1's validation embeddings get three more columns than its train split
@@ -1213,6 +1255,47 @@ def test_grid_cell_whose_report_write_fails_leaves_no_file(tmp_path, monkeypatch
         assert (failed_dir / name).read_bytes() == (clean_dir / name).read_bytes()
     clean_rows = [r for r in read_report_tsv(clean_dir / "report.tsv") if r["rank"] == 2]
     assert read_report_tsv(failed_dir / "report.tsv") == clean_rows
+
+
+@pytest.mark.parametrize("failing", ["training", "report write"])
+def test_a_failed_cell_frees_its_layer_before_the_next_layer_loads(tmp_path, monkeypatch, failing):
+    # the live EmbeddingSequence objects at each load: a failure kept as an error would hold,
+    # through its traceback, the frame and so the splits of its layer. The collector is off,
+    # so that a collection cannot hide a reference cycle
+    paths = write_grid_inputs(tmp_path, n_trees=15)
+    mpath = write_manifest(tmp_path, paths, tmp_path / "run", ranks=(2, 3),
+                           train={"max_epochs": 1, "patience": 1})
+    live: list[int] = []
+    load, train, write = grid_mod.load_splits, grid_mod.train_probe, grid_mod.write_report_json
+
+    def load_counted(*args):
+        live.append(sum(isinstance(obj, EmbeddingSequence) for obj in gc.get_objects()))
+        return load(*args)
+
+    def train_failing_layer_0(task, train_pairs, val_pairs, cfg, layer):
+        if layer == 0:
+            raise ValueError("training failed")
+        return train(task, train_pairs, val_pairs, cfg, layer)
+
+    def write_failing_layer_0(report, path):
+        if "layer0" in path.name:
+            raise OSError(28, "No space left on device")
+        write(report, path)
+
+    monkeypatch.setattr(grid_mod, "load_splits", load_counted)
+    if failing == "training":
+        monkeypatch.setattr(grid_mod, "train_probe", train_failing_layer_0)
+    else:
+        monkeypatch.setattr(grid_mod, "write_report_json", write_failing_layer_0)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(["--quiet", "grid", "--manifest", str(mpath)]) == 2
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(live) == 2 and live[1] == live[0]
 
 
 def test_a_grid_loads_each_layer_after_the_layer_before_wrote_its_files(tmp_path, monkeypatch):
@@ -1857,6 +1940,32 @@ def test_a_failed_second_write_leaves_neither_output(tmp_path, capsys, command):
     second = tmp_path / "second.json"
     assert main(["--quiet", command, *argv[:-1], str(second), out_flag, str(out)]) == 0
     assert out.exists() and second.exists()
+
+
+@pytest.mark.parametrize("second", ["x", "./x", "d/../x"])
+@pytest.mark.parametrize("command", ["eval", "scene-tree", "synth"])
+def test_two_outputs_naming_one_file_exit_two_and_write_nothing(
+    tmp_path, monkeypatch, capsys, command, second
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    if command == "synth":
+        argv = ["--n-trees", "3", "--out-labels", "x", "--out-emb", second]
+    elif command == "eval":
+        labels, emb = write_synth(tmp_path)
+        save_probe(identity_probe("depth", next(read_embeddings(emb)).m), tmp_path / "p.json")
+        argv = ["--probe", "p.json", "--labels", str(labels), "--emb", str(emb),
+                "--out", "x", "--json", second]
+    else:
+        (tmp_path / "x.conll").write_text(CONLL)
+        (tmp_path / "g.jsonl").write_text(json.dumps(GROUNDING) + "\n")
+        argv = ["--conll", "x.conll", "--grounding", "g.jsonl", "--out", "x", "--report", second]
+    before = set(tmp_path.iterdir())
+    assert main(["--quiet", command, *argv]) == 2
+    assert capsys.readouterr().err == (
+        f"structprobe: output path {second!r} names the same file as 'x'\n"
+    )
+    assert set(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("command", ["eval", "scene-tree", "synth"])

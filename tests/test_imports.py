@@ -1,12 +1,14 @@
 """Imports: the CLI loads no XML, mail or network stack, the package's
-modules import one another without a cycle and without private names, and
-the package exports the README's "Library API" list."""
+modules import one another without a cycle and without private names, the
+package exports the README's "Library API" list, and each call the README
+writes with its parameters names them as the package does."""
 
 from __future__ import annotations
 
 import ast
 import graphlib
 import importlib
+import inspect
 import json
 import os
 import re
@@ -122,3 +124,42 @@ def test_the_package_exports_exactly_the_readme_library_api():
                          ("scenetree", "find_highest_node"), ("embed_io", "AlignmentMap"),
                          ("embed_io", "align_wordpieces")):
         assert not hasattr(importlib.import_module(f"structprobe.{module}"), name)
+
+
+def readme_calls() -> list[str]:
+    """The package calls the README writes in backticks with their parameters.
+
+    Each reads as one line without its ``structprobe.`` prefix, such as
+    ``grid.load_splits(split_labels, emb, check=None)``; the standard library's are left out.
+    """
+    text = " ".join((SRC.parent / "README.md").read_text(encoding="utf-8").split())
+    calls = re.findall(r"`(?:structprobe\.)?((?:\w+\.)?\w+\([^`]*\))`", text)
+    return [call for call in calls if call.partition("(")[0].rpartition(".")[0] in MODULES | {""}]
+
+
+def test_each_call_the_readme_writes_names_the_package_parameters_and_defaults():
+    import structprobe
+
+    calls = readme_calls()
+    assert {
+        "grid.rank_cells(task, splits, cfg, ranks, layer=None)",
+        "grid.read_split_labels(paths)",
+        "grid.check_splits(split_labels, emb)",
+        "grid.load_splits(split_labels, emb, check=None)",
+        "grid.run_layer_grid(manifest)",
+        "metrics.uuas_counts(pred_dist, gold)",
+        "tree_labels(tree, seq_id, exclude_deprels=())",
+    } <= set(calls)
+    for call in calls:
+        name, _, params = call.removesuffix(")").partition("(")
+        module, _, attr = name.rpartition(".")
+        owner = importlib.import_module(f"structprobe.{module}") if module else structprobe
+        actual = [
+            p.name if p.default is inspect.Parameter.empty else f"{p.name}={p.default!r}"
+            for p in inspect.signature(getattr(owner, attr)).parameters.values()
+        ]
+        written = params.split(", ")
+        if written[0] == "...":  # the parameters written after "..." end the signature
+            written = written[1:]
+            actual = actual[len(actual) - len(written):]
+        assert written == actual, call
